@@ -22,6 +22,7 @@ API_BOUNDARY_MODULES = [
     "src/repro/cli.py",
     "src/repro/errors.py",
     "src/repro/fsio.py",
+    "src/repro/journal.py",
     "src/repro/chaos/*.py",
     "src/repro/exec/*.py",
     "src/repro/learn/*.py",

@@ -25,15 +25,14 @@ fields inside ``failure``.)
 
 Quarantined records are journaled for the post-mortem but are **not**
 skipped on resume — a failed task is not finished work, so the re-launch
-tries it again.  A torn final line (the process was killed mid-write) is
-tolerated: it is discarded with a loud ``RuntimeWarning`` *and truncated
-out of the file*, so the resumed run's first append cannot concatenate
-onto the fragment.  Corruption anywhere else — unparseable JSON mid-file
-or a parseable record missing its hash/payload/failure fields — raises
-:class:`repro.errors.ManifestError` rather than ever resuming silently
-wrong.  Appends go through :mod:`repro.fsio` (write + per-record fsync),
-so the chaos harness can inject ENOSPC/slow-write faults, and an append
-failure surfaces as a ``ManifestError`` naming the journal.
+tries it again.  The file is a :mod:`repro.journal` journal under the
+manifest policy: every record is fsynced, a torn final line is amputated
+on resume (warned about; its task simply re-runs), and any other
+corruption raises :class:`repro.errors.ManifestError` rather than ever
+resuming silently wrong — unparseable JSON on any complete line, or a
+parseable record missing its hash/payload/failure fields.  An append
+failure (ENOSPC, injected by the chaos harness through
+:mod:`repro.fsio`) surfaces as a ``ManifestError`` naming the journal.
 
 Payload encoding is JSON with tagged extensions — numpy arrays and a
 small allow-list of repro dataclasses round-trip exactly (floats via
@@ -54,13 +53,12 @@ import dataclasses
 import importlib
 import json
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Union
 
 import numpy as np
 
-from repro import fsio
+from repro import journal
 from repro.errors import ManifestError
 from repro.exec.task import Task, TaskFailure
 
@@ -171,6 +169,13 @@ class SweepManifest:
         self.path = Path(path)
         self._completed: Dict[str, Any] = {}
         self._failed: Dict[str, TaskFailure] = {}
+        # fsync per record: a journal line the supervisor acted on
+        # (skipping the task on resume) must survive a power cut, not just
+        # a process kill.
+        self._journal = journal.JournalWriter(
+            self.path, {"type": "manifest", "version": MANIFEST_VERSION,
+                        "created_unix": time.time()},
+            "manifest", ManifestError, fsync=True)
         if self.path.exists():
             if not resume:
                 raise ManifestError(
@@ -181,8 +186,10 @@ class SweepManifest:
             if resume:
                 raise ManifestError(
                     f"cannot resume: manifest {self.path} does not exist")
-            self._append({"type": "manifest", "version": MANIFEST_VERSION,
-                          "created_unix": time.time()})
+            try:
+                self._journal.open()
+            finally:
+                self._journal.close()
 
     # -- resume state ------------------------------------------------------
 
@@ -236,63 +243,20 @@ class SweepManifest:
     # -- internals ---------------------------------------------------------
 
     def _append(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True)
+        # Nothing owns a manifest long enough to close it, so it holds no
+        # descriptor between records.
         try:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fsio.file_write(fh, line + "\n", path=self.path)
-                fh.flush()
-                # fsync per record: a journal line the supervisor acted on
-                # (skipping the task on resume) must survive a power cut,
-                # not just a process kill.
-                fsio.fsync(fh.fileno(), path=self.path)
-        except OSError as exc:
-            raise ManifestError(
-                f"cannot append to manifest {self.path} ({exc}); the "
-                "journal holds every record up to this one — resume from "
-                "it once the underlying problem is fixed") from exc
+            self._journal.append(json.dumps(record, sort_keys=True))
+        finally:
+            self._journal.close()
 
     def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        for index, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if index == len(lines) - 1:
-                    # Torn final line: the previous run was killed
-                    # mid-append.  Everything before it is intact; the
-                    # partial record is discarded (its task simply re-runs)
-                    # — but loudly, so an operator can tell a clean resume
-                    # from a crash-recovery one.
-                    warnings.warn(
-                        f"{self.path}:{index + 1}: discarding torn final "
-                        f"manifest record (crash mid-append?); the "
-                        f"affected task will re-run", RuntimeWarning,
-                        stacklevel=2)
-                    self._amputate_torn_tail()
-                    break
-                raise ManifestError(
-                    f"{self.path}:{index + 1}: corrupt manifest record "
-                    f"({exc})") from exc
-            self._ingest(record, index + 1)
-
-    def _amputate_torn_tail(self) -> None:
-        """Truncate the discarded torn final record out of the journal.
-
-        Tolerating a torn final line on *read* is not enough: this
-        manifest is about to be appended to, and a new record written
-        after a newline-less fragment would concatenate onto it —
-        turning a recoverable torn *final* line into an unrecoverable
-        corrupt *mid-file* line for the next resume.  The fragment was
-        already judged dead (its task re-runs), so cutting it off is
-        safe and makes recovery idempotent.
-        """
-        raw = self.path.read_bytes()
-        end = len(raw) - 1 if raw.endswith(b"\n") else len(raw)
-        cut = raw.rfind(b"\n", 0, end) + 1
-        with self.path.open("r+b") as fh:
-            fh.truncate(cut)
+        read = journal.read(self.path, "manifest", ManifestError,
+                            amputate=True)
+        if read.header is not None:
+            for lineno, record in enumerate([read.header] + read.records,
+                                            start=1):
+                self._ingest(record, lineno)
 
     def _ingest(self, record: Mapping[str, Any], lineno: int) -> None:
         kind = record.get("type")

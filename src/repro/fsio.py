@@ -1,9 +1,10 @@
 """Injectable filesystem shim for the durability-critical write paths.
 
-Every write the repository's persistence layers promise durability for —
-sweep-manifest appends (:mod:`repro.exec.manifest`), policy/checkpoint
-atomic writes (:mod:`repro.rl.persistence`), and telemetry event appends
-(:mod:`repro.telemetry.events`) — is routed through the thin wrappers in
+Every file operation the repository's persistence layers depend on —
+journal appends and reads (:mod:`repro.journal`: sweep manifests,
+telemetry event files, experience journals), policy/checkpoint atomic
+writes (:mod:`repro.rl.persistence`), and policy artifact loads
+(:mod:`repro.serve.artifact`) — is routed through the thin wrappers in
 this module.  With no shim installed (the production default, and the
 only state the library itself ever runs in) each wrapper is a single
 ``is None`` branch in front of the exact seed-behaviour call, so an
@@ -121,7 +122,7 @@ def shimmed(shim: FilesystemShim):
 # the shim existed; keep it first and branch-free beyond the None check.
 
 def os_write(fd: int, data: bytes, path: Optional[PathLike] = None) -> int:
-    """``os.write`` with shim interception (telemetry event appends)."""
+    """``os.write`` with shim interception (journal appends)."""
     if _SHIM is None:
         return os.write(fd, data)
     result = _SHIM.write(_as_path(path), data, lambda b: os.write(fd, b))
@@ -129,7 +130,7 @@ def os_write(fd: int, data: bytes, path: Optional[PathLike] = None) -> int:
 
 
 def file_write(fh, data, path: Optional[PathLike] = None) -> None:
-    """``fh.write`` with shim interception (manifest/atomic writes).
+    """``fh.write`` with shim interception (atomic policy writes).
 
     ``data`` may be ``str`` or ``bytes``, matching the mode ``fh`` was
     opened with; a shim always sees bytes (UTF-8 for text handles).
@@ -163,7 +164,7 @@ def replace(src: PathLike, dst: PathLike) -> None:
 def read_bytes(path: PathLike, size: Optional[int] = None) -> bytes:
     """Read up to ``size`` bytes of ``path`` (all when ``None``).
 
-    The serving layer's artifact loads go through here so the chaos
+    Artifact loads and journal reads go through here so the chaos
     harness can inject slow or failing storage on the *read* side; with
     no shim installed this is a plain open-and-read.
     """

@@ -4,18 +4,16 @@ Fleet workers stream experience through an :class:`ExperienceStream`,
 the write half of one shard's journal: a bounded in-memory buffer that
 *sheds oldest-first* when the learner falls behind (the fleet never
 blocks on a slow learner — backpressure loses the stalest experience,
-counted honestly, instead of stalling serving), flushed to an
-append-only JSONL file as one atomic ``os.write`` per record on an
-``O_APPEND`` descriptor routed through :mod:`repro.fsio` (the same
-fork-safe idiom as :class:`repro.telemetry.EventSink`, and the chaos
-harness's injection point).
+counted honestly, instead of stalling serving), flushed to a
+:mod:`repro.journal` file as one atomic ``os.write`` per record.
 
 The read half, :func:`read_journal`, carries the crash-recovery
-contract the learner depends on (``docs/ONLINE_LEARNING.md``):
+contract the learner depends on (``docs/ONLINE_LEARNING.md``) under the
+experience-journal policy of ``docs/ROBUSTNESS.md``, "Crash-safe
+journals":
 
-* a **torn final line** (writer killed mid-append) is amputated by
-  physically truncating the file back to its last newline — idempotent,
-  warned about, and exactly the sweep-manifest recovery semantics;
+* a **torn final line** (writer killed mid-append) is amputated —
+  idempotent and warned about;
 * **corrupt interior records** are quarantined (counted, skipped) so one
   bad line cannot poison or abort ingestion;
 * the returned **cursor** is content-hash keyed — byte offset plus the
@@ -27,16 +25,11 @@ contract the learner depends on (``docs/ONLINE_LEARNING.md``):
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import warnings
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Optional, Union
 
-from repro import fsio
+from repro import journal
 from repro.errors import ExperienceError
 from repro.learn.records import (ExperienceRecord, decode_record,
                                  encode_record)
@@ -56,11 +49,6 @@ def shard_filename(shard: int) -> str:
     return f"shard-{int(shard):04d}.jsonl"
 
 
-def _header_line(shard: int) -> str:
-    return json.dumps({"format": JOURNAL_FORMAT, "v": JOURNAL_VERSION,
-                       "shard": int(shard)}, sort_keys=True)
-
-
 class ExperienceStream:
     """Bounded-buffer write half of one shard's experience journal."""
 
@@ -73,13 +61,14 @@ class ExperienceStream:
             raise ExperienceError(
                 f"the stream buffer must hold at least one record, got "
                 f"buffer_limit={buffer_limit}")
-        self._directory = Path(directory)
-        self._shard = int(shard)
         self._limit = int(buffer_limit)
         self._buffer: deque = deque()
-        self._fd: Optional[int] = None
-        self.path = self._directory / shard_filename(shard)
+        self.path = Path(directory) / shard_filename(shard)
         """The journal file this stream appends to."""
+        self._journal = journal.JournalWriter(
+            self.path, {"format": JOURNAL_FORMAT, "v": JOURNAL_VERSION,
+                        "shard": int(shard)},
+            "experience", ExperienceError)
         self.offered = 0
         """Records handed to the stream (including later-shed ones)."""
         self.shed = 0
@@ -120,45 +109,26 @@ class ExperienceStream:
             count += 1
         return count
 
-    def _ensure_open(self) -> int:
-        if self._fd is None:
+    def flush(self) -> int:
+        """Append every buffered record to the journal; returns count.
+
+        One ``os.write`` per record, so concurrent forked writers
+        interleave whole records and a crash mid-flush tears at most the
+        final line (which the reader amputates).  A failed write leaves
+        the unwritten suffix buffered and raises
+        :class:`repro.errors.ExperienceError`.
+        """
+        if self._journal.closed:
             try:
-                self._directory.mkdir(parents=True, exist_ok=True)
-                fresh = not self.path.exists() \
-                    or self.path.stat().st_size == 0
-                self._fd = os.open(
-                    str(self.path),
-                    os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-                if fresh:
-                    line = _header_line(self._shard) + "\n"
-                    fsio.os_write(self._fd, line.encode("utf-8"),
-                                  path=self.path)
+                self.path.parent.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise ExperienceError(
                     f"cannot open experience journal {self.path} "
                     f"({exc})") from exc
-        return self._fd
-
-    def flush(self) -> int:
-        """Append every buffered record to the journal; returns count.
-
-        One ``os.write`` per record on the ``O_APPEND`` descriptor, so
-        concurrent forked writers interleave whole records and a crash
-        mid-flush tears at most the final line (which the reader
-        amputates).  A failed write leaves the unwritten suffix
-        buffered and raises :class:`repro.errors.ExperienceError`.
-        """
-        fd = self._ensure_open()
+            self._journal.open()
         flushed = 0
         while self._buffer:
-            line = encode_record(self._buffer[0]) + "\n"
-            try:
-                fsio.os_write(fd, line.encode("utf-8"), path=self.path)
-            except OSError as exc:
-                raise ExperienceError(
-                    f"cannot append to experience journal {self.path} "
-                    f"({exc}); {len(self._buffer)} record(s) remain "
-                    "buffered — every earlier line is intact") from exc
+            self._journal.append(encode_record(self._buffer[0]))
             self._buffer.popleft()
             self.written += 1
             flushed += 1
@@ -171,9 +141,7 @@ class ExperienceStream:
 
     def close(self) -> None:
         """Release the descriptor (idempotent); does not flush."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._journal.close()
 
     def __enter__(self) -> "ExperienceStream":
         return self
@@ -182,44 +150,10 @@ class ExperienceStream:
         self.close()
 
 
-@dataclass
-class JournalSlice:
-    """Everything one :func:`read_journal` call consumed."""
-
-    records: List[ExperienceRecord] = field(default_factory=list)
-    """Validated records past the cursor, in journal order."""
-
-    cursor: Dict[str, object] = field(default_factory=dict)
-    """Resume cursor: ``{"offset", "sha256", "lines"}`` — the byte
-    offset consumed, the SHA-256 of every consumed byte, and the total
-    record lines seen (quarantined included)."""
-
-    quarantined: int = 0
-    """Corrupt record lines skipped (honest coverage accounting)."""
-
-    amputated_bytes: int = 0
-    """Bytes of torn final line physically truncated before reading."""
-
-
-def _amputate_torn_tail(path: Path, raw: bytes) -> tuple:
-    """Truncate a torn final line off the journal; returns (raw, cut)."""
-    if not raw or raw.endswith(b"\n"):
-        return raw, 0
-    cut = raw.rfind(b"\n") + 1
-    dropped = len(raw) - cut
-    warnings.warn(
-        f"experience journal {path} ends mid-record ({dropped} bytes "
-        "after the last newline); a writer died mid-append — amputating "
-        "the torn line and continuing from the last durable record",
-        RuntimeWarning, stacklevel=3)
-    try:
-        with open(path, "r+b") as fh:
-            fh.truncate(cut)
-    except OSError as exc:
-        raise ExperienceError(
-            f"cannot amputate torn tail of experience journal {path} "
-            f"({exc})") from exc
-    return raw[:cut], dropped
+JournalSlice = journal.JournalRead
+"""What one :func:`read_journal` call consumed: the validated
+experience records past the cursor, the new cursor, and the counts of
+quarantined lines and amputated bytes."""
 
 
 def read_journal(path: Union[str, Path],
@@ -236,74 +170,16 @@ def read_journal(path: Union[str, Path],
     itself is untrustworthy: unreadable, missing its header, or
     rewritten under the cursor (prefix hash mismatch).
     """
-    path = Path(path)
-    try:
-        raw = fsio.read_bytes(path)
-    except OSError as exc:
+    read = journal.read(path, "experience", ExperienceError, amputate=True,
+                        quarantine=True, decode=decode_record, cursor=cursor)
+    header = read.header
+    if header is None or header.get("format") != JOURNAL_FORMAT:
         raise ExperienceError(
-            f"cannot read experience journal {path} ({exc})") from exc
-    raw, amputated = _amputate_torn_tail(path, raw)
-    first_nl = raw.find(b"\n")
-    if first_nl < 0:
-        raise ExperienceError(
-            f"experience journal {path} has no complete header line; "
-            "the file is empty or corrupt")
-    try:
-        header = json.loads(raw[:first_nl].decode("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ExperienceError(
-            f"experience journal {path} header is not valid JSON "
-            f"({exc}); the file is corrupt or foreign") from exc
-    if not isinstance(header, dict) \
-            or header.get("format") != JOURNAL_FORMAT:
-        raise ExperienceError(
-            f"experience journal {path} does not declare format "
-            f"{JOURNAL_FORMAT!r}; the file is corrupt or foreign")
+            f"experience journal {path} has no header declaring format "
+            f"{JOURNAL_FORMAT!r}; the file is empty, corrupt or foreign")
     if header.get("v") != JOURNAL_VERSION:
         raise ExperienceError(
             f"experience journal {path} has unsupported version "
             f"{header.get('v')!r} (this reader understands "
             f"{JOURNAL_VERSION})")
-    start = first_nl + 1
-    prior_lines = 0
-    if cursor is not None:
-        offset = cursor.get("offset")
-        digest = cursor.get("sha256")
-        prior_lines = cursor.get("lines", 0)
-        if (not isinstance(offset, int) or not isinstance(digest, str)
-                or isinstance(offset, bool)
-                or not isinstance(prior_lines, int)):
-            raise ExperienceError(
-                f"malformed journal cursor {cursor!r}; cursors carry an "
-                "integer offset, a sha256 hex digest, and a line count")
-        if offset < start or offset > len(raw) \
-                or raw[offset - 1:offset] != b"\n":
-            raise ExperienceError(
-                f"journal cursor offset {offset} does not land on a "
-                f"record boundary of {path} ({len(raw)} bytes); the "
-                "journal was rewritten or truncated under the cursor")
-        actual = hashlib.sha256(raw[:offset]).hexdigest()
-        if actual != digest:
-            raise ExperienceError(
-                f"journal {path} was rewritten under its cursor: the "
-                f"consumed prefix hashes to {actual}, the cursor "
-                f"recorded {digest} — refusing to resume, the learner "
-                "would double-count or skip experience")
-        start = offset
-    records: List[ExperienceRecord] = []
-    quarantined = 0
-    lines = 0
-    for chunk in raw[start:].split(b"\n")[:-1]:
-        lines += 1
-        try:
-            records.append(decode_record(chunk.decode("utf-8")))
-        except (ExperienceError, UnicodeDecodeError):
-            # Quarantine, never crash: the bad line is counted and the
-            # rest of the journal still trains the learner.
-            quarantined += 1
-    new_cursor = {"offset": len(raw),
-                  "sha256": hashlib.sha256(raw).hexdigest(),
-                  "lines": prior_lines + lines}
-    return JournalSlice(records=records, cursor=new_cursor,
-                        quarantined=quarantined,
-                        amputated_bytes=amputated)
+    return read

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.errors import (CheckpointError, ExperienceError,
                           PersistenceError, ServeError)
-from repro.serve.canary import CanaryConfig, _Welford
+from repro.serve import CanaryConfig, Welford
 from repro.serve.fleet import FleetConfig, FleetSimulator
 
 
@@ -60,7 +60,7 @@ class RegressionWatchdog:
         self._sigmas = float(sigmas)
         self._margin = float(intervention_margin)
         self._min_runs = int(min_runs)
-        self._reward = _Welford()
+        self._reward = Welford()
         self._interventions = 0
         self._decisions = 0
 
@@ -112,7 +112,7 @@ class RegressionWatchdog:
 
     def reset(self) -> None:
         """Forget the baseline (a *new* incumbent took over)."""
-        self._reward = _Welford()
+        self._reward = Welford()
         self._interventions = 0
         self._decisions = 0
 

@@ -33,7 +33,7 @@ from repro.serve.artifact import (
     compile_table,
     peek_fingerprint,
 )
-from repro.serve.canary import CanaryConfig, CanaryRollout
+from repro.serve.canary import CanaryConfig, CanaryRollout, Welford
 from repro.serve.fleet import FleetConfig, FleetResult, FleetSimulator, run_fleet_sharded
 from repro.serve.registry import PolicyRegistry
 from repro.serve.server import PolicyServer, ServeConfig, SwapReport
@@ -49,6 +49,7 @@ __all__ = [
     "SwapReport",
     "CanaryConfig",
     "CanaryRollout",
+    "Welford",
     "FleetConfig",
     "FleetResult",
     "FleetSimulator",

@@ -73,8 +73,13 @@ class CanaryConfig:
             raise ServeError("intervention_margin cannot be negative")
 
 
-class _Welford:
-    """Running mean/variance (Welford), batch-updatable."""
+class Welford:
+    """Running mean/variance (Welford), batch-updatable.
+
+    The accumulator behind both canary groups and the promotion
+    watchdog's incumbent baseline
+    (:class:`repro.learn.promotion.RegressionWatchdog`).
+    """
 
     def __init__(self):
         self.count = 0
@@ -118,8 +123,8 @@ class CanaryRollout:
                  config: Optional[CanaryConfig] = None):
         self.candidate_version = int(candidate_version)
         self.config = config or CanaryConfig()
-        self._canary = _Welford()
-        self._incumbent = _Welford()
+        self._canary = Welford()
+        self._incumbent = Welford()
         self._canary_interventions = 0
         self._incumbent_interventions = 0
         self._verdict: Optional[str] = None

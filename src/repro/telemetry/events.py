@@ -1,11 +1,12 @@
 """Versioned JSONL event sink: schema-validated, crash-tolerant appends.
 
 One telemetry file is one run's event stream: a header line followed by
-one JSON object per event, in emission order.  The format mirrors the
-sweep manifest (:mod:`repro.exec.manifest`) deliberately — append-only
-writes flushed per line, a torn final line (process killed mid-append)
-tolerated with a loud :class:`RuntimeWarning` on read, corruption
-anywhere else raising :class:`~repro.errors.TelemetryError`.
+one JSON object per event, in emission order.  The file is a
+:mod:`repro.journal` journal, so it shares the sweep manifest's
+crash-safety contract; the telemetry policy (a read-only reader skips a
+torn final line, an appender amputates it, corruption anywhere else
+raises :class:`~repro.errors.TelemetryError`) is tabulated in
+``docs/ROBUSTNESS.md``, "Crash-safe journals".
 
 Every record carries the base fields ``type`` (str), ``v`` (the schema
 version), ``seq`` (per-process emission counter), ``wall`` (unix time),
@@ -14,12 +15,10 @@ file can interleave several processes' events).  Each event type then
 declares required typed fields in :data:`EVENT_SCHEMAS`; emission and
 reading both validate, so a consumer can rely on the declared shape.
 
-Appends go through a single ``os.write`` on an ``O_APPEND`` descriptor:
-on POSIX this makes each line one atomic append, which is what lets
-forked supervisor workers write into the parent's sink without tearing
-each other's records mid-line.  The write is routed through
-:mod:`repro.fsio` (pass-through unless the chaos harness installs a
-fault-injecting shim); a failed append raises
+Each event is one ``os.write`` on an ``O_APPEND`` descriptor: on POSIX
+this makes each line one atomic append, which is what lets forked
+supervisor workers write into the parent's sink without tearing each
+other's records mid-line.  A failed append raises
 :class:`~repro.errors.TelemetryError` and leaves every earlier line
 intact.
 """
@@ -31,11 +30,10 @@ import math
 import os
 import time
 import uuid
-import warnings
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
-from repro import fsio
+from repro import journal
 from repro.errors import TelemetryError
 
 SCHEMA_VERSION = 1
@@ -146,8 +144,8 @@ class EventSink:
 
     A fresh path gets a header line; an existing file is refused unless
     ``append=True`` (an event stream is never silently overwritten), in
-    which case the existing header is checked for version compatibility
-    and its run id adopted.
+    which case a torn final line is amputated, the existing header is
+    checked for version compatibility and its run id adopted.
     """
 
     def __init__(self, path: Union[str, Path], run_id: Optional[str] = None,
@@ -162,50 +160,44 @@ class EventSink:
             raise TelemetryError(
                 f"cannot append: telemetry file {self.path} does not exist")
         self._seq = 0
-        self._fd: Optional[int] = os.open(
-            str(self.path), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         if exists:
-            header = _read_header(self.path)
+            header = _read(self.path, amputate=True).header
+            _validate_line(self.path, 1, header)
             self.run_id = str(header.get("run_id", ""))
         else:
             self.run_id = run_id or uuid.uuid4().hex[:12]
-            self.emit("telemetry", run_id=self.run_id,
-                      created_unix=time.time())
+            header = self._record("telemetry", run_id=self.run_id,
+                                  created_unix=time.time())
+            self._seq = 1
+        self._journal = journal.JournalWriter(self.path, header, "telemetry",
+                                              TelemetryError)
+        self._journal.open()
 
-    def emit(self, type_: str, **fields: Any) -> dict:
-        """Validate and append one event; returns the full record."""
-        if self._fd is None:
-            raise TelemetryError(
-                f"telemetry sink {self.path} is closed")
+    def _record(self, type_: str, **fields: Any) -> dict:
         record = {"type": type_, "v": SCHEMA_VERSION, "seq": self._seq,
                   "wall": time.time(), "pid": os.getpid()}
         record.update(fields)
         validate_event(record)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        # One write per line: atomic O_APPEND append, so concurrent
-        # forked writers interleave whole records, never fragments.  The
-        # write goes through repro.fsio (the chaos harness's injection
-        # point; pass-through when no shim is installed).
-        try:
-            fsio.os_write(self._fd, line.encode("utf-8"), path=self.path)
-        except OSError as exc:
+        return record
+
+    def emit(self, type_: str, **fields: Any) -> dict:
+        """Validate and append one event; returns the full record."""
+        if self._journal.closed:
             raise TelemetryError(
-                f"cannot append to telemetry file {self.path} ({exc}); "
-                "the event was not recorded — every earlier line is "
-                "intact") from exc
+                f"telemetry sink {self.path} is closed")
+        record = self._record(type_, **fields)
+        self._journal.append(json.dumps(record, sort_keys=True))
         self._seq += 1
         return record
 
     def close(self) -> None:
         """Release the descriptor (idempotent)."""
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
+        self._journal.close()
 
     @property
     def closed(self) -> bool:
         """True once :meth:`close` has run."""
-        return self._fd is None
+        return self._journal.closed
 
     def __enter__(self) -> "EventSink":
         return self
@@ -214,76 +206,35 @@ class EventSink:
         self.close()
 
 
-def _parse_lines(path: Path) -> List[Tuple[int, dict]]:
-    """``(lineno, record)`` pairs; torn final line tolerated loudly."""
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise TelemetryError(
-            f"cannot read telemetry file {path}: {exc}") from exc
-    records: List[Tuple[int, dict]] = []
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if index == len(lines) - 1:
-                # Torn final line: the instrumented process was killed
-                # mid-append.  Everything before it is intact; the partial
-                # event is discarded — loudly, so an operator can tell a
-                # clean file from a crash artefact.
-                warnings.warn(
-                    f"{path}:{index + 1}: discarding torn final telemetry "
-                    f"record (crash mid-append?)", RuntimeWarning,
-                    stacklevel=3)
-                break
-            raise TelemetryError(
-                f"{path}:{index + 1}: corrupt telemetry record "
-                f"({exc})") from exc
-        records.append((index + 1, record))
-    return records
+def _read(path: Path, amputate: bool = False) -> journal.JournalRead:
+    """One telemetry journal read whose first record is the header."""
+    read = journal.read(path, "telemetry", TelemetryError,
+                        amputate=amputate)
+    kind = read.header.get("type") if read.header else None
+    if kind != "telemetry":
+        raise TelemetryError(f"{path}:1: first record must be the "
+                             f"'telemetry' header, got {kind!r}")
+    return read
 
 
-def _read_header(path: Path) -> dict:
-    """The validated header record of an existing event file."""
-    records = _parse_lines(path)
-    if not records:
-        raise TelemetryError(f"telemetry file {path} holds no records")
-    lineno, header = records[0]
+def _validate_line(path: Path, lineno: int, record: Mapping[str, Any]) -> None:
     try:
-        validate_event(header)
+        validate_event(record)
     except TelemetryError as exc:
-        raise TelemetryError(f"{path}:{lineno}: bad header: {exc}") from exc
-    if header.get("type") != "telemetry":
-        raise TelemetryError(
-            f"{path}:{lineno}: first record must be the 'telemetry' "
-            f"header, got {header.get('type')!r}")
-    return header
+        raise TelemetryError(f"{path}:{lineno}: {exc}") from exc
 
 
 def read_events(path: Union[str, Path]) -> List[dict]:
     """Load and validate every event of one telemetry file.
 
     Returns the records in file order, header included.  A torn final
-    line warns and is dropped (crash tolerance); any other malformation
-    — corrupt JSON mid-file, an unknown event type, a missing or
-    mistyped field, a version mismatch — raises
-    :class:`~repro.errors.TelemetryError`."""
+    line warns and is skipped, the file left as it is (crash
+    tolerance); any other malformation — a corrupt line, an unknown
+    event type, a missing or mistyped field, a version mismatch —
+    raises :class:`~repro.errors.TelemetryError`."""
     path = Path(path)
-    records = _parse_lines(path)
-    if not records:
-        raise TelemetryError(f"telemetry file {path} holds no records")
-    lineno, header = records[0]
-    if header.get("type") != "telemetry":
-        raise TelemetryError(
-            f"{path}:{lineno}: first record must be the 'telemetry' "
-            f"header, got {header.get('type')!r}")
-    out = []
-    for lineno, record in records:
-        try:
-            validate_event(record)
-        except TelemetryError as exc:
-            raise TelemetryError(f"{path}:{lineno}: {exc}") from exc
-        out.append(record)
-    return out
+    read = _read(path)
+    records = [read.header] + read.records
+    for lineno, record in enumerate(records, start=1):
+        _validate_line(path, lineno, record)
+    return records

@@ -17,7 +17,6 @@ line:
 
 from __future__ import annotations
 
-import json
 from collections import Counter as TallyCounter
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
+from repro import journal
 from repro.errors import TelemetryError
 from repro.telemetry.events import read_events
 
@@ -215,22 +215,9 @@ def summarize_manifest(path: Union[str, Path],
     fields inside the failure record.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise TelemetryError(f"cannot read manifest {path}: {exc}") from exc
     summary = ManifestSummary(path=str(path))
     timed = []
-    for index, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break  # torn final line: same tolerance as resume
-            raise TelemetryError(
-                f"{path}:{index + 1}: corrupt manifest record")
+    for record in journal.read(path, "manifest", TelemetryError).records:
         if record.get("type") != "result":
             continue
         summary.results += 1
@@ -256,22 +243,8 @@ def summarize_manifest(path: Union[str, Path],
 
 def summarize(path: Union[str, Path]) -> str:
     """Render the right summary for ``path`` (event file or manifest)."""
-    path = Path(path)
-    try:
-        first = ""
-        with path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    first = line
-                    break
-    except OSError as exc:
-        raise TelemetryError(f"cannot read {path}: {exc}") from exc
-    try:
-        header = json.loads(first) if first else {}
-    except json.JSONDecodeError as exc:
-        raise TelemetryError(
-            f"{path}: first line is not JSON ({exc})") from exc
-    kind = header.get("type") if isinstance(header, dict) else None
+    header = journal.header(path, TelemetryError) or {}
+    kind = header.get("type")
     if kind == "telemetry":
         return summarize_events(path).render()
     if kind == "manifest":

@@ -306,6 +306,22 @@ class TestEventSink:
             records = read_events(path)
         assert len(records) == 2
 
+    def test_append_after_torn_tail_keeps_every_event(self, tmp_path):
+        """Reopening a torn file to append amputates the fragment, so the
+        new events land on a line boundary instead of onto the fragment."""
+        path = tmp_path / "e.jsonl"
+        with EventSink(path) as sink:
+            sink.emit("log", level="WARNING", logger="x", message="before")
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"type": "log", "lev')  # killed mid-append
+        with pytest.warns(RuntimeWarning, match="torn final telemetry"):
+            sink = EventSink(path, append=True)
+        with sink:
+            sink.emit("log", level="WARNING", logger="x", message="one")
+            sink.emit("log", level="WARNING", logger="x", message="two")
+        records = read_events(path)
+        assert [r["message"] for r in records[1:]] == ["before", "one", "two"]
+
     def test_mid_file_corruption_raises(self, tmp_path):
         path = tmp_path / "e.jsonl"
         with EventSink(path) as sink:
