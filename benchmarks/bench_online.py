@@ -80,7 +80,7 @@ def _records_per_sec(table: np.ndarray, fingerprint: dict,
     rewards = rng.normal(size=n_records)
     next_states = rng.integers(0, num_states, size=n_records)
     learner = OnlineLearner(fingerprint, table,
-                            checkpoint_path=root / "ckpt.json")
+                            checkpoint_path=root / "ckpt.rpa")
     start = time.perf_counter()
     with ExperienceStream(root / "journals") as stream:
         for i in range(n_records):

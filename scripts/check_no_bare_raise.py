@@ -20,6 +20,7 @@ from typing import List, Tuple
 
 API_BOUNDARY_MODULES = [
     "src/repro/cli.py",
+    "src/repro/artifact.py",
     "src/repro/errors.py",
     "src/repro/fsio.py",
     "src/repro/journal.py",

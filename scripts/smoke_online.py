@@ -120,7 +120,7 @@ def _check_resume(agent, workdir, failures):
     with open(path, "ab") as fh:
         fh.write(b'{"not": "a record"}\n')          # quarantined
         fh.write(encode_record(_probe_record()).encode()[:9])  # torn
-    ckpt = workdir / "ckpt.json"
+    ckpt = workdir / "ckpt.rpa"
     learner = OnlineLearner(fingerprint, table, checkpoint_path=ckpt)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)

@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, Mapping, Optional
 
 import numpy as np
 
+from repro.artifact import _aligned
 from repro.chaos.plan import ChaosFault
 from repro.chaos.shims import EnospcShim, SlowReadShim, SlowWriteShim
 from repro.control import build_rl_controller
@@ -66,7 +67,6 @@ from repro.serve import (
     PolicyRegistry,
     PolicyServer,
 )
-from repro.serve.artifact import _aligned
 from repro.sim import Simulator, train
 from repro.telemetry.events import EventSink, read_events
 from repro.vehicle import default_vehicle
@@ -488,12 +488,14 @@ def _exp_policy_bitflip(fault: ChaosFault,
     solver, agent = _built_agent(fault.params["agent_seed"])
     stem = workdir / "policy"
     save_policy(agent, stem)
-    npz = stem.with_suffix(".npz")
-    blob = bytearray(npz.read_bytes())
+    rpa = stem.with_suffix(".rpa")
+    blob = bytearray(rpa.read_bytes())
+    # offset_fraction >= 0.05 lands past the header (~1% of the file),
+    # in the digest-covered table bytes.
     index = min(int(float(fault.params["offset_fraction"]) * len(blob)),
                 len(blob) - 1)
     blob[index] ^= 1 << int(fault.params["bit"])
-    npz.write_bytes(bytes(blob))
+    rpa.write_bytes(bytes(blob))
     fresh = build_rl_controller(solver,
                                 seed=int(fault.params["agent_seed"])).agent
     try:
@@ -513,15 +515,16 @@ def _exp_policy_bitflip(fault: ChaosFault,
 @_experiment("policy_sidecar_truncated", resumable=False)
 def _exp_sidecar_truncated(fault: ChaosFault,
                            workdir: Path) -> ExperimentOutcome:
-    """A truncated sidecar (torn copy, partial download) must surface as
-    a structured PersistenceError, not a JSON traceback."""
+    """A policy file torn inside its header (torn copy, partial download)
+    must surface as a structured PersistenceError, not a JSON traceback."""
     solver, agent = _built_agent(fault.params["agent_seed"])
     stem = workdir / "policy"
     save_policy(agent, stem)
-    sidecar = stem.with_suffix(".json")
-    blob = sidecar.read_bytes()
-    keep = max(1, int(len(blob) * float(fault.params["keep_fraction"])))
-    sidecar.write_bytes(blob[:keep])
+    rpa = stem.with_suffix(".rpa")
+    blob = rpa.read_bytes()
+    header_end = 8 + int.from_bytes(blob[4:8], "little")
+    keep = max(1, int(header_end * float(fault.params["keep_fraction"])))
+    rpa.write_bytes(blob[:keep])
     fresh = build_rl_controller(solver,
                                 seed=int(fault.params["agent_seed"])).agent
     try:
@@ -530,11 +533,11 @@ def _exp_sidecar_truncated(fault: ChaosFault,
         return ExperimentOutcome(
             kind=fault.kind, detected=True, recovered=None,
             resumable=False,
-            detail=f"policy_sidecar_truncated: {keep}/{len(blob)} bytes "
-                   f"kept; structured refusal ({exc})"[:200],
+            detail=f"policy_sidecar_truncated: {keep}/{header_end} header "
+                   f"bytes kept; structured refusal ({exc})"[:200],
             recovery_seconds=None)
     raise InvariantViolation(
-        f"a sidecar truncated to {keep} bytes loaded without error")
+        f"a policy header truncated to {keep} bytes loaded without error")
 
 
 def _gentle_cycle(steps: int = 30) -> DriveCycle:
@@ -566,13 +569,15 @@ def _exp_checkpoint_corrupt(fault: ChaosFault,
     train(Simulator(solver_b), killed, cycle, episodes=interrupt,
           seed=train_seed, evaluate_after=False, checkpoint_path=ckpt)
 
-    npz = ckpt.with_suffix(".npz")
-    intact = npz.read_bytes()
+    rpa = ckpt.with_suffix(".rpa")
+    intact = rpa.read_bytes()
     blob = bytearray(intact)
+    # As in policy_bitflip: the header is ~2% of the file, so the flip
+    # lands in the digest-covered table bytes.
     index = min(int(float(fault.params["offset_fraction"]) * len(blob)),
                 len(blob) - 1)
     blob[index] ^= 0x10
-    npz.write_bytes(bytes(blob))
+    rpa.write_bytes(bytes(blob))
     probe = build_rl_controller(PowertrainSolver(default_vehicle()),
                                 seed=agent_seed).agent
     try:
@@ -585,7 +590,7 @@ def _exp_checkpoint_corrupt(fault: ChaosFault,
             "would have resumed from scrambled state")
 
     # "Restore from replica": the intact bytes come back, resume runs.
-    npz.write_bytes(intact)
+    rpa.write_bytes(intact)
     solver_c = PowertrainSolver(default_vehicle())
     resumed = build_rl_controller(solver_c, seed=agent_seed)
     start = time.monotonic()
@@ -618,7 +623,7 @@ def _exp_checkpoint_enospc(fault: ChaosFault,
     agent.learner.qtable.values[:] = saved_q + 1.0
     shim = EnospcShim(fail_after_writes=1,
                       partial_fraction=float(fault.params["partial_fraction"]),
-                      match="ckpt.npz")
+                      match="ckpt.rpa")
     try:
         with shimmed(shim):
             save_checkpoint(agent, ckpt, episode=2)
@@ -797,7 +802,7 @@ def _exp_learn_torn_batch(fault: ChaosFault,
         with open(stream.path, "ab") as fh:
             fh.write(torn[:cut])
 
-    checkpoint = workdir / "learner-checkpoint.json"
+    checkpoint = workdir / "learner-checkpoint.rpa"
     learner = OnlineLearner(fingerprint, table, checkpoint_path=checkpoint)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -163,7 +163,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          choices=["proposed", "no_prediction", "baseline13"])
     p_train.add_argument("--seed", type=int, default=42)
     p_train.add_argument("--save", metavar="STEM",
-                         help="save the trained policy to STEM.{npz,json}")
+                         help="save the trained policy to STEM.rpa")
     p_train.add_argument("--telemetry", metavar="PATH",
                          help="stream structured events/spans/metrics to "
                               "this JSONL file (must not already exist)")
@@ -386,7 +386,7 @@ def _cmd_train(args) -> int:
     print("greedy evaluation:", run.evaluation.summary())
     if args.save:
         save_policy(controller.agent, args.save)
-        _LOG.info("policy saved to %s.npz / %s.json", args.save, args.save)
+        _LOG.info("policy saved to %s.rpa", args.save)
     return 0
 
 

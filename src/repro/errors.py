@@ -86,7 +86,7 @@ class ManifestError(ReproError, ValueError):
 
 class PersistenceError(CheckpointError):
     """A persisted policy or checkpoint file failed its integrity check
-    (SHA-256 digest mismatch, truncated archive, unreadable sidecar).
+    (SHA-256 digest mismatch, truncated file, unreadable header).
 
     Subclasses :class:`CheckpointError`, so existing ``except
     CheckpointError`` call sites keep working; the narrower class marks

@@ -17,7 +17,7 @@ The chaos harness (:mod:`repro.chaos`) installs a
 without patching any library internals, then verifies the documented
 recovery invariants hold.  A shim sees the *logical* destination path of
 every operation, so it can target one artifact (just the manifest, just
-the ``.npz``) and leave the rest of the run untouched.
+one ``.rpa``) and leave the rest of the run untouched.
 
 Shims are process-local state, installed/removed explicitly
 (:func:`install_shim` / :func:`uninstall_shim`) or scoped with the
@@ -30,11 +30,12 @@ ambiguous.
 from __future__ import annotations
 
 import os
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.errors import ChaosError
+from repro.errors import ChaosError, PersistenceError
 
 PathLike = Union[str, Path]
 
@@ -198,6 +199,37 @@ def fsync_directory(directory: PathLike) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def atomic_write_bytes(path: Path, payload: bytes) -> None:
+    """Write ``payload`` to ``path`` atomically (tmp file + ``os.replace``).
+
+    The temporary sibling is fsynced before the rename and the parent
+    directory after it, so the swap is durable, not just atomic.  All
+    I/O goes through the wrappers above; an ``OSError`` anywhere —
+    ENOSPC, EIO, a chaos shim — surfaces as a
+    :class:`repro.errors.PersistenceError` and leaves any previous file
+    at ``path`` untouched.
+    """
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
+                               prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            file_write(f, payload, path=path)
+            f.flush()
+            fsync(f.fileno(), path=path)
+        replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:  # containment: best-effort tmp cleanup; the original error re-raises below
+            pass
+        if isinstance(exc, OSError):
+            raise PersistenceError(
+                f"{path}: cannot persist ({exc}); the write was aborted "
+                "and the previous file, if any, is untouched") from exc
+        raise
+    fsync_directory(path.parent)
 
 
 def _as_path(path: Optional[PathLike]) -> Optional[Path]:

@@ -8,22 +8,25 @@ bit-identical to an uninterrupted run** (chaos kind
 that cheap to guarantee:
 
 * **Batch-invariant updates.**  The update rule is plain tabular
-  Q-learning — TD(λ) with ``λ = 0`` and a *constant* step size —
-  optionally in double-Q form with a deterministic alternation counter.
-  No eligibility traces and no step-size annealing means the final
-  table depends only on the *sequence* of records, never on how they
-  were grouped into :meth:`ingest` calls; a learner killed between any
-  two records and resumed replays the exact same float operations.
+  Q-learning — TD(λ) with ``λ = 0`` and a *constant* step size, bit
+  for bit the offline :class:`repro.rl.td_lambda.TDLambdaLearner` at
+  ``trace_decay=0, learning_rate_decay=0`` (property-tested in
+  ``tests/test_learn.py``).  No eligibility traces and no step-size
+  annealing means the final table depends only on the *sequence* of
+  records, never on how they were grouped into :meth:`ingest` calls; a
+  learner killed between any two records and resumed replays the exact
+  same float operations.
   (The offline trainer keeps its TD(λ) traces; they pay off there and
   would silently break exact resume here.)
 
 * **State and cursors committed together.**  Every successful
-  :meth:`ingest` atomically rewrites one checkpoint file (tmp + fsync +
-  rename through :func:`repro.rl.persistence._atomic_write_bytes`)
-  holding the Q-table bytes, the per-journal content-hash cursors, and
-  the counters.  There is no window where the table reflects records
-  the cursors have not acknowledged, so a crash at any instant resumes
-  from a consistent pair.
+  :meth:`ingest` atomically rewrites one checkpoint file — an ``.rpa``
+  table file (:mod:`repro.artifact`) committed by one tmp + fsync +
+  rename — holding the Q-table bytes and, in its ``state`` header, the
+  per-journal content-hash cursors, the config and the counters.  There
+  is no window where the table reflects records the cursors have not
+  acknowledged, so a crash at any instant resumes from a consistent
+  pair.
 
 Corrupt journal lines are quarantined with honest counts (see
 :mod:`repro.learn.journal`); a corrupt *checkpoint* is a
@@ -33,18 +36,15 @@ integrity failure in the repo.
 
 from __future__ import annotations
 
-import base64
-import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
 
+from repro.artifact import read_table, write_table
 from repro.errors import ExperienceError, PersistenceError
 from repro.learn.journal import read_journal
-from repro.rl.persistence import _atomic_write_bytes
 
 CHECKPOINT_FORMAT = "repro-learn-checkpoint"
 """Format name recorded in (and required of) every learner checkpoint."""
@@ -68,10 +68,6 @@ class OnlineLearnerConfig:
 
     discount: float = 0.8
     """Discount factor of the one-step bootstrap target."""
-
-    double_q: bool = False
-    """Maintain two tables updated alternately (van Hasselt double-Q);
-    the published policy is their mean."""
 
     def __post_init__(self):
         if not 0.0 < self.learning_rate <= 1.0:
@@ -104,38 +100,6 @@ class IngestReport:
     """Torn-final-line bytes truncated off journals this pass."""
 
 
-def _encode_table(table: np.ndarray) -> dict:
-    body = np.ascontiguousarray(table).tobytes()
-    return {"dtype": table.dtype.str,
-            "shape": [int(n) for n in table.shape],
-            "sha256": hashlib.sha256(body).hexdigest(),
-            "b64": base64.b64encode(body).decode("ascii")}
-
-
-def _decode_table(payload: dict, path: Path, label: str) -> np.ndarray:
-    try:
-        body = base64.b64decode(payload["b64"].encode("ascii"),
-                                validate=True)
-        dtype = np.dtype(payload["dtype"])
-        shape = tuple(int(n) for n in payload["shape"])
-        expected = payload["sha256"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(
-            f"{path}: learner checkpoint {label} section is malformed "
-            f"({exc}); the checkpoint is corrupt") from exc
-    actual = hashlib.sha256(body).hexdigest()
-    if actual != expected:
-        raise PersistenceError(
-            f"{path}: integrity check failed — {label} SHA-256 {actual} "
-            f"does not match the recorded {expected}; the checkpoint "
-            "was corrupted after it was written")
-    if len(shape) != 2 or len(body) != shape[0] * shape[1] * dtype.itemsize:
-        raise PersistenceError(
-            f"{path}: learner checkpoint {label} declares shape {shape} "
-            f"but carries {len(body)} bytes; the checkpoint is corrupt")
-    return np.frombuffer(body, dtype=dtype).reshape(shape).copy()
-
-
 class OnlineLearner:
     """Consumes experience journals into a publishable Q-table."""
 
@@ -157,10 +121,8 @@ class OnlineLearner:
                 "table was trained under")
         self._fingerprint = dict(fingerprint)
         self._config = config or OnlineLearnerConfig()
-        self._qa = table.copy()
-        self._qb = table.copy() if self._config.double_q else None
+        self._q = table.copy()
         self._cursors: Dict[str, dict] = {}
-        self._updates = 0
         self._path = Path(checkpoint_path) if checkpoint_path else None
         self.records = 0
         """Valid records applied over the learner's lifetime."""
@@ -192,10 +154,8 @@ class OnlineLearner:
 
     @property
     def table(self) -> np.ndarray:
-        """The publishable Q-table (mean of both tables under double-Q)."""
-        if self._qb is not None:
-            return (self._qa + self._qb) / 2.0
-        return self._qa.copy()
+        """The publishable Q-table (a copy)."""
+        return self._q.copy()
 
     @property
     def cursors(self) -> Dict[str, dict]:
@@ -203,26 +163,11 @@ class OnlineLearner:
         return {name: dict(cur) for name, cur in self._cursors.items()}
 
     def _apply(self, rec) -> None:
+        q = self._q
         lr = self._config.learning_rate
         gamma = self._config.discount
-        if self._qb is None:
-            target = rec.reward + gamma * float(np.max(self._qa[rec.next_state]))
-            self._qa[rec.state, rec.action] += lr * (
-                target - self._qa[rec.state, rec.action])
-        else:
-            # Double-Q: alternate deterministically on the update
-            # counter (checkpointed, so resume keeps the parity).
-            if self._updates % 2 == 0:
-                best = int(np.argmax(self._qa[rec.next_state]))
-                target = rec.reward + gamma * self._qb[rec.next_state, best]
-                self._qa[rec.state, rec.action] += lr * (
-                    target - self._qa[rec.state, rec.action])
-            else:
-                best = int(np.argmax(self._qb[rec.next_state]))
-                target = rec.reward + gamma * self._qa[rec.next_state, best]
-                self._qb[rec.state, rec.action] += lr * (
-                    target - self._qb[rec.state, rec.action])
-        self._updates += 1
+        target = rec.reward + gamma * float(np.max(q[rec.next_state]))
+        q[rec.state, rec.action] += lr * (target - q[rec.state, rec.action])
 
     def ingest(self, journal_dir: Union[str, Path]) -> IngestReport:
         """Consume every journal shard under ``journal_dir`` once.
@@ -235,7 +180,7 @@ class OnlineLearner:
         """
         directory = Path(journal_dir)
         report = IngestReport()
-        num_states, num_actions = self._qa.shape
+        num_states, num_actions = self._q.shape
         for path in sorted(directory.glob("shard-*.jsonl")):
             piece = read_journal(path, self._cursors.get(path.name))
             report.journals += 1
@@ -267,25 +212,17 @@ class OnlineLearner:
             raise ExperienceError(
                 "this learner was built without a checkpoint_path; "
                 "nowhere to checkpoint to")
-        payload = {
+        write_table(self._path, self._q, self._fingerprint, state={
             "format": CHECKPOINT_FORMAT,
             "v": CHECKPOINT_VERSION,
             "config": {"learning_rate": self._config.learning_rate,
-                       "discount": self._config.discount,
-                       "double_q": self._config.double_q},
-            "fingerprint": self._fingerprint,
+                       "discount": self._config.discount},
             "cursors": self._cursors,
-            "updates": self._updates,
             "counters": {"records": self.records,
                          "quarantined": self.quarantined,
                          "excluded": self.excluded,
                          "ingests": self.ingests},
-            "q": _encode_table(self._qa),
-            "q_b": (_encode_table(self._qb)
-                    if self._qb is not None else None),
-        }
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        _atomic_write_bytes(self._path, body)
+        })
         return self._path
 
     @classmethod
@@ -299,53 +236,35 @@ class OnlineLearner:
         """
         path = Path(checkpoint_path)
         try:
-            raw = path.read_bytes()
+            header, table = read_table(path)
         except FileNotFoundError as exc:
             raise ExperienceError(
                 f"no learner checkpoint at {path}; nothing to resume "
                 "from") from exc
-        except OSError as exc:
-            raise PersistenceError(
-                f"cannot read learner checkpoint {path} ({exc})") from exc
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise PersistenceError(
-                f"{path}: learner checkpoint is not valid JSON ({exc}); "
-                "the file is corrupt") from exc
-        if not isinstance(payload, dict) \
-                or payload.get("format") != CHECKPOINT_FORMAT:
+        state = header.get("state", {})
+        if state.get("format") != CHECKPOINT_FORMAT:
             raise PersistenceError(
                 f"{path}: not a learner checkpoint (missing format "
                 f"{CHECKPOINT_FORMAT!r}); the file is corrupt or foreign")
-        if payload.get("v") != CHECKPOINT_VERSION:
+        if state.get("v") != CHECKPOINT_VERSION:
             raise PersistenceError(
                 f"{path}: unsupported learner checkpoint version "
-                f"{payload.get('v')!r} (this reader understands "
+                f"{state.get('v')!r} (this reader understands "
                 f"{CHECKPOINT_VERSION})")
-        conf = payload.get("config")
-        fingerprint = payload.get("fingerprint")
-        cursors = payload.get("cursors")
-        counters = payload.get("counters")
-        if not isinstance(conf, dict) or not isinstance(fingerprint, dict) \
-                or not isinstance(cursors, dict) \
+        conf = state.get("config")
+        cursors = state.get("cursors")
+        counters = state.get("counters")
+        if not isinstance(conf, dict) or not isinstance(cursors, dict) \
                 or not isinstance(counters, dict):
             raise PersistenceError(
                 f"{path}: learner checkpoint is missing or mistypes "
-                "required sections (config/fingerprint/cursors/counters)")
+                "required sections (config/cursors/counters)")
         config = OnlineLearnerConfig(
             learning_rate=conf.get("learning_rate", 0.05),
-            discount=conf.get("discount", 0.8),
-            double_q=bool(conf.get("double_q", False)))
-        table = _decode_table(payload.get("q") or {}, path, "Q-table")
-        learner = cls(fingerprint, table, config=config,
+            discount=conf.get("discount", 0.8))
+        learner = cls(header["fingerprint"], table, config=config,
                       checkpoint_path=path)
-        learner._qa = table  # keep the exact decoded bytes, no re-copy
-        if config.double_q:
-            learner._qb = _decode_table(payload.get("q_b") or {}, path,
-                                        "double-Q table")
         learner._cursors = {str(k): dict(v) for k, v in cursors.items()}
-        learner._updates = int(payload.get("updates", 0))
         learner.records = int(counters.get("records", 0))
         learner.quarantined = int(counters.get("quarantined", 0))
         learner.excluded = int(counters.get("excluded", 0))

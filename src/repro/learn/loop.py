@@ -30,17 +30,17 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.errors import ExperienceError, PersistenceError, ServeError
+from repro.fsio import atomic_write_bytes
 from repro.learn.journal import ExperienceStream
 from repro.learn.learner import OnlineLearner, OnlineLearnerConfig
 from repro.learn.promotion import (PromotionPipeline, PromotionReport,
                                    RegressionWatchdog)
-from repro.rl.persistence import _atomic_write_bytes
 from repro.serve.canary import CanaryConfig
 from repro.serve.fleet import FleetConfig, FleetSimulator
 from repro.serve.registry import PolicyRegistry
 from repro.serve.server import PolicyServer
 
-CHECKPOINT_NAME = "learner-checkpoint.json"
+CHECKPOINT_NAME = "learner-checkpoint.rpa"
 """Filename of the learner checkpoint inside the loop workdir."""
 
 JOURNAL_DIRNAME = "journals"
@@ -214,7 +214,7 @@ class OnlineLearningLoop:
         body = json.dumps(
             {"version": int(self.server.active_version)},
             sort_keys=True).encode("utf-8")
-        _atomic_write_bytes(self._state_path, body)
+        atomic_write_bytes(self._state_path, body)
 
     def run(self, rounds: int) -> LoopReport:
         """Drive ``rounds`` fleet/ingest/promote cycles; returns totals."""

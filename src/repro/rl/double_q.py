@@ -71,19 +71,20 @@ class DoubleQLearner:
 
     # --- checkpointing ----------------------------------------------------------
 
-    def checkpoint_arrays(self) -> dict:
-        """Both estimator tables (the exposed mean is rebuilt on restore)."""
-        return {"q_a": self._table_a.values, "q_b": self._table_b.values}
+    def checkpoint_table(self) -> np.ndarray:
+        """Both estimator tables stacked ``(2, S, A)`` (the exposed mean is
+        rebuilt on restore)."""
+        return np.stack([self._table_a.values, self._table_b.values])
 
     def checkpoint_meta(self) -> dict:
         """JSON-serialisable counters plus the coin-flip generator state."""
         return {"episode": self._episode, "dirty": self._episode_dirty,
                 "coin_state": self._coin.bit_generator.state}
 
-    def restore_checkpoint(self, arrays: dict, meta: dict) -> None:
-        """Restore a boundary snapshot written by the checkpoint pair."""
-        self._table_a.values[:] = arrays["q_a"]
-        self._table_b.values[:] = arrays["q_b"]
+    def restore_checkpoint(self, table: np.ndarray, meta: dict) -> None:
+        """Restore a boundary snapshot written by the checkpoint file."""
+        self._table_a.values[:] = table[0]
+        self._table_b.values[:] = table[1]
         self._refresh_mean()
         self._episode = int(meta["episode"])
         self._episode_dirty = bool(meta["dirty"])

@@ -3,30 +3,30 @@
 A trained policy is more than the Q-table: reloading it requires the exact
 state discretisation, action grid, and reward weights it was trained with,
 or the table's rows and columns mean something else entirely.  This module
-serialises the Q-table (``.npz``) together with a JSON sidecar of the
-configuration fingerprint, and refuses to load a table into an agent whose
+writes the Q-table together with the configuration fingerprint as one
+``<stem>.rpa`` file (the package's one table container,
+:mod:`repro.artifact`), and refuses to load a table into an agent whose
 configuration does not match.
 
-Two durability guarantees underpin crash-safe training
+Three guarantees underpin crash-safe training
 (:func:`repro.sim.training.train` with ``checkpoint_path=`` /
 ``resume_from=``):
 
-* **Atomic writes** — every file is written to a temporary sibling and
-  moved into place with :func:`os.replace`, so a crash mid-write can never
-  leave a truncated checkpoint where a good one used to be.
-* **Complete state** — a training checkpoint captures, besides the value
-  tables, every random-number-generator state and annealing counter the
-  training loop consumes (exploration RNG + epsilon, learner episode
-  counter, double-Q coin, adaptive SoC price, exploring-starts RNG), so a
-  killed-and-resumed run replays *bit-identically* the episodes an
-  uninterrupted run would have produced.
-* **Integrity checking** — the JSON sidecar records the SHA-256 digest of
-  the ``.npz`` archive; loading verifies it, so silent on-disk corruption
-  (bit rot, torn copies, partial downloads) surfaces as a structured
-  :class:`repro.errors.PersistenceError` naming both digests instead of a
-  numpy/zipfile traceback — or worse, a quietly scrambled policy.
-  Digestless legacy sidecars still load, but emit a ``RuntimeWarning``
-  naming the file: an unverified load is never silent.
+* **Atomic writes** — a save is one file committed by one atomic rename,
+  so a crash or a full disk mid-save leaves the previous policy or
+  checkpoint loadable and unchanged.
+* **Complete state** — a training checkpoint's ``state`` header captures,
+  besides the value tables, every random-number-generator state and
+  annealing counter the training loop consumes (exploration RNG +
+  epsilon, learner episode counter, double-Q coin, adaptive SoC price,
+  exploring-starts RNG), so a killed-and-resumed run replays
+  *bit-identically* the episodes an uninterrupted run would have
+  produced.
+* **Integrity checking** — the header records the SHA-256 digest of the
+  table bytes; loading verifies it, so silent on-disk corruption (bit
+  rot, torn copies, partial downloads) surfaces as a structured
+  :class:`repro.errors.PersistenceError` naming both digests instead of
+  a quietly scrambled policy.
 
 All writes go through :mod:`repro.fsio`, the chaos harness's fault
 injection point (``repro.chaos`` attacks these guarantees with simulated
@@ -36,20 +36,13 @@ no shim installed the wrappers are pass-through.
 
 from __future__ import annotations
 
-import hashlib
-import io
-import json
-import os
-import tempfile
-import warnings
-import zipfile
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
-from repro import fsio
-from repro.errors import CheckpointError, PersistenceError
+from repro.artifact import read_table, write_table
+from repro.errors import CheckpointError
 from repro.rl.agent import JointControlAgent
 
 FORMAT_VERSION = 1
@@ -58,103 +51,6 @@ FORMAT_VERSION = 1
 CHECKPOINT_VERSION = 1
 """Training-checkpoint serialisation format version."""
 
-
-# ------------------------------------------------------------ atomic writes ---
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` to ``path`` atomically (tmp file + ``os.replace``).
-
-    The temporary sibling is fsynced before the rename and the parent
-    directory after it, so the swap is durable, not just atomic.  All
-    I/O goes through :mod:`repro.fsio` (the chaos harness's injection
-    point); an ``OSError`` anywhere — ENOSPC, EIO, a chaos shim —
-    surfaces as a :class:`repro.errors.PersistenceError` and leaves any
-    previous file at ``path`` untouched.
-    """
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent),
-                               prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            fsio.file_write(f, payload, path=path)
-            f.flush()
-            fsio.fsync(f.fileno(), path=path)
-        fsio.replace(tmp, path)
-    except BaseException as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:  # containment: best-effort tmp cleanup; the original error re-raises below
-            pass
-        if isinstance(exc, OSError):
-            raise PersistenceError(
-                f"{path}: cannot persist ({exc}); the write was aborted "
-                "and the previous file, if any, is untouched") from exc
-        raise
-    fsio.fsync_directory(path.parent)
-
-
-def _atomic_save_npz(path: Path, **arrays: np.ndarray) -> str:
-    """Atomically persist arrays as a compressed ``.npz``; returns the
-    SHA-256 hexdigest of the written bytes (recorded in the sidecar for
-    load-time integrity verification)."""
-    buffer = io.BytesIO()
-    np.savez_compressed(buffer, **arrays)
-    payload = buffer.getvalue()
-    _atomic_write_bytes(path, payload)
-    return hashlib.sha256(payload).hexdigest()
-
-
-def _load_npz_verified(path: Path, expected_digest: Optional[str]) -> dict:
-    """Read an ``.npz``, verifying its digest against the sidecar's record.
-
-    Sidecars written before integrity checking carry no digest
-    (``expected_digest=None``); those load unverified for compatibility —
-    but *loudly*, with a ``RuntimeWarning`` naming the file, so an
-    operator can tell a verified load from a trust-me one (mirroring the
-    torn-manifest-line warning).  Any corruption — digest mismatch,
-    truncated archive, unreadable member — raises
-    :class:`repro.errors.PersistenceError`.
-    """
-    payload = path.read_bytes()
-    if expected_digest is None:
-        warnings.warn(
-            f"{path}: sidecar records no SHA-256 digest (written before "
-            f"integrity checking); loading unverified — re-save to gain "
-            f"corruption detection", RuntimeWarning, stacklevel=3)
-    if expected_digest is not None:
-        actual = hashlib.sha256(payload).hexdigest()
-        if actual != expected_digest:
-            raise PersistenceError(
-                f"{path}: integrity check failed — SHA-256 digest "
-                f"{actual} does not match the sidecar's recorded "
-                f"{expected_digest}; the file was corrupted or replaced "
-                "after it was written")
-    try:
-        data = np.load(io.BytesIO(payload))
-        return {name: data[name] for name in data.files}
-    except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
-        raise PersistenceError(
-            f"{path}: archive is unreadable ({exc}); the file is "
-            "truncated or corrupt") from exc
-
-
-def _load_sidecar(path: Path) -> dict:
-    """Read a JSON sidecar, mapping parse failures to a structured error."""
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except json.JSONDecodeError as exc:
-        raise PersistenceError(
-            f"{path}: sidecar is not valid JSON ({exc}); the file is "
-            "truncated or corrupt") from exc
-
-
-def _atomic_write_json(path: Path, obj: dict) -> None:
-    """Atomically persist a JSON document."""
-    payload = json.dumps(obj, indent=2, sort_keys=True).encode()
-    _atomic_write_bytes(path, payload + b"\n")
-
-
-# ---------------------------------------------------------------- policies ---
 
 def _fingerprint(agent: JointControlAgent) -> dict:
     """Configuration fingerprint that must match between save and load."""
@@ -171,47 +67,40 @@ def _fingerprint(agent: JointControlAgent) -> dict:
     }
 
 
-def save_policy(agent: JointControlAgent, path: Union[str, Path]) -> None:
-    """Persist an agent's policy to ``<path>.npz`` + ``<path>.json``.
+def _check_fingerprint(agent: JointControlAgent, header: dict,
+                       what: str) -> None:
+    current = _fingerprint(agent)
+    saved = header["fingerprint"]
+    mismatched = {key for key in current if saved.get(key) != current[key]}
+    if mismatched:
+        raise CheckpointError(
+            f"{what} is incompatible with this agent; mismatched "
+            f"fields: {sorted(mismatched)}")
 
-    ``path`` is a stem: two files are written next to each other, each
-    atomically (a crash mid-save never corrupts an existing policy).
-    """
-    stem = Path(path)
-    digest = _atomic_save_npz(stem.with_suffix(".npz"),
-                              q=agent.learner.qtable.values)
-    sidecar = dict(_fingerprint(agent), npz_sha256=digest)
-    _atomic_write_json(stem.with_suffix(".json"), sidecar)
+
+def save_policy(agent: JointControlAgent, path: Union[str, Path]) -> None:
+    """Persist an agent's policy to ``<path>.rpa`` (one atomic write)."""
+    write_table(Path(path).with_suffix(".rpa"),
+                agent.learner.qtable.values, _fingerprint(agent))
 
 
 def load_policy(agent: JointControlAgent, path: Union[str, Path]) -> None:
     """Load a saved policy into a compatibly configured agent (in place).
 
     Raises :class:`repro.errors.CheckpointError` when the agent's
-    configuration fingerprint does not match the sidecar — a mismatched
-    discretiser or action grid would silently scramble the policy
-    otherwise.
+    configuration fingerprint does not match the saved one — a
+    mismatched discretiser or action grid would silently scramble the
+    policy otherwise.  A missing file surfaces as
+    :class:`FileNotFoundError`.
     """
-    stem = Path(path)
-    saved = _load_sidecar(stem.with_suffix(".json"))
-    current = _fingerprint(agent)
-    mismatched = {key for key in current
-                  if saved.get(key) != current[key]}
-    if mismatched:
-        raise CheckpointError(
-            "saved policy is incompatible with this agent; mismatched "
-            f"fields: {sorted(mismatched)}")
-    data = _load_npz_verified(stem.with_suffix(".npz"),
-                              saved.get("npz_sha256"))
-    q = data["q"]
+    header, q = read_table(Path(path).with_suffix(".rpa"))
+    _check_fingerprint(agent, header, "saved policy")
     if q.shape != agent.learner.qtable.values.shape:
         raise CheckpointError(
             f"Q-table shape {q.shape} does not match agent "
             f"{agent.learner.qtable.values.shape}")
     agent.learner.qtable.values[:] = q
 
-
-# -------------------------------------------------------------- checkpoints ---
 
 def save_checkpoint(agent: JointControlAgent, path: Union[str, Path],
                     episode: int,
@@ -220,20 +109,14 @@ def save_checkpoint(agent: JointControlAgent, path: Union[str, Path],
 
     ``episode`` is the number of training episodes *completed* so far.
     ``train_rng`` is the training loop's exploring-starts generator (its
-    state is captured so resumed runs draw the same initial SoCs).  Files
-    land at ``<path>.npz`` + ``<path>.json``; both writes are atomic, and
-    the JSON (written last) is the marker of a complete checkpoint.
+    state is captured so resumed runs draw the same initial SoCs).  The
+    checkpoint is one file, ``<path>.rpa``, written atomically.
     """
     if episode < 0:
         raise CheckpointError("completed-episode count cannot be negative")
-    stem = Path(path)
     learner = agent.learner
-    digest = _atomic_save_npz(stem.with_suffix(".npz"),
-                              **learner.checkpoint_arrays())
-    meta = {
+    state = {
         "checkpoint_version": CHECKPOINT_VERSION,
-        "npz_sha256": digest,
-        "fingerprint": _fingerprint(agent),
         "episode": int(episode),
         "learner": learner.checkpoint_meta(),
         "exploration": agent.exploration.state_dict(),
@@ -241,7 +124,8 @@ def save_checkpoint(agent: JointControlAgent, path: Union[str, Path],
         "train_rng_state": (train_rng.bit_generator.state
                             if train_rng is not None else None),
     }
-    _atomic_write_json(stem.with_suffix(".json"), meta)
+    write_table(Path(path).with_suffix(".rpa"), learner.checkpoint_table(),
+                _fingerprint(agent), state=state)
 
 
 def load_checkpoint(agent: JointControlAgent, path: Union[str, Path],
@@ -256,24 +140,22 @@ def load_checkpoint(agent: JointControlAgent, path: Union[str, Path],
     Raises :class:`repro.errors.CheckpointError` on fingerprint or format
     mismatches; a missing file surfaces as :class:`FileNotFoundError`.
     """
-    stem = Path(path)
-    meta = _load_sidecar(stem.with_suffix(".json"))
+    header, table = read_table(Path(path).with_suffix(".rpa"))
+    meta = header.get("state", {})
     if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {meta.get('checkpoint_version')!r}"
             f" (expected {CHECKPOINT_VERSION}); was this written by "
             "save_policy instead of save_checkpoint?")
-    current = _fingerprint(agent)
-    saved = meta.get("fingerprint", {})
-    mismatched = {key for key in current if saved.get(key) != current[key]}
-    if mismatched:
+    _check_fingerprint(agent, header, "checkpoint")
+    expected = np.shape(agent.learner.checkpoint_table())
+    if table.shape != expected:
         raise CheckpointError(
-            "checkpoint is incompatible with this agent; mismatched "
-            f"fields: {sorted(mismatched)}")
-    arrays = _load_npz_verified(stem.with_suffix(".npz"),
-                                meta.get("npz_sha256"))
+            f"checkpoint table shape {table.shape} does not match this "
+            f"agent's {expected}; the saved learner algorithm probably "
+            "differs from this agent's")
     try:
-        agent.learner.restore_checkpoint(arrays, meta["learner"])
+        agent.learner.restore_checkpoint(table, meta["learner"])
     except KeyError as exc:
         raise CheckpointError(
             f"checkpoint is missing learner state {exc}; the saved learner "

@@ -9,8 +9,7 @@ vectorised numpy operation.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -76,17 +75,3 @@ class QTable:
         jittered init this measures cells touched by at least one update.
         """
         return float(np.mean(np.abs(self._values) > 1e-5))
-
-    # --- persistence -------------------------------------------------------------
-
-    def save(self, path: Union[str, Path]) -> None:
-        """Persist the table to an ``.npz`` file."""
-        np.savez_compressed(Path(path), q=self._values)
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "QTable":
-        """Load a table previously written by :meth:`save`."""
-        data = np.load(Path(path))
-        table = cls(*data["q"].shape)
-        table._values[:] = data["q"]
-        return table

@@ -105,18 +105,18 @@ class TDLambdaLearner:
 
     # --- checkpointing ----------------------------------------------------------
 
-    def checkpoint_arrays(self) -> dict:
-        """Value arrays to persist at an episode boundary (traces are
+    def checkpoint_table(self) -> np.ndarray:
+        """Value table to persist at an episode boundary (traces are
         cleared at the next :meth:`start_episode`, so they are not saved)."""
-        return {"q": self.qtable.values}
+        return self.qtable.values
 
     def checkpoint_meta(self) -> dict:
         """JSON-serialisable learner counters (annealing schedule state)."""
         return {"episode": self._episode, "dirty": self._episode_dirty}
 
-    def restore_checkpoint(self, arrays: dict, meta: dict) -> None:
-        """Restore a boundary snapshot written by the checkpoint pair."""
-        self.qtable.values[:] = arrays["q"]
+    def restore_checkpoint(self, table: np.ndarray, meta: dict) -> None:
+        """Restore a boundary snapshot written by the checkpoint file."""
+        self.qtable.values[:] = table
         self._episode = int(meta["episode"])
         self._episode_dirty = bool(meta["dirty"])
         self._traces.clear()

@@ -5,7 +5,8 @@ turns them into something a fleet can consume safely:
 
 * :mod:`repro.serve.artifact` — :class:`PolicyArtifact`: a trained
   policy compiled to a read-only, SHA-256-integrity-checked,
-  memory-mapped file.  Corruption anywhere surfaces as a structured
+  memory-mapped ``.rpa`` file (:mod:`repro.artifact`).  Corruption
+  anywhere surfaces as a structured
   :class:`repro.errors.PersistenceError`, never a numpy traceback.
 * :mod:`repro.serve.registry` — :class:`PolicyRegistry`: a directory of
   artifacts under monotonically increasing versions.
@@ -29,7 +30,6 @@ machine, and the degradation ladder.
 
 from repro.serve.artifact import (
     PolicyArtifact,
-    compile_policy,
     compile_table,
     peek_fingerprint,
 )
@@ -40,7 +40,6 @@ from repro.serve.server import PolicyServer, ServeConfig, SwapReport
 
 __all__ = [
     "PolicyArtifact",
-    "compile_policy",
     "compile_table",
     "peek_fingerprint",
     "PolicyRegistry",

@@ -5,64 +5,31 @@ dense Q-table plus the configuration fingerprint that gives its rows and
 columns meaning (:func:`repro.rl.persistence._fingerprint`), in a single
 file a server can memory-map read-only and share between processes.
 
-File layout (all little-endian)::
-
-    offset 0   magic            b"RPA\\x01"
-    offset 4   header length    uint32 (JSON bytes, space-padded)
-    offset 8   header           UTF-8 JSON (see below)
-    aligned    Q-table          raw C-order array bytes, 64-byte aligned
-
-The header records the artifact format name and version, the registry
-``version`` of the policy, the agent ``fingerprint``, the table ``dtype``
-and ``shape``, and ``table_sha256`` — the SHA-256 digest of the raw table
-bytes.  Loading verifies all of it: magic, header shape, declared vs
-actual file size, and the digest hashed straight off the memory map.  Any
-mismatch — truncation, bit rot, a torn copy — raises a structured
+The file is the package's one table container, ``.rpa``
+(:mod:`repro.artifact`, layout in ``docs/SERVING.md``): a serving
+artifact is one with no ``state`` header and a 2-D table.  Loading
+verifies magic, header shape, declared vs actual file size, and the
+digest hashed straight off the memory map.  Any mismatch — truncation,
+bit rot, a torn copy — raises a structured
 :class:`repro.errors.PersistenceError`; the table bytes can never be
 silently scrambled (fuzz-tested in ``tests/test_serve.py``).
 
-Compilation is deterministic: the same agent produces bit-identical
+Compilation is deterministic: the same table produces bit-identical
 artifact bytes, which is what makes "hot-swap of an identical policy is
-bit-identical to no-swap serving" a testable promise.  Writes reuse the
-persistence layer's atomic tmp-then-rename path; header reads go through
-:mod:`repro.fsio` so the chaos harness can inject slow or failing
-storage on the load side.
+bit-identical to no-swap serving" a testable promise.  Writes are one
+atomic tmp-then-rename; header reads go through :mod:`repro.fsio` so the
+chaos harness can inject slow or failing storage on the load side.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from repro import fsio
+from repro.artifact import read_header, read_table, write_table
 from repro.errors import PersistenceError, ServeError
-from repro.rl.agent import JointControlAgent
-from repro.rl.persistence import _atomic_write_bytes, _fingerprint
-
-MAGIC = b"RPA\x01"
-"""Leading magic bytes of every policy artifact."""
-
-ARTIFACT_FORMAT = "repro-policy-artifact"
-"""Format name recorded in (and required of) every header."""
-
-ARTIFACT_VERSION = 1
-"""Artifact layout version this module writes and reads."""
-
-TABLE_ALIGN = 64
-"""Byte alignment of the table section (cache-line/mmap friendly)."""
-
-_MAX_HEADER_BYTES = 1 << 20
-"""Upper bound on a plausible header; larger claims are corruption."""
-
-
-def _aligned(offset: int) -> int:
-    """``offset`` rounded up to the next :data:`TABLE_ALIGN` boundary."""
-    return (offset + TABLE_ALIGN - 1) // TABLE_ALIGN * TABLE_ALIGN
 
 
 def compile_table(table: np.ndarray, fingerprint: dict,
@@ -73,81 +40,18 @@ def compile_table(table: np.ndarray, fingerprint: dict,
     atomic (tmp sibling + rename), so a crash mid-compile never leaves a
     half-written artifact where a good one used to be.
     """
-    table = np.ascontiguousarray(table)
+    table = np.asarray(table)
     if table.ndim != 2 or table.size == 0:
         raise ServeError(
             f"policy tables are non-empty 2-D (states x actions) arrays; "
             f"got shape {table.shape}")
     if int(version) < 0:
         raise ServeError(f"artifact versions are non-negative, got {version}")
-    body = table.tobytes()
-    digest = hashlib.sha256(body).hexdigest()
-    header = {
-        "format": ARTIFACT_FORMAT,
-        "artifact_version": ARTIFACT_VERSION,
-        "version": int(version),
-        "fingerprint": fingerprint,
-        "dtype": table.dtype.str,
-        "shape": [int(n) for n in table.shape],
-        "table_sha256": digest,
-    }
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    # Pad the header with JSON-legal trailing spaces so the table lands
-    # on an aligned offset; the recorded length includes the padding.
-    table_offset = _aligned(len(MAGIC) + 4 + len(head))
-    head = head + b" " * (table_offset - len(MAGIC) - 4 - len(head))
-    payload = MAGIC + len(head).to_bytes(4, "little") + head + body
-    _atomic_write_bytes(Path(path), payload)
-    return digest
+    return write_table(path, table, fingerprint, version=version)
 
 
-def compile_policy(agent: JointControlAgent, path: Union[str, Path],
-                   version: int = 0) -> str:
-    """Compile a trained agent's policy into an artifact; returns digest."""
-    return compile_table(agent.learner.qtable.values, _fingerprint(agent),
-                         path, version=version)
-
-
-def _read_header(path: Path) -> tuple:
-    """``(header dict, header end offset)`` of one artifact file.
-
-    Validates the magic, the declared header length, and the JSON
-    syntax; any problem raises a structured
-    :class:`repro.errors.PersistenceError`.  Does **not** verify the
-    table digest — callers that will serve the table must go through
-    :meth:`PolicyArtifact.load`.
-    """
-    prefix_len = len(MAGIC) + 4
-    try:
-        head = fsio.read_bytes(path, prefix_len)
-    except OSError as exc:
-        raise PersistenceError(
-            f"{path}: cannot read policy artifact ({exc})") from exc
-    if len(head) < prefix_len or head[:len(MAGIC)] != MAGIC:
-        raise PersistenceError(
-            f"{path}: not a policy artifact (bad or truncated magic); "
-            "expected an RPA file written by repro.serve")
-    header_len = int.from_bytes(head[len(MAGIC):prefix_len], "little")
-    if not 0 < header_len <= _MAX_HEADER_BYTES:
-        raise PersistenceError(
-            f"{path}: implausible header length {header_len}; the "
-            "artifact is corrupt")
-    try:
-        raw = fsio.read_bytes(path, prefix_len + header_len)
-    except OSError as exc:
-        raise PersistenceError(
-            f"{path}: cannot read policy artifact header ({exc})") from exc
-    if len(raw) < prefix_len + header_len:
-        raise PersistenceError(
-            f"{path}: header truncated ({len(raw) - prefix_len} of "
-            f"{header_len} bytes); the artifact is corrupt")
-    try:
-        header = json.loads(raw[prefix_len:].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise PersistenceError(
-            f"{path}: artifact header is not valid JSON ({exc}); the "
-            "file is corrupt") from exc
-    return header, prefix_len + header_len
+def _missing(path: Path, exc: FileNotFoundError) -> PersistenceError:
+    return PersistenceError(f"{path}: cannot read policy artifact ({exc})")
 
 
 def peek_fingerprint(path: Union[str, Path]) -> dict:
@@ -162,7 +66,10 @@ def peek_fingerprint(path: Union[str, Path]) -> dict:
     the header is unreadable.
     """
     path = Path(path)
-    header, _ = _read_header(path)
+    try:
+        header, _ = read_header(path)
+    except FileNotFoundError as exc:
+        raise _missing(path, exc) from exc
     fingerprint = header.get("fingerprint") if isinstance(header, dict) \
         else None
     if not isinstance(fingerprint, dict):
@@ -241,67 +148,13 @@ class PolicyArtifact:
         is exactly what will be served.
         """
         path = Path(path)
-        header, header_end = _read_header(path)
-        return cls._from_header(path, header, header_end)
-
-    @classmethod
-    def _from_header(cls, path: Path, header: dict,
-                     header_end: int) -> "PolicyArtifact":
-        if not isinstance(header, dict) \
-                or header.get("format") != ARTIFACT_FORMAT:
-            raise PersistenceError(
-                f"{path}: artifact header does not declare format "
-                f"{ARTIFACT_FORMAT!r}; the file is corrupt or foreign")
-        if header.get("artifact_version") != ARTIFACT_VERSION:
-            raise PersistenceError(
-                f"{path}: unsupported artifact version "
-                f"{header.get('artifact_version')!r} (this reader "
-                f"understands {ARTIFACT_VERSION})")
-        shape = header.get("shape")
-        if (not isinstance(shape, list) or len(shape) != 2
-                or not all(isinstance(n, int) and n > 0 for n in shape)):
-            raise PersistenceError(
-                f"{path}: artifact header declares invalid table shape "
-                f"{shape!r}")
-        version = header.get("version")
-        fingerprint = header.get("fingerprint")
-        expected = header.get("table_sha256")
-        if (not isinstance(version, int) or version < 0
-                or not isinstance(fingerprint, dict)
-                or not isinstance(expected, str)):
-            raise PersistenceError(
-                f"{path}: artifact header is missing or mistypes required "
-                "fields (version/fingerprint/table_sha256)")
         try:
-            dtype = np.dtype(header.get("dtype"))
-        except TypeError as exc:
+            header, table = read_table(path)
+        except FileNotFoundError as exc:
+            raise _missing(path, exc) from exc
+        if table.ndim != 2:
             raise PersistenceError(
-                f"{path}: artifact header declares unknown dtype "
-                f"{header.get('dtype')!r}") from exc
-        table_offset = _aligned(header_end)
-        nbytes = int(shape[0]) * int(shape[1]) * dtype.itemsize
-        try:
-            size = os.stat(path).st_size
-        except OSError as exc:
-            raise PersistenceError(
-                f"{path}: cannot stat policy artifact ({exc})") from exc
-        if size < table_offset + nbytes:
-            raise PersistenceError(
-                f"{path}: table section truncated ({size} bytes on disk, "
-                f"{table_offset + nbytes} required for shape {shape}); the "
-                "artifact is corrupt")
-        try:
-            table = np.memmap(path, dtype=dtype, mode="r",
-                              offset=table_offset,
-                              shape=(int(shape[0]), int(shape[1])))
-        except (ValueError, OSError) as exc:
-            raise PersistenceError(
-                f"{path}: cannot map table section ({exc}); the artifact "
-                "is corrupt") from exc
-        actual = hashlib.sha256(table.tobytes()).hexdigest()
-        if actual != expected:
-            raise PersistenceError(
-                f"{path}: integrity check failed — table SHA-256 {actual} "
-                f"does not match the header's recorded {expected}; the "
-                "artifact was corrupted after it was written")
-        return cls(path, version, fingerprint, table, actual)
+                f"{path}: holds a stacked {table.shape} table (a double-Q "
+                "training checkpoint); serving needs a 2-D policy table")
+        return cls(path, header["version"], header["fingerprint"], table,
+                   header["table_sha256"])

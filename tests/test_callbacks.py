@@ -75,7 +75,7 @@ class TestBestPolicyCheckpoint:
         ckpt = BestPolicyCheckpoint(ctrl.agent, tmp_path / "best")
         train_with_callbacks(sim, ctrl, cycle, episodes=3, callbacks=[ckpt])
         assert ckpt.saves >= 1
-        assert (tmp_path / "best.npz").exists()
+        assert (tmp_path / "best.rpa").exists()
         # Reload into a fresh compatible agent.
         solver = PowertrainSolver(default_vehicle())
         fresh_agent = build_rl_controller(solver, seed=9).agent

@@ -31,7 +31,7 @@ class TestTrainCommand:
         stem = tmp_path / "policy"
         assert main(["train", "--cycle", "SC03", "--episodes", "2",
                      "--repeats", "1", "--save", str(stem)]) == 0
-        assert stem.with_suffix(".npz").exists()
+        assert stem.with_suffix(".rpa").exists()
         out = capsys.readouterr().out
         assert "greedy evaluation" in out
 

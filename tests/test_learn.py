@@ -16,11 +16,15 @@ the loop's vetted-incumbent pinning across restarts.
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.artifact import write_table
 from repro.control.rl_controller import build_rl_controller
 from repro.errors import ExperienceError, PersistenceError, ServeError
 from repro.learn import (
@@ -38,6 +42,7 @@ from repro.learn import (
 from repro.learn.loop import STATE_NAME
 from repro.powertrain import PowertrainSolver
 from repro.rl.persistence import _fingerprint
+from repro.rl.td_lambda import TDLambdaConfig, TDLambdaLearner
 from repro.serve import (
     CanaryConfig,
     FleetConfig,
@@ -277,10 +282,9 @@ class TestLearner:
         assert not np.array_equal(learner.table, table)
         assert np.all(np.isfinite(learner.table))
 
-    @pytest.mark.parametrize("double_q", [False, True])
-    def test_kill_and_resume_is_bit_identical(self, tmp_path, double_q):
+    def test_kill_and_resume_is_bit_identical(self, tmp_path):
         table = self._table()
-        config = OnlineLearnerConfig(double_q=double_q)
+        config = OnlineLearnerConfig()
         records = _records(30)
         _write_journal(tmp_path / "ref", records)
         reference = OnlineLearner(self._FP, table, config=config)
@@ -290,7 +294,7 @@ class TestLearner:
         # "killed" (dropped) and resumed from its checkpoint between
         # each.  The final table must match the uninterrupted run bit
         # for bit — the updates are batch-boundary invariant.
-        ckpt = tmp_path / "ckpt.json"
+        ckpt = tmp_path / "ckpt.rpa"
         learner = OnlineLearner(self._FP, table, config=config,
                                 checkpoint_path=ckpt)
         for lo, hi in ((0, 11), (11, 17), (17, 30)):
@@ -305,21 +309,64 @@ class TestLearner:
             OnlineLearner.resume(tmp_path / "absent.json")
 
     def test_corrupt_checkpoint_is_structured(self, tmp_path):
-        ckpt = tmp_path / "ckpt.json"
+        ckpt = tmp_path / "ckpt.rpa"
         learner = OnlineLearner(self._FP, self._table(),
                                 checkpoint_path=ckpt)
         _write_journal(tmp_path / "j", _records(5))
         learner.ingest(tmp_path / "j")
-        body = ckpt.read_bytes()
-        payload = json.loads(body)
-        b64 = payload["q"]["b64"]
-        payload["q"]["b64"] = ("B" if b64[0] != "B" else "C") + b64[1:]
-        ckpt.write_bytes(json.dumps(payload).encode())
+        intact = ckpt.read_bytes()
+        blob = bytearray(intact)
+        blob[-1] ^= 0x01  # inside the table section
+        ckpt.write_bytes(bytes(blob))
         with pytest.raises(PersistenceError, match="integrity"):
             OnlineLearner.resume(ckpt)
-        ckpt.write_bytes(b"not json at all")
+        blob = bytearray(intact)
+        blob[8] ^= 0xFF  # the header's opening brace
+        ckpt.write_bytes(bytes(blob))
         with pytest.raises(PersistenceError, match="JSON"):
             OnlineLearner.resume(ckpt)
+        ckpt.write_bytes(b"not json at all")
+        with pytest.raises(PersistenceError):
+            OnlineLearner.resume(ckpt)
+        # A policy file is a valid table file but not a checkpoint.
+        write_table(ckpt, self._table(), self._FP)
+        with pytest.raises(PersistenceError, match="not a learner"):
+            OnlineLearner.resume(ckpt)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_ingest_matches_td_lambda_zero(self, data):
+        # The online rule is TD(lambda) at lambda = 0 with a constant
+        # step size, bit for bit, whatever the records and seed table.
+        num_states = data.draw(st.integers(1, 6), label="states")
+        num_actions = data.draw(st.integers(1, 4), label="actions")
+        finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+        table = data.draw(hnp.arrays(np.float64, (num_states, num_actions),
+                                     elements=finite), label="table")
+        records = [ExperienceRecord(
+            state=s, action=a, reward=r, next_state=n,
+            policy_version=1, vehicle_id=i, step=0)
+            for i, (s, a, r, n) in enumerate(data.draw(st.lists(
+                st.tuples(st.integers(0, num_states - 1),
+                          st.integers(0, num_actions - 1), finite,
+                          st.integers(0, num_states - 1)),
+                max_size=40), label="records"))]
+        lr = data.draw(st.floats(1e-3, 1.0), label="learning_rate")
+        gamma = data.draw(st.floats(1e-3, 0.999), label="discount")
+
+        learner = OnlineLearner(self._FP, table, config=OnlineLearnerConfig(
+            learning_rate=lr, discount=gamma))
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_journal(Path(tmp), records)
+            assert learner.ingest(tmp).records == len(records)
+        offline = TDLambdaLearner(num_states, num_actions, TDLambdaConfig(
+            learning_rate=lr, discount=gamma, trace_decay=0.0,
+            learning_rate_decay=0.0))
+        offline.qtable.values[:] = table
+        for rec in records:
+            offline.update(rec.state, rec.action, rec.reward,
+                           rec.next_state)
+        assert np.array_equal(learner.table, offline.qtable.values)
 
     def test_out_of_table_records_are_excluded(self, tmp_path):
         table = self._table(num_states=4, num_actions=2)

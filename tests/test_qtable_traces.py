@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.artifact import read_table, write_table
 from repro.rl.qtable import QTable
 from repro.rl.traces import EligibilityTraces
 
@@ -50,12 +51,14 @@ class TestQTable:
         assert q.values[1, 0] == 9.0
 
     def test_save_load_roundtrip(self, tmp_path):
+        # A table persists through the one container format.
         q = QTable(5, 3, rng=np.random.default_rng(1))
         q.values[2, 1] = 42.0
-        path = tmp_path / "q.npz"
-        q.save(path)
-        loaded = QTable.load(path)
-        assert np.array_equal(loaded.values, q.values)
+        path = tmp_path / "q.rpa"
+        write_table(path, q.values, {})
+        header, loaded = read_table(path)
+        assert header["shape"] == [5, 3]
+        assert np.array_equal(loaded, q.values)
 
     def test_visited_fraction(self):
         q = QTable(4, 4)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.artifact import MAGIC, _aligned, read_table, write_table
 from repro.control.rl_controller import build_rl_controller
 from repro.errors import CheckpointError, PersistenceError, ServeError
 from repro.powertrain import PowertrainSolver
@@ -35,7 +36,6 @@ from repro.serve import (
     compile_table,
     run_fleet_sharded,
 )
-from repro.serve.artifact import MAGIC, _aligned
 from repro.telemetry import Telemetry
 from repro.vehicle import default_vehicle
 
@@ -113,52 +113,73 @@ class TestArtifactFuzz:
     """Property-style corruption resilience, mirroring the manifest fuzz:
     a damaged artifact must refuse loudly with a PersistenceError or load
     a provably intact table — never raise an unstructured error, never
-    serve scrambled bytes."""
+    serve scrambled bytes.  Every property runs over both kinds of
+    ``.rpa`` file: a serving artifact, and a training checkpoint carrying
+    a ``state`` header over a stacked ``(2, S, A)`` table."""
+
+    _KINDS = st.sampled_from(["artifact", "checkpoint"])
 
     @staticmethod
-    def _compiled(tmp, table, fingerprint):
+    def _compiled(tmp, table, fingerprint, kind="artifact"):
         path = Path(tmp) / "p.rpa"
-        compile_table(table, fingerprint, path, version=1)
+        if kind == "artifact":
+            compile_table(table, fingerprint, path, version=1)
+        else:
+            write_table(path, np.stack([table, -table]), fingerprint,
+                        state={"episode": 3, "soc_price": 0.1,
+                               "cursors": {"shard-0000.jsonl": {
+                                   "offset": 120, "lines": 4}}})
         return path
 
+    @staticmethod
+    def _load(path, kind):
+        """The verified table of ``path``, through its kind's reader."""
+        if kind == "artifact":
+            return np.array(PolicyArtifact.load(path).table)
+        return np.array(read_table(path)[1])
+
     @settings(max_examples=25, deadline=None)
-    @given(cut=st.floats(0.0, 0.999))
-    def test_any_truncation_is_structured(self, policy, cut):
+    @given(cut=st.floats(0.0, 0.999), kind=_KINDS)
+    def test_any_truncation_is_structured(self, policy, cut, kind):
         table, fingerprint = policy
         with tempfile.TemporaryDirectory() as tmp:
-            path = self._compiled(tmp, table, fingerprint)
+            path = self._compiled(tmp, table, fingerprint, kind)
             blob = path.read_bytes()
             path.write_bytes(blob[:int(len(blob) * cut)])
             with pytest.raises(PersistenceError):
-                PolicyArtifact.load(path)
+                self._load(path, kind)
 
     @settings(max_examples=25, deadline=None)
-    @given(offset=st.integers(0, 1 << 16), bit=st.integers(0, 7))
-    def test_header_bitflips_never_unstructured(self, policy, offset, bit):
+    @given(offset=st.integers(0, 1 << 16), bit=st.integers(0, 7),
+           kind=_KINDS)
+    def test_header_bitflips_never_unstructured(self, policy, offset, bit,
+                                                kind):
         table, fingerprint = policy
         with tempfile.TemporaryDirectory() as tmp:
-            path = self._compiled(tmp, table, fingerprint)
+            path = self._compiled(tmp, table, fingerprint, kind)
+            intact = self._load(path, kind)
             blob = bytearray(path.read_bytes())
             header_len = int.from_bytes(blob[4:8], "little")
             index = offset % (8 + header_len)
             blob[index] ^= 1 << bit
             path.write_bytes(bytes(blob))
             try:
-                artifact = PolicyArtifact.load(path)
+                loaded = self._load(path, kind)
             except PersistenceError:
                 return  # structured refusal is one allowed outcome
             # The other: the flip hit a non-load-bearing header field
             # (e.g. a fingerprint value) — the table must still be the
             # digest-verified original.
-            assert np.array_equal(np.array(artifact.table), table)
+            assert np.array_equal(loaded, intact)
 
     @settings(max_examples=25, deadline=None)
-    @given(fraction=st.floats(0.0, 1.0), bit=st.integers(0, 7))
+    @given(fraction=st.floats(0.0, 1.0), bit=st.integers(0, 7),
+           kind=_KINDS)
     def test_table_bitflips_always_fail_the_digest(self, policy,
-                                                   fraction, bit):
+                                                   fraction, bit, kind):
         table, fingerprint = policy
         with tempfile.TemporaryDirectory() as tmp:
-            path = self._compiled(tmp, table, fingerprint)
+            path = self._compiled(tmp, table, fingerprint, kind)
             blob = bytearray(path.read_bytes())
             header_len = int.from_bytes(blob[4:8], "little")
             table_offset = _aligned(8 + header_len)
@@ -167,16 +188,23 @@ class TestArtifactFuzz:
             blob[index] ^= 1 << bit
             path.write_bytes(bytes(blob))
             with pytest.raises(PersistenceError):
-                PolicyArtifact.load(path)
+                self._load(path, kind)
 
     def test_recorded_digest_mismatch_is_structured(self, policy, tmp_path):
         table, fingerprint = policy
-        path = self._compiled(tmp_path, table, fingerprint)
-        artifact = PolicyArtifact.load(path)
-        old = artifact.digest.encode("ascii")
-        new = old[:-1] + (b"0" if old[-1:] != b"0" else b"1")
-        path.write_bytes(path.read_bytes().replace(old, new, 1))
-        with pytest.raises(PersistenceError, match="SHA-256"):
+        for kind in ("artifact", "checkpoint"):
+            path = self._compiled(tmp_path, table, fingerprint, kind)
+            old = read_table(path)[0]["table_sha256"].encode("ascii")
+            new = old[:-1] + (b"0" if old[-1:] != b"0" else b"1")
+            path.write_bytes(path.read_bytes().replace(old, new, 1))
+            with pytest.raises(PersistenceError, match="SHA-256"):
+                self._load(path, kind)
+
+    def test_stacked_table_is_not_servable(self, policy, tmp_path):
+        table, fingerprint = policy
+        path = self._compiled(tmp_path, table, fingerprint, "checkpoint")
+        assert read_table(path)[0]["state"]["episode"] == 3
+        with pytest.raises(PersistenceError, match="2-D"):
             PolicyArtifact.load(path)
 
     @settings(max_examples=20, deadline=None)
@@ -187,6 +215,8 @@ class TestArtifactFuzz:
             path.write_bytes(MAGIC + garbage)
             with pytest.raises(PersistenceError):
                 PolicyArtifact.load(path)
+            with pytest.raises(PersistenceError):
+                read_table(path)
 
 
 class TestRegistry:
