@@ -1,8 +1,9 @@
 """Chaos-recovery bench: fault detection and recovery-path latency.
 
 Runs a deterministic :func:`repro.chaos.run_campaign` over the full fault
-catalog (torn/duplicated/reordered journals, ENOSPC, slow I/O,
-SIGTERM-proof hangs, policy bit rot, checkpoint corruption) and reports
+catalog (torn/corrupt/duplicated/reordered journals, ENOSPC on journal
+appends and table saves, slow I/O, SIGTERM-proof hangs, bit flips and
+cuts in ``.rpa`` table files, a regressed candidate) and reports
 the figures of merit the robustness tentpole promises: **100% detection**
 across all faults, **100% recovery** across resumable faults, and the
 wall-clock cost of the documented recovery paths (p50/p99 from the

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """CI smoke test: a 3-seed chaos campaign must hold every invariant.
 
-Runs the full fault catalog (torn/duplicated/reordered journals, ENOSPC,
-slow I/O, SIGTERM-proof hangs, policy bit rot, checkpoint corruption)
-across 3 campaign seeds and requires what ``docs/ROBUSTNESS.md``
+Runs the full fault catalog (torn/corrupt/duplicated/reordered journals,
+ENOSPC on journal appends and table saves, slow I/O, SIGTERM-proof
+hangs, bit flips and cuts in ``.rpa`` table files, a regressed
+candidate) across 3 campaign seeds and requires what ``docs/ROBUSTNESS.md``
 promises: 100% detection, 100% recovery on resumable faults, zero
 invariant violations, and a deterministic campaign signature.
 

@@ -15,15 +15,17 @@ The header records the format name and version, the registry
 table ``dtype`` and ``shape``, and ``table_sha256`` — the SHA-256
 digest of the raw table bytes.  A checkpoint adds one optional
 ``state`` object holding the non-table data it restores (counters,
-cursors, RNG states).  The table is 2-D ``(states, actions)``, or 3-D
-``(2, states, actions)`` for the double-Q learner's two stacked
+cursors, RNG states).  ``header_sha256`` is the SHA-256 of every other
+header field (canonical sorted-key JSON), so no header field a loader
+uses can change undetected.  The table is 2-D ``(states, actions)``,
+or 3-D ``(2, states, actions)`` for the double-Q learner's two stacked
 estimators.
 
 :func:`write_table` commits a file with one atomic rename
 (:func:`repro.fsio.atomic_write_bytes`), so a failed save leaves the
-previous file whole.  :func:`read_table` verifies magic, header shape,
-declared against actual file size, and the digest hashed straight off
-the memory map; any mismatch raises a structured
+previous file whole.  :func:`read_table` verifies magic, header fields
+and digest, declared against actual file size, and the table digest
+hashed straight off the memory map; any mismatch raises a structured
 :class:`repro.errors.PersistenceError`.  A missing file raises
 :class:`FileNotFoundError`, which each caller maps to its own contract.
 Writing is deterministic: the same table, fingerprint, version and
@@ -50,8 +52,9 @@ MAGIC = b"RPA\x01"
 ARTIFACT_FORMAT = "repro-policy-artifact"
 """Format name recorded in (and required of) every header."""
 
-ARTIFACT_VERSION = 1
-"""Container layout version this module writes and reads."""
+ARTIFACT_VERSION = 2
+"""Container layout version this module writes and reads (2 added
+``header_sha256``)."""
 
 TABLE_ALIGN = 64
 """Byte alignment of the table section (cache-line/mmap friendly)."""
@@ -65,6 +68,13 @@ _PREFIX_LEN = len(MAGIC) + 4
 def _aligned(offset: int) -> int:
     """``offset`` rounded up to the next :data:`TABLE_ALIGN` boundary."""
     return (offset + TABLE_ALIGN - 1) // TABLE_ALIGN * TABLE_ALIGN
+
+
+def _header_digest(header: dict) -> str:
+    """SHA-256 of every header field but ``header_sha256`` itself."""
+    fields = {k: v for k, v in header.items() if k != "header_sha256"}
+    return hashlib.sha256(
+        json.dumps(fields, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def write_table(path: Union[str, Path], table: np.ndarray,
@@ -89,6 +99,7 @@ def write_table(path: Union[str, Path], table: np.ndarray,
     }
     if state is not None:
         header["state"] = state
+    header["header_sha256"] = _header_digest(header)
     head = json.dumps(header, sort_keys=True).encode("utf-8")
     # Pad the header with JSON-legal trailing spaces so the table lands
     # on an aligned offset; the recorded length includes the padding.
@@ -109,11 +120,21 @@ def _read(path: Path, size: int) -> bytes:
             f"{path}: cannot read table file ({exc})") from exc
 
 
-def read_header(path: Union[str, Path]) -> Tuple[object, int]:
-    """``(header, header end offset)`` of one table file, unverified.
+def _verify(path: Path, what: str, actual: str, recorded: str) -> None:
+    """Refuse ``path`` when a computed digest is not the recorded one."""
+    if actual != recorded:
+        raise PersistenceError(
+            f"{path}: integrity check failed — {what} SHA-256 {actual} "
+            f"does not match the recorded {recorded}; the file was "
+            "corrupted after it was written")
 
-    Validates the magic, the declared header length, and the JSON
-    syntax; any problem raises a structured
+
+def read_header(path: Union[str, Path]) -> Tuple[dict, int]:
+    """``(header, header end offset)`` of one table file, header verified.
+
+    Validates the magic, the declared header length, the JSON syntax,
+    the format and container version, the type of every field a loader
+    uses, and ``header_sha256``; any problem raises a structured
     :class:`repro.errors.PersistenceError`.  Does **not** verify the
     table digest — a caller that will use the table must go through
     :func:`read_table`.
@@ -140,22 +161,6 @@ def read_header(path: Union[str, Path]) -> Tuple[object, int]:
         raise PersistenceError(
             f"{path}: header is not valid JSON ({exc}); the file is "
             "corrupt") from exc
-    return header, _PREFIX_LEN + header_len
-
-
-def read_table(path: Union[str, Path]) -> Tuple[dict, np.ndarray]:
-    """``(header, table)`` of one fully verified table file.
-
-    Every failure mode — unreadable file, bad magic, truncated or
-    unparseable header, implausible declared shape, short table
-    section, digest mismatch — raises
-    :class:`repro.errors.PersistenceError` naming the file and the
-    problem.  The table is a read-only memory map; the digest is
-    computed from the mapped bytes, so what was verified is exactly
-    what the caller gets.
-    """
-    path = Path(path)
-    header, header_end = read_header(path)
     if not isinstance(header, dict) \
             or header.get("format") != ARTIFACT_FORMAT:
         raise PersistenceError(
@@ -172,20 +177,39 @@ def read_table(path: Union[str, Path]) -> Tuple[dict, np.ndarray]:
         raise PersistenceError(
             f"{path}: header declares invalid table shape {shape!r}")
     version = header.get("version")
-    expected = header.get("table_sha256")
     if (not isinstance(version, int) or version < 0
             or not isinstance(header.get("fingerprint"), dict)
-            or not isinstance(expected, str)
+            or not isinstance(header.get("dtype"), str)
+            or not isinstance(header.get("table_sha256"), str)
+            or not isinstance(header.get("header_sha256"), str)
             or not isinstance(header.get("state", {}), dict)):
         raise PersistenceError(
             f"{path}: header is missing or mistypes required fields "
-            "(version/fingerprint/table_sha256/state)")
+            "(version/fingerprint/dtype/table_sha256/header_sha256/state)")
+    _verify(path, "header", _header_digest(header), header["header_sha256"])
+    return header, _PREFIX_LEN + header_len
+
+
+def read_table(path: Union[str, Path]) -> Tuple[dict, np.ndarray]:
+    """``(header, table)`` of one fully verified table file.
+
+    Every failure mode — unreadable file, bad magic, truncated,
+    unparseable or altered header, implausible declared shape or dtype,
+    short table section, digest mismatch — raises
+    :class:`repro.errors.PersistenceError` naming the file and the
+    problem.  The table is a read-only memory map; the digest is
+    computed from the mapped bytes, so what was verified is exactly
+    what the caller gets.
+    """
+    path = Path(path)
+    header, header_end = read_header(path)
+    shape = header["shape"]
     try:
-        dtype = np.dtype(header.get("dtype"))
-    except TypeError as exc:
+        dtype = np.dtype(header["dtype"])
+    except (TypeError, ValueError, SyntaxError) as exc:
         raise PersistenceError(
             f"{path}: header declares unknown dtype "
-            f"{header.get('dtype')!r}") from exc
+            f"{header['dtype']!r}") from exc
     table_offset = _aligned(header_end)
     nbytes = math.prod(shape) * dtype.itemsize
     try:
@@ -205,10 +229,6 @@ def read_table(path: Union[str, Path]) -> Tuple[dict, np.ndarray]:
         raise PersistenceError(
             f"{path}: cannot map table section ({exc}); the file is "
             "corrupt") from exc
-    actual = hashlib.sha256(table.tobytes()).hexdigest()
-    if actual != expected:
-        raise PersistenceError(
-            f"{path}: integrity check failed — table SHA-256 {actual} "
-            f"does not match the header's recorded {expected}; the file "
-            "was corrupted after it was written")
+    _verify(path, "table", hashlib.sha256(table.tobytes()).hexdigest(),
+            header["table_sha256"])
     return header, table

@@ -1,13 +1,12 @@
 """Chaos harness: deterministic infrastructure-fault injection.
 
 This package attacks the repository's *own* durability machinery — the
-supervised executor (:mod:`repro.exec`), sweep manifests, telemetry
-event files, and policy/checkpoint persistence (:mod:`repro.rl.persistence`)
-— with seeded, reproducible infrastructure faults: SIGTERM-proof worker
-hangs, process death between journal fsync and result delivery, torn /
-duplicated / reordered journal lines, bit rot in saved policies,
-simulated disk exhaustion and slow I/O (injected through
-:mod:`repro.fsio`, never by patching library internals).
+supervised executor (:mod:`repro.exec`) and every consumer of the
+journal and ``.rpa`` primitives — with seeded, reproducible faults:
+SIGTERM-proof worker hangs, process death between journal fsync and
+result delivery, torn / corrupt / duplicated / reordered journal lines,
+bit rot and cuts in table files, disk exhaustion and slow I/O (injected
+through :mod:`repro.fsio`, never by patching library internals).
 
 Each fault kind is paired with the documented invariant it challenges
 (see ``docs/ROBUSTNESS.md``): corruption is always *detected* as a

@@ -34,7 +34,7 @@ from repro.chaos.experiments import (
     ExperimentOutcome,
 )
 from repro.chaos.plan import FAULT_KINDS, ChaosPlan
-from repro.errors import ChaosError, InvariantViolation
+from repro.errors import ChaosError, ReproError
 from repro.telemetry.metrics import LATENCY_BUCKETS_S, Histogram
 
 REPORT_VERSION = 1
@@ -193,7 +193,8 @@ def run_campaign(seeds: int = 20,
     afterwards).  ``progress`` receives one line per seed.
 
     Harness misconfiguration raises :class:`~repro.errors.ChaosError`;
-    broken *invariants* are collected into the report instead — a
+    broken *invariants* (any other :class:`~repro.errors.ReproError`
+    escaping an experiment) are collected into the report instead — a
     campaign that dies on its first finding cannot surface the second.
     """
     if not isinstance(seeds, int) or seeds < 1:
@@ -210,7 +211,9 @@ def run_campaign(seeds: int = 20,
                 subdir.mkdir(parents=True, exist_ok=True)
                 try:
                     outcome = EXPERIMENTS[fault.kind](fault, subdir)
-                except InvariantViolation as exc:
+                except ReproError as exc:
+                    if type(exc) is ChaosError:  # the harness, not a finding
+                        raise
                     report.violations.append({
                         "seed": seed, "kind": fault.kind,
                         "message": str(exc)})

@@ -3,12 +3,11 @@
 Every experiment follows the same contract: given a
 :class:`~repro.chaos.plan.ChaosFault` and a private working directory,
 it attacks one documented durability guarantee of the repository's own
-stack — the supervised executor, the sweep manifest, the telemetry
-sink, or policy/checkpoint persistence — and returns an
-:class:`ExperimentOutcome` stating whether the fault was **detected**
-(surfaced as the structured error the layer documents, or tolerated
-by design with exact results) and whether the stack **recovered**
-(resumed to the bit-identical state an unfaulted run produces).
+stack and returns an :class:`ExperimentOutcome` stating whether the
+fault was **detected** (surfaced as the structured error the layer
+documents, or tolerated by design with exact results) and whether the
+stack **recovered** (resumed to the bit-identical state an unfaulted
+run produces).
 
 A broken guarantee raises :class:`repro.errors.InvariantViolation`; the
 campaign records it and keeps going.  Experiments never leave a shim
@@ -26,9 +25,9 @@ import json
 import signal
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from repro.errors import (
     InvariantViolation,
     ManifestError,
     PersistenceError,
+    TelemetryError,
 )
 from repro.exec import Supervisor, SweepManifest, Task
 from repro.exec.manifest import encode_payload
@@ -51,7 +51,8 @@ from repro.learn import (
     ExperienceStream,
     OnlineLearner,
     PromotionPipeline,
-    encode_record,
+    read_journal,
+    shard_filename,
 )
 from repro.powertrain import PowertrainSolver
 from repro.rl.persistence import (
@@ -100,10 +101,7 @@ class ExperimentOutcome:
 
     def to_json(self) -> dict:
         """JSON-serialisable form (campaign reports)."""
-        return {"kind": self.kind, "detected": self.detected,
-                "recovered": self.recovered, "resumable": self.resumable,
-                "detail": self.detail,
-                "recovery_seconds": self.recovery_seconds}
+        return asdict(self)
 
 
 EXPERIMENTS: Dict[str, Callable[[ChaosFault, Path], ExperimentOutcome]] = {}
@@ -126,6 +124,33 @@ def _require(condition: bool, message: str) -> None:
     """Assert one documented invariant; violations are campaign findings."""
     if not condition:
         raise InvariantViolation(message)
+
+
+def _refused(call: Callable[[], Any], error: type, what: str) -> str:
+    """Run ``call``, which must raise ``error``; returns its message."""
+    try:
+        call()
+    except error as exc:
+        return str(exc)
+    raise InvariantViolation(
+        f"{what} was accepted without a structured {error.__name__}")
+
+
+def _held(fault: ChaosFault, detail: str,
+          seconds: Optional[float] = None) -> ExperimentOutcome:
+    """The outcome of a fault whose every invariant held."""
+    resumable = RESUMABLE[fault.kind]
+    return ExperimentOutcome(kind=fault.kind, detected=True,
+                             recovered=resumable or None, resumable=resumable,
+                             detail=detail, recovery_seconds=seconds)
+
+
+def _caught(call: Callable[[], Any]) -> Tuple[Any, List[str]]:
+    """``(result, warning messages)`` of one call."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in caught]
 
 
 # -- deterministic sweep workload --------------------------------------------
@@ -155,9 +180,8 @@ def _run_sweep(manifest: SweepManifest, n: int):
     return Supervisor(manifest=manifest).run(_make_tasks(n))
 
 
-def _resume_exact(path: Path, n: int, expect_resumed: int,
-                  detail: str) -> ExperimentOutcome:
-    """Shared tail: resume the sweep and require bit-identical aggregates."""
+def _resume_exact(path: Path, n: int, expect_resumed: int) -> float:
+    """Resume exactly (bit-identical aggregates); returns its seconds."""
     start = time.monotonic()
     sweep = _run_sweep(SweepManifest(path, resume=True), n)
     elapsed = time.monotonic() - start
@@ -169,10 +193,7 @@ def _resume_exact(path: Path, n: int, expect_resumed: int,
     _require(_canonical(sweep.results) == _canonical(_reference(n)),
              "resumed aggregates are not bit-identical to an "
              "uninterrupted run")
-    kind = detail.split(":")[0]
-    return ExperimentOutcome(kind=kind, detected=True, recovered=True,
-                             resumable=True, detail=detail,
-                             recovery_seconds=elapsed)
+    return elapsed
 
 
 # -- executor faults ----------------------------------------------------------
@@ -207,11 +228,10 @@ def _exp_worker_hang(fault: ChaosFault, workdir: Path) -> ExperimentOutcome:
     _require(set(sweep.results) == {"t0", "t1"}
              and abs(sweep.coverage - 2 / 3) < 1e-12,
              "coverage accounting is dishonest after a hang")
-    return ExperimentOutcome(
-        kind=fault.kind, detected=True, recovered=True, resumable=True,
-        detail=f"worker_hang_sigterm: escalated to SIGKILL after "
+    return _held(
+        fault, f"worker_hang_sigterm: escalated to SIGKILL after "
                f"{grace:g}s grace; sweep completed 2/3 honestly",
-        recovery_seconds=max(elapsed - timeout, 0.0))
+        max(elapsed - timeout, 0.0))
 
 
 class _SimulatedCrash(Exception):
@@ -254,194 +274,47 @@ def _exp_abort_mid_sweep(fault: ChaosFault,
     else:
         raise InvariantViolation(
             "the simulated crash never fired — the experiment is vacuous")
-    return _resume_exact(
-        path, n, expect_resumed=crash_after,
-        detail=f"abort_mid_sweep: killed after {crash_after}/{n} journal "
-               f"records; resume replayed exactly those")
+    return _held(
+        fault, f"abort_mid_sweep: killed after {crash_after}/{n} journal "
+               f"records; resume replayed exactly those",
+        _resume_exact(path, n, expect_resumed=crash_after))
 
 
 # -- manifest-file faults -----------------------------------------------------
 
-def _result_lines(path: Path):
-    """``(header_line, result_lines)`` of a manifest file."""
+def _rewritten_sweep(workdir: Path, n: int, rewrite) -> float:
+    """Run, ``rewrite`` the result lines, resume exactly; its seconds."""
+    path = workdir / "sweep.jsonl"
+    _run_sweep(SweepManifest(path), n)
     lines = path.read_text(encoding="utf-8").splitlines()
-    return lines[0], lines[1:]
-
-
-@_experiment("torn_final_manifest_line", resumable=True)
-def _exp_torn_final(fault: ChaosFault, workdir: Path) -> ExperimentOutcome:
-    """A crash mid-append leaves a torn final line: resume must warn,
-    amputate the fragment, re-run that task, and stay exact."""
-    n = int(fault.params["n_tasks"])
-    cut = float(fault.params["cut_fraction"])
-    path = workdir / "sweep.jsonl"
-    _run_sweep(SweepManifest(path), n)
-    header, results = _result_lines(path)
-    torn = results[-1][:max(1, int(len(results[-1]) * cut))]
-    path.write_text("\n".join([header] + results[:-1]) + "\n" + torn,
+    path.write_text("\n".join(lines[:1] + rewrite(lines[1:])) + "\n",
                     encoding="utf-8")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outcome = _resume_exact(
-            path, n, expect_resumed=n - 1,
-            detail=f"torn_final_manifest_line: fragment warned about, "
-                   f"amputated, task re-ran; {n} results exact")
-    _require(any("torn final" in str(w.message) for w in caught),
-             "torn final manifest line was consumed without a warning")
-    raw = path.read_bytes()
-    _require(raw.endswith(b"\n") and b"torn" not in raw.split(b"\n")[-2],
-             "torn fragment survived in the journal after resume")
-    # Amputation must be idempotent: a second resume is clean and quiet.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        again = _run_sweep(SweepManifest(path, resume=True), n)
-    _require(len(again.resumed) == n,
-             "second resume after amputation re-ran finished work")
-    return outcome
-
-
-@_experiment("torn_nonfinal_manifest_line", resumable=False)
-def _exp_torn_nonfinal(fault: ChaosFault,
-                       workdir: Path) -> ExperimentOutcome:
-    """Corruption anywhere but the final line must refuse to resume —
-    syntactically torn or semantically gutted alike."""
-    n = int(fault.params["n_tasks"])
-    target = int(fault.params["target"])
-    mode = str(fault.params["mode"])
-    path = workdir / "sweep.jsonl"
-    _run_sweep(SweepManifest(path), n)
-    header, results = _result_lines(path)
-    if mode == "syntactic":
-        cut = float(fault.params["cut_fraction"])
-        results[target] = results[target][
-            :max(1, int(len(results[target]) * cut))]
-    else:
-        # A parseable line stripped of its payload: the nastier case,
-        # because json.loads succeeds and only semantic validation saves
-        # the resume from silently replaying a None payload.
-        record = json.loads(results[target])
-        del record["payload"]
-        results[target] = json.dumps(record, sort_keys=True)
-    path.write_text("\n".join([header] + results) + "\n", encoding="utf-8")
-    try:
-        SweepManifest(path, resume=True)
-    except ManifestError as exc:
-        return ExperimentOutcome(
-            kind=fault.kind, detected=True, recovered=None, resumable=False,
-            detail=f"torn_nonfinal_manifest_line[{mode}]: resume refused "
-                   f"with ManifestError ({exc})"[:200],
-            recovery_seconds=None)
-    raise InvariantViolation(
-        f"manifest with a {mode}ally corrupt mid-file line resumed "
-        "without error — silently wrong aggregates were possible")
+    return _resume_exact(path, n, expect_resumed=n)
 
 
 @_experiment("duplicated_manifest_lines", resumable=True)
 def _exp_duplicated(fault: ChaosFault, workdir: Path) -> ExperimentOutcome:
     """Replayed/duplicated journal lines (crash-retry, copied file) must
     dedupe by spec hash and resume exactly."""
-    n = int(fault.params["n_tasks"])
     dup = int(fault.params["dup_count"])
-    path = workdir / "sweep.jsonl"
-    _run_sweep(SweepManifest(path), n)
-    header, results = _result_lines(path)
-    path.write_text("\n".join([header] + results + results[:dup]) + "\n",
-                    encoding="utf-8")
-    return _resume_exact(
-        path, n, expect_resumed=n,
-        detail=f"duplicated_manifest_lines: {dup} replayed lines deduped "
-               f"by spec hash; aggregates exact")
+    return _held(
+        fault, f"duplicated_manifest_lines: {dup} replayed lines deduped "
+               f"by spec hash; aggregates exact",
+        _rewritten_sweep(workdir, int(fault.params["n_tasks"]),
+                         lambda results: results + results[:dup]))
 
 
 @_experiment("reordered_manifest_lines", resumable=True)
 def _exp_reordered(fault: ChaosFault, workdir: Path) -> ExperimentOutcome:
     """Out-of-order journal lines (merged shards, interleaved writers)
     must not matter: resume keys on content hashes, not positions."""
-    n = int(fault.params["n_tasks"])
-    path = workdir / "sweep.jsonl"
-    _run_sweep(SweepManifest(path), n)
-    header, results = _result_lines(path)
-    order = np.random.default_rng(
-        int(fault.params["shuffle_seed"])).permutation(len(results))
-    shuffled = [results[i] for i in order]
-    path.write_text("\n".join([header] + shuffled) + "\n", encoding="utf-8")
-    return _resume_exact(
-        path, n, expect_resumed=n,
-        detail="reordered_manifest_lines: shuffled journal resumed "
-               "exactly (content-hash keyed)")
-
-
-# -- telemetry faults ---------------------------------------------------------
-
-@_experiment("eventsink_torn_line", resumable=True)
-def _exp_eventsink_torn(fault: ChaosFault,
-                        workdir: Path) -> ExperimentOutcome:
-    """A telemetry file torn mid-append must read back every intact
-    event, warn about the fragment, and never raise."""
-    n = int(fault.params["n_events"])
-    cut = float(fault.params["cut_fraction"])
-    path = workdir / "events.jsonl"
-    with EventSink(path, run_id="chaos") as sink:
-        emitted = [sink.emit("training_episode", episode=i,
-                             total_reward=float(i) * 0.5,
-                             final_soc=0.6) for i in range(n)]
-    fragment = json.dumps({"type": "training_episode", "v": 1,
-                           "seq": n, "wall": 0.0, "pid": 0,
-                           "episode": n, "total_reward": 0.0,
-                           "final_soc": 0.6}, sort_keys=True)
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(fragment[:max(1, int(len(fragment) * cut))])
-    start = time.monotonic()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        records = read_events(path)
-    elapsed = time.monotonic() - start
-    _require(any("torn final telemetry" in str(w.message) for w in caught),
-             "torn final telemetry line was consumed without a warning")
-    _require(records[1:] == emitted,
-             "telemetry read-back after a torn line lost or altered "
-             "intact events")
-    return ExperimentOutcome(
-        kind=fault.kind, detected=True, recovered=True, resumable=True,
-        detail=f"eventsink_torn_line: fragment warned about; "
-               f"{n} intact events read back verbatim",
-        recovery_seconds=elapsed)
-
-
-# -- disk-pressure faults -----------------------------------------------------
-
-@_experiment("enospc_manifest_append", resumable=True)
-def _exp_enospc_manifest(fault: ChaosFault,
-                         workdir: Path) -> ExperimentOutcome:
-    """Disk exhaustion mid-sweep must abort with a ManifestError naming
-    the journal; once space returns, resume is exact."""
-    n = int(fault.params["n_tasks"])
-    path = workdir / "sweep.jsonl"
-    shim = EnospcShim(fail_after_writes=int(fault.params["fail_after_writes"]),
-                      partial_fraction=float(fault.params["partial_fraction"]),
-                      match="sweep.jsonl")
-    try:
-        with shimmed(shim):
-            _run_sweep(SweepManifest(path), n)
-    except ManifestError as exc:
-        _require("cannot append" in str(exc) and "sweep.jsonl" in str(exc),
-                 f"ENOSPC surfaced without naming the journal: {exc}")
-    else:
-        raise InvariantViolation(
-            "sweep kept running on a full disk — appends were lost "
-            "silently")
-    _require(shim.tripped, "the ENOSPC shim never fired — vacuous run")
-    # Targeted write 1 is the header, write k the record of task k-2, so
-    # the failing write leaves exactly fail_after_writes - 2 complete
-    # journal records (the torn partial record, if any, is amputated).
-    journaled = int(fault.params["fail_after_writes"]) - 2
-    with warnings.catch_warnings():
-        # The failed append may have torn the tail; resume may warn.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return _resume_exact(
-            path, n, expect_resumed=journaled,
-            detail="enospc_manifest_append: append failed loudly; resume "
-                   "after 'freeing space' re-ran unjournaled work exactly")
+    shuffle = np.random.default_rng(int(fault.params["shuffle_seed"]))
+    return _held(
+        fault, "reordered_manifest_lines: shuffled journal resumed "
+               "exactly (content-hash keyed)",
+        _rewritten_sweep(workdir, int(fault.params["n_tasks"]),
+                         lambda results: [results[i] for i in shuffle
+                                          .permutation(len(results))]))
 
 
 @_experiment("slow_manifest_io", resumable=True)
@@ -460,15 +333,284 @@ def _exp_slow_manifest(fault: ChaosFault,
              f"{n + 1} (header + {n} records)")
     _require(_canonical(sweep.results) == _canonical(_reference(n)),
              "results diverged under slow I/O")
-    return _resume_exact(
-        path, n, expect_resumed=n,
-        detail=f"slow_manifest_io: {shim.intercepted} writes stalled "
-               f"{delay * 1e3:g}ms each; journal intact, resume exact")
+    return _held(
+        fault, f"slow_manifest_io: {shim.intercepted} writes stalled "
+               f"{delay * 1e3:g}ms each; journal intact, resume exact",
+        _resume_exact(path, n, expect_resumed=n))
 
 
-# -- persistence faults -------------------------------------------------------
+# -- journal rows -------------------------------------------------------------
+# Each writes records through one consumer's writer (``open``, ``emit``)
+# and reads them back through its reader (``read``) as comparable records.
+
+_STATES, _ACTIONS = 16, 4
+"""Shape of the online learner's seed table in the experience rows."""
+
+
+def _seed_learner(checkpoint: Optional[Path] = None,
+                  bump: float = 0.0) -> OnlineLearner:
+    """A learner over the deterministic seed table, ``bump`` above it."""
+    table = np.random.default_rng(0).normal(size=(_STATES, _ACTIONS))
+    return OnlineLearner({"chaos": "seed table"}, table + bump,
+                         checkpoint_path=checkpoint)
+
+
+def _experience(i: int) -> ExperienceRecord:
+    """Deterministic experience record number ``i``."""
+    return ExperienceRecord(
+        state=(7 * i) % _STATES, action=i % _ACTIONS,
+        reward=0.25 * (i % 5) - 0.5, next_state=(3 * i + 1) % _STATES,
+        policy_version=1, vehicle_id=i, step=0)
+
+
+class _JournalRow:
+    amputates, quarantines, quarantined, writer = True, False, 0, None
+
+    def __init__(self, params: Mapping[str, Any], workdir: Path):
+        self.path = workdir / self.file
+        self.n = int(params["n_records"])
+        self.written: list = []
+
+    def write(self) -> None:
+        """Emit each record not yet written, through the same writer."""
+        for i in range(len(self.written), self.n):
+            self.written.append(self.emit(i))
+
+    def append(self) -> list:
+        """A restarted writer appends one more record; returns it."""
+        self.close()
+        self.writer, self.n = None, self.n + 1
+        self.write()
+        return self.written[-1:]
+
+    def close(self) -> None:
+        """Release the writer's descriptor (a manifest holds none)."""
+        if hasattr(self.writer, "close"):
+            self.writer.close()
+
+    def recover(self) -> float:
+        """The consumer's own recovery check; returns its seconds."""
+        return 0.0  # the sink's recovery is reading every event back
+
+
+class _ManifestRow(_JournalRow):
+    """Sweep manifest: amputates on resume, refuses corruption."""
+
+    name, file, error = "manifest", "sweep.jsonl", ManifestError
+    semantic_key = "payload"
+
+    def emit(self, i: int) -> tuple:
+        """Journal task ``i`` as done."""
+        if self.writer is None:
+            self.writer = SweepManifest(self.path, resume=self.path.exists())
+        task = _make_tasks(i + 1)[i]
+        self.writer.record_success(task, _payload(i), 1, 0.0)
+        return task.hash, _canonical({"": _payload(i)})
+
+    def read(self) -> list:
+        """The finished tasks a resume loads."""
+        return [(h, _canonical({"": p})) for h, p in
+                SweepManifest(self.path, resume=True).completed.items()]
+
+    def recover(self) -> float:
+        """A resumed sweep is exact."""
+        return _resume_exact(self.path, self.n, len(self.read()))
+
+
+class _SinkRow(_JournalRow):
+    """``EventSink(append=True)`` amputates, refuses corruption (the
+    ``read-events`` row: skips a torn tail, leaves the file as is)."""
+
+    name, file, error = "event-sink", "events.jsonl", TelemetryError
+    semantic_key = "episode"
+
+    def emit(self, i: int) -> dict:
+        """Emit training episode ``i``."""
+        if self.writer is None:
+            self.writer = EventSink(self.path, run_id="chaos",
+                                    append=self.path.exists())
+        return self.writer.emit("training_episode", episode=i,
+                                total_reward=0.5 * i, final_soc=0.6)
+
+    def read(self) -> list:
+        """Every event past the header, as an appender would see them."""
+        if self.amputates:
+            EventSink(self.path, append=True).close()
+        return read_events(self.path)[1:]
+
+
+class _ReaderRow(_SinkRow):
+    name, amputates = "read-events", False
+
+
+class _ExperienceRow(_JournalRow):
+    """Experience journal: amputates, quarantines corrupt lines."""
+
+    name, file, error = "experience", shard_filename(0), ExperienceError
+    semantic_key, quarantines = "reward", True
+
+    def emit(self, i: int) -> ExperienceRecord:
+        """Offer record ``i`` unless a failed flush kept it, then flush."""
+        if self.writer is None:
+            self.writer = ExperienceStream(self.path.parent)
+        if not self.writer.buffered:
+            self.writer.offer(_experience(i))
+        self.writer.flush()
+        return _experience(i)
+
+    def read(self) -> list:
+        """Every record, a corrupt line quarantined."""
+        piece = read_journal(self.path)
+        self.quarantined = piece.quarantined
+        return piece.records
+
+    def resume_learner(self, checkpoint: Path):
+        """Append, resume, ingest: equal to one pass; (learner, seconds)."""
+        self.append()
+        self.close()
+        start = time.monotonic()
+        resumed = OnlineLearner.resume(checkpoint)
+        resumed.ingest(self.path.parent)
+        elapsed = time.monotonic() - start
+        reference = _seed_learner()
+        reference.ingest(self.path.parent)
+        _require(resumed.records == reference.records
+                 and np.array_equal(resumed.table, reference.table),
+                 "kill-and-resume is not bit-identical to one pass")
+        return resumed, elapsed
+
+    def recover(self) -> float:
+        """Learner kill-and-resume is exact; its cursor is content-keyed."""
+        checkpoint = self.path.with_name("learner-checkpoint.rpa")
+        killed = _seed_learner(checkpoint)
+        killed.ingest(self.path.parent)
+        again = killed.ingest(self.path.parent)
+        _require(again.records == again.amputated_bytes == 0,
+                 "a re-ingest under the cursor consumed the journal again")
+        resumed, elapsed = self.resume_learner(checkpoint)
+        raw = self.path.read_bytes()
+        self.path.write_bytes(raw.replace(b'"reward": ', b'"reward":  ', 1))
+        _refused(lambda: resumed.ingest(self.path.parent), ExperienceError,
+                 "a journal rewritten under its cursor")
+        return elapsed
+
+
+JOURNAL_ROWS = (_ManifestRow, _SinkRow, _ReaderRow, _ExperienceRow)
+"""Every consumer of :mod:`repro.journal`, one row each."""
+
+
+def _rows(kinds: tuple, fault: ChaosFault, workdir: Path):
+    """Fresh rows of ``kinds``; journal writers are closed come what may."""
+    for kind in kinds:
+        (workdir / kind.name).mkdir(parents=True, exist_ok=True)
+        row = kind(fault.params, workdir / kind.name)
+        try:
+            yield row
+        finally:
+            if isinstance(row, _JournalRow):
+                row.close()
+
+
+# -- journal kinds ------------------------------------------------------------
+
+@_experiment("journal_torn_tail", resumable=True)
+def _exp_journal_torn_tail(fault: ChaosFault,
+                           workdir: Path) -> ExperimentOutcome:
+    """A torn final line: every consumer warns, reads back every intact
+    record, amputates exactly the fragment (read-only: leaves the file
+    as is), reads quietly again, appends on a line boundary, recovers."""
+    elapsed = 0.0
+    for row in _rows(JOURNAL_ROWS, fault, workdir):
+        row.write()
+        expected = row.written[:-1]
+        raw = row.path.read_bytes()
+        start = raw.rfind(b"\n", 0, len(raw) - 1) + 1
+        torn = raw[:start + max(1, int((len(raw) - 1 - start)
+                                       * fault.params["cut_fraction"]))]
+        row.path.write_bytes(torn)
+        kept = raw[:start] if row.amputates else torn
+        (got, warned), (again, rewarned) = _caught(row.read), _caught(row.read)
+        _require(any("torn final" in m for m in warned)
+                 and got == again == expected and row.quarantined == 0
+                 and row.path.read_bytes() == kept
+                 and not (row.amputates and rewarned),
+                 f"{row.name}: a torn tail did not warn exactly once, lost "
+                 "an intact record, or left the wrong bytes behind")
+        expected += _caught(row.append)[0]
+        _require(_caught(row.read) == (expected, []),
+                 f"{row.name}: the next append landed off a line boundary")
+        elapsed += row.recover()
+    return _held(fault, "journal_torn_tail: every consumer warned, kept "
+                        "every intact record and recovered", elapsed)
+
+
+@_experiment("journal_interior_corrupt", resumable=False)
+def _exp_journal_interior_corrupt(fault: ChaosFault,
+                                  workdir: Path) -> ExperimentOutcome:
+    """A corrupt interior line is refused by name (manifest, telemetry)
+    or quarantined alone (experience journal), never skipped silently."""
+    target, mode = int(fault.params["target"]), str(fault.params["mode"])
+    for row in _rows(JOURNAL_ROWS, fault, workdir):
+        row.write()
+        lines = row.path.read_bytes().split(b"\n")
+        line = lines[target + 1]
+        if mode == "syntactic":
+            cut = float(fault.params["cut_fraction"])
+            lines[target + 1] = line[:max(1, int(len(line) * cut))]
+        else:
+            # Parseable, but missing a field only the schema requires.
+            record = json.loads(line)
+            del record[row.semantic_key]
+            lines[target + 1] = json.dumps(record, sort_keys=True).encode()
+        row.path.write_bytes(b"\n".join(lines))
+        where = f"{row.path.name}:{target + 2}"
+        if row.quarantines:
+            rest = row.written[:target] + row.written[target + 1:]
+            _require(row.read() == rest and row.quarantined == 1,
+                     f"{row.name}: {where} was not quarantined alone")
+        else:
+            message = _refused(row.read, row.error,
+                               f"{row.name}: a {mode}ally corrupt {where}")
+            _require(where in message,
+                     f"{row.name}: the refusal does not name {where}")
+    return _held(fault, f"journal_interior_corrupt[{mode}]: line "
+                        f"{target + 2} refused by name or quarantined alone")
+
+
+@_experiment("journal_enospc_append", resumable=True)
+def _exp_journal_enospc(fault: ChaosFault,
+                        workdir: Path) -> ExperimentOutcome:
+    """A full disk fails an append loudly, naming the file; once space
+    returns the same writer carries on and every record reads back."""
+    fail_after = int(fault.params["fail_after_writes"])
+    elapsed = 0.0
+    for row in _rows(JOURNAL_ROWS, fault, workdir):
+        shim = EnospcShim(fail_after, float(fault.params["partial_fraction"]),
+                          match=row.path.name)
+        with shimmed(shim):
+            message = _refused(row.write, row.error,
+                               f"{row.name}: an append on a full disk")
+        # Write 1 is the header, write k the record k - 2.
+        _require(shim.tripped and "cannot append" in message
+                 and row.path.name in message
+                 and len(row.written) == fail_after - 2,
+                 f"{row.name}: the failed append was not reported honestly")
+        row.write()
+        _require(_caught(row.read) == (row.written, []),
+                 f"{row.name}: after space returned the file does not "
+                 "read back every record the writer reports written")
+        elapsed += row.recover()
+    return _held(fault, f"journal_enospc_append: write {fail_after} failed "
+                        "loudly; each writer carried on, losing nothing",
+                 elapsed)
+
+
+# -- artifact rows ------------------------------------------------------------
+# Each saves the next state through one consumer's writer (``save``) and
+# loads ``path`` back through its reader (``load``) in a comparable form.
 
 def _built_agent(agent_seed: int):
+    """``(solver, controller)`` of a seeded agent with a random table."""
     solver = PowertrainSolver(default_vehicle())
     controller = build_rl_controller(solver, seed=int(agent_seed))
     agent = controller.agent
@@ -477,247 +619,241 @@ def _built_agent(agent_seed: int):
     rng = np.random.default_rng(int(agent_seed))
     agent.learner.qtable.values[:] = rng.normal(
         size=agent.learner.qtable.values.shape)
-    return solver, agent
+    return solver, controller
 
 
-@_experiment("policy_bitflip", resumable=False)
-def _exp_policy_bitflip(fault: ChaosFault,
-                        workdir: Path) -> ExperimentOutcome:
-    """A single flipped bit in a saved policy must fail the SHA-256
-    integrity check — never load a scrambled policy."""
-    solver, agent = _built_agent(fault.params["agent_seed"])
-    stem = workdir / "policy"
-    save_policy(agent, stem)
-    rpa = stem.with_suffix(".rpa")
-    blob = bytearray(rpa.read_bytes())
-    # offset_fraction >= 0.05 lands past the header (~1% of the file),
-    # in the digest-covered table bytes.
-    index = min(int(float(fault.params["offset_fraction"]) * len(blob)),
-                len(blob) - 1)
-    blob[index] ^= 1 << int(fault.params["bit"])
-    rpa.write_bytes(bytes(blob))
-    fresh = build_rl_controller(solver,
-                                seed=int(fault.params["agent_seed"])).agent
-    try:
-        load_policy(fresh, stem)
-    except PersistenceError as exc:
-        return ExperimentOutcome(
-            kind=fault.kind, detected=True, recovered=None,
-            resumable=False,
-            detail=f"policy_bitflip: bit {fault.params['bit']} at byte "
-                   f"{index} caught by integrity check ({exc})"[:200],
-            recovery_seconds=None)
-    raise InvariantViolation(
-        f"a policy with bit {fault.params['bit']} flipped at byte "
-        f"{index} loaded without error — silent corruption")
+class _TableRow:
+    def __init__(self, params: Mapping[str, Any], workdir: Path):
+        self.params, self.dir, self.path = params, workdir, workdir / self.file
+        self.agent = _built_agent(params["agent_seed"])[1].agent
+        # Loads land in a second agent of the same configuration.
+        self.probe = _built_agent(params["agent_seed"])[1].agent
+
+    def refuse(self, damage: str) -> None:
+        """The damaged file is refused with a PersistenceError."""
+        _refused(self.load, PersistenceError, f"{self.name}: {damage}")
+
+    def recover(self) -> None:
+        """The consumer's own recovery beyond loading as before."""
 
 
-@_experiment("policy_sidecar_truncated", resumable=False)
-def _exp_sidecar_truncated(fault: ChaosFault,
-                           workdir: Path) -> ExperimentOutcome:
-    """A policy file torn inside its header (torn copy, partial download)
-    must surface as a structured PersistenceError, not a JSON traceback."""
-    solver, agent = _built_agent(fault.params["agent_seed"])
-    stem = workdir / "policy"
-    save_policy(agent, stem)
-    rpa = stem.with_suffix(".rpa")
-    blob = rpa.read_bytes()
+class _PolicyRow(_TableRow):
+    """``save_policy`` / ``load_policy``."""
+
+    name, file = "policy", "policy.rpa"
+
+    def save(self) -> None:
+        """Save the agent's policy, one higher than the last."""
+        self.agent.learner.qtable.values[:] += 1.0
+        save_policy(self.agent, self.path)
+
+    prepare = save
+
+    def load(self) -> bytes:
+        """The policy table, loaded into the probe agent."""
+        load_policy(self.probe, self.path)
+        return self.probe.learner.qtable.values.tobytes()
+
+
+class _CheckpointRow(_TableRow):
+    """``save_checkpoint`` / ``load_checkpoint`` and training resume."""
+
+    name, file, episode = "checkpoint", "ckpt.rpa", 0
+
+    def save(self) -> None:
+        """Checkpoint the next episode, the table one higher."""
+        self.episode += 1
+        self.agent.learner.qtable.values[:] += 1.0
+        save_checkpoint(self.agent, self.path, episode=self.episode)
+
+    def load(self) -> tuple:
+        """``(episode, table)`` restored into the probe agent."""
+        return (load_checkpoint(self.probe, self.path),
+                self.probe.learner.checkpoint_table().tobytes())
+
+    def _train(self, episodes: int, **kwargs) -> np.ndarray:
+        """The Q-table of a fresh agent trained on a gentle 30 s cycle."""
+        solver, controller = _built_agent(self.params["agent_seed"])
+        speeds = 10.0 - np.abs(np.linspace(-10.0, 10.0, 30))
+        train(Simulator(solver), controller,
+              DriveCycle("chaos-gentle", speeds), episodes=episodes,
+              seed=int(self.params["agent_seed"]), evaluate_after=False,
+              **kwargs)
+        return controller.agent.learner.qtable.values
+
+    def prepare(self) -> None:
+        """A killed run leaves the checkpoint; a whole one is the reference."""
+        self.straight = self._train(4)
+        self._train(int(self.params["interrupt_after"]),
+                    checkpoint_path=self.path)
+
+    def recover(self) -> None:
+        """Training resumed from the checkpoint equals the whole run."""
+        _require(np.array_equal(self._train(4, resume_from=self.path),
+                                self.straight),
+                 "resumed training is not bit-identical to a whole run")
+
+
+class _LearnerRow(_TableRow):
+    """``OnlineLearner.checkpoint`` / ``resume`` plus ingest."""
+
+    name, file, saves = "learner", "learner-checkpoint.rpa", 0
+
+    def save(self) -> None:
+        """Checkpoint a learner whose table is one higher."""
+        self.saves += 1
+        _seed_learner(self.path, self.saves).checkpoint()
+
+    def load(self) -> bytes:
+        """The resumed learner's table."""
+        return OnlineLearner.resume(self.path).table.tobytes()
+
+    def prepare(self) -> None:
+        """A learner ingests a journal, checkpoints and dies."""
+        self.journal = _ExperienceRow({"n_records": 12}, self.dir)
+        self.journal.write()
+        self.journal.close()
+        _seed_learner(self.path).ingest(self.dir)
+
+    def recover(self) -> None:
+        """Resume plus ingest equals the uninterrupted learner."""
+        self.journal.resume_learner(self.path)
+
+
+class _RegistryRow(_TableRow):
+    """``PolicyRegistry.publish`` plus ``PolicyServer.swap``."""
+
+    name, file = "registry", ""  # path: the latest version's file
+
+    def __init__(self, params: Mapping[str, Any], workdir: Path):
+        super().__init__(params, workdir)
+        self.registry = PolicyRegistry(workdir)
+
+    def save(self) -> None:
+        """Publish the agent's policy, then move it 0.25 on."""
+        self.path = self.registry.path_for(self.registry.publish(self.agent))
+        self.agent.learner.qtable.values[:] += 0.25
+
+    def load(self) -> tuple:
+        """Every published version, verified."""
+        return tuple(self.registry.load(v).table.tobytes()
+                     for v in self.registry.versions())
+
+    def prepare(self) -> None:
+        """v1 serves; v2, a different policy, is the candidate."""
+        self.save()
+        self.save()
+        self.server = PolicyServer(self.registry)
+        self.server.activate(self.registry.load(1))
+        self.states = np.arange(min(96, self.server.active_artifact
+                                    .num_states))
+        self.before = self.server.decide(self.states)
+
+    def refuse(self, damage: str) -> None:
+        """Refused on load, and at swap time with the incumbent intact."""
+        super().refuse(damage)
+        refused = self.server.refused_swaps
+        report = self.server.swap(version=2)
+        _require(not report.activated
+                 and self.server.refused_swaps == refused + 1
+                 and self.server.active_version == 1
+                 and np.array_equal(self.server.decide(self.states),
+                                    self.before),
+                 f"a candidate with {damage} was not refused and counted "
+                 f"with the incumbent bit-identical: {report}")
+
+
+ARTIFACT_ROWS = (_PolicyRow, _CheckpointRow, _LearnerRow, _RegistryRow)
+"""Every writer/reader pair of :mod:`repro.artifact`, one row each."""
+
+
+def _damages(blob: bytes, params: Mapping[str, Any]) -> list:
+    """``(label, bytes)`` of a bit flip and a cut in the header, then in
+    the table, bounded by the file's own header length.  The header flip
+    is the first from the seeded ``(byte, bit)`` that still parses to a
+    *different* JSON header: the damage only the header digest catches."""
     header_end = 8 + int.from_bytes(blob[4:8], "little")
-    keep = max(1, int(header_end * float(fault.params["keep_fraction"])))
-    rpa.write_bytes(blob[:keep])
-    fresh = build_rl_controller(solver,
-                                seed=int(fault.params["agent_seed"])).agent
-    try:
-        load_policy(fresh, stem)
-    except PersistenceError as exc:
-        return ExperimentOutcome(
-            kind=fault.kind, detected=True, recovered=None,
-            resumable=False,
-            detail=f"policy_sidecar_truncated: {keep}/{header_end} header "
-                   f"bytes kept; structured refusal ({exc})"[:200],
-            recovery_seconds=None)
-    raise InvariantViolation(
-        f"a policy header truncated to {keep} bytes loaded without error")
+    table_at = _aligned(header_end)
+    at, bit = float(params["offset_fraction"]), int(params["bit"])
+    keep, span = float(params["keep_fraction"]), header_end - 8
+    original = json.loads(blob[8:header_end])
+    for step in range(8 * span):
+        index = 8 + (int(at * span) + step // 8) % span
+        flip = (bit + step) % 8
+        header_flip = bytearray(blob)
+        header_flip[index] ^= 1 << flip
+        try:
+            if json.loads(header_flip[8:header_end]) != original:
+                break
+        except ValueError:  # containment: an unparseable flip is skipped
+            pass
+    table_flip = bytearray(blob)
+    table_index = table_at + min(int(at * (len(blob) - table_at)),
+                                 len(blob) - table_at - 1)
+    table_flip[table_index] ^= 1 << bit
+    header_cut = 8 + int(keep * span)
+    table_cut = table_at + int(keep * (len(blob) - table_at))
+    return [(f"header byte {index} bit {flip} flipped", bytes(header_flip)),
+            (f"table byte {table_index} bit {bit} flipped",
+             bytes(table_flip)),
+            (f"a cut at header byte {header_cut}", blob[:header_cut]),
+            (f"a cut at table byte {table_cut}", blob[:table_cut])]
 
 
-def _gentle_cycle(steps: int = 30) -> DriveCycle:
-    half = steps // 2
-    speeds = np.concatenate([np.linspace(0.0, 10.0, half),
-                             np.linspace(10.0, 0.0, steps - half)])
-    return DriveCycle("chaos-gentle", speeds)
+# -- artifact kinds -----------------------------------------------------------
+
+@_experiment("artifact_corrupt", resumable=True)
+def _exp_artifact_corrupt(fault: ChaosFault,
+                          workdir: Path) -> ExperimentOutcome:
+    """Every damage is refused with a PersistenceError (a swap refused and
+    counted); restoring the intact bytes recovers each consumer exactly."""
+    elapsed = 0.0
+    for row in _rows(ARTIFACT_ROWS, fault, workdir):
+        row.prepare()
+        intact, before = row.path.read_bytes(), row.load()
+        for damage, blob in _damages(intact, fault.params):
+            row.path.write_bytes(blob)
+            row.refuse(damage)
+        row.path.write_bytes(intact)
+        start = time.monotonic()
+        _require(row.load() == before,
+                 f"{row.name}: the restored file does not load as before")
+        row.recover()
+        elapsed += time.monotonic() - start
+    return _held(fault, "artifact_corrupt: every damage refused; every "
+                        "consumer recovered from the intact bytes", elapsed)
 
 
-@_experiment("checkpoint_corrupt_resume", resumable=True)
-def _exp_checkpoint_corrupt(fault: ChaosFault,
-                            workdir: Path) -> ExperimentOutcome:
-    """Checkpoint corruption must be detected on resume; resuming from
-    an intact replica must replay training bit-identically."""
-    episodes = int(fault.params["episodes"])
-    interrupt = int(fault.params["interrupt_after"])
-    agent_seed = int(fault.params["agent_seed"])
-    train_seed = int(fault.params["train_seed"])
-    cycle = _gentle_cycle()
-    ckpt = workdir / "ckpt"
-
-    solver_a = PowertrainSolver(default_vehicle())
-    straight = build_rl_controller(solver_a, seed=agent_seed)
-    train(Simulator(solver_a), straight, cycle, episodes=episodes,
-          seed=train_seed, evaluate_after=False)
-
-    solver_b = PowertrainSolver(default_vehicle())
-    killed = build_rl_controller(solver_b, seed=agent_seed)
-    train(Simulator(solver_b), killed, cycle, episodes=interrupt,
-          seed=train_seed, evaluate_after=False, checkpoint_path=ckpt)
-
-    rpa = ckpt.with_suffix(".rpa")
-    intact = rpa.read_bytes()
-    blob = bytearray(intact)
-    # As in policy_bitflip: the header is ~2% of the file, so the flip
-    # lands in the digest-covered table bytes.
-    index = min(int(float(fault.params["offset_fraction"]) * len(blob)),
-                len(blob) - 1)
-    blob[index] ^= 0x10
-    rpa.write_bytes(bytes(blob))
-    probe = build_rl_controller(PowertrainSolver(default_vehicle()),
-                                seed=agent_seed).agent
-    try:
-        load_checkpoint(probe, ckpt)
-    except PersistenceError:  # containment: the expected detection signal
-        pass
-    else:
-        raise InvariantViolation(
-            "a corrupted checkpoint loaded without error — training "
-            "would have resumed from scrambled state")
-
-    # "Restore from replica": the intact bytes come back, resume runs.
-    rpa.write_bytes(intact)
-    solver_c = PowertrainSolver(default_vehicle())
-    resumed = build_rl_controller(solver_c, seed=agent_seed)
-    start = time.monotonic()
-    train(Simulator(solver_c), resumed, cycle, episodes=episodes,
-          seed=train_seed, evaluate_after=False, resume_from=ckpt)
-    elapsed = time.monotonic() - start
-    _require(np.array_equal(resumed.agent.learner.qtable.values,
-                            straight.agent.learner.qtable.values),
-             "resumed training is not bit-identical to the "
-             "uninterrupted run")
-    return ExperimentOutcome(
-        kind=fault.kind, detected=True, recovered=True, resumable=True,
-        detail=f"checkpoint_corrupt_resume: corruption at byte {index} "
-               f"detected; resume from replica bit-identical after "
-               f"{interrupt}/{episodes} episodes",
-        recovery_seconds=elapsed)
-
-
-@_experiment("checkpoint_enospc", resumable=True)
-def _exp_checkpoint_enospc(fault: ChaosFault,
-                           workdir: Path) -> ExperimentOutcome:
-    """Disk exhaustion mid-checkpoint must abort the save loudly and
-    leave the previous checkpoint fully loadable (atomic-write promise)."""
-    solver, agent = _built_agent(fault.params["agent_seed"])
-    ckpt = workdir / "ckpt"
-    save_checkpoint(agent, ckpt, episode=1)
-    saved_q = agent.learner.qtable.values.copy()
-
-    # state the failed save would have written
-    agent.learner.qtable.values[:] = saved_q + 1.0
-    shim = EnospcShim(fail_after_writes=1,
-                      partial_fraction=float(fault.params["partial_fraction"]),
-                      match="ckpt.rpa")
-    try:
+@_experiment("artifact_enospc", resumable=True)
+def _exp_artifact_enospc(fault: ChaosFault,
+                         workdir: Path) -> ExperimentOutcome:
+    """A save on a full disk fails loudly, leaks no temporary file, and
+    leaves every earlier file loading as it was (atomic writes)."""
+    saves = int(fault.params["saves_before"])
+    elapsed = 0.0
+    for row in _rows(ARTIFACT_ROWS, fault, workdir):
+        for _ in range(saves):
+            row.save()
+        before = row.load()
+        shim = EnospcShim(1, float(fault.params["partial_fraction"]),
+                          match=".rpa")
         with shimmed(shim):
-            save_checkpoint(agent, ckpt, episode=2)
-    except PersistenceError as exc:
-        _require("cannot persist" in str(exc),
-                 f"ENOSPC checkpoint save raised an unhelpful error: {exc}")
-    else:
-        raise InvariantViolation(
-            "checkpoint save on a full disk reported success")
-    _require(not list(workdir.glob("*.tmp")),
-             "failed checkpoint save leaked a temporary file")
-
-    fresh = build_rl_controller(solver,
-                                seed=int(fault.params["agent_seed"])).agent
-    start = time.monotonic()
-    episode = load_checkpoint(fresh, ckpt)
-    elapsed = time.monotonic() - start
-    _require(episode == 1
-             and np.array_equal(fresh.learner.qtable.values, saved_q),
-             "the previous checkpoint was damaged by a failed save — "
-             "the atomic-write promise broke")
-    return ExperimentOutcome(
-        kind=fault.kind, detected=True, recovered=True, resumable=True,
-        detail="checkpoint_enospc: failed save surfaced as "
-               "PersistenceError; previous checkpoint intact and loaded",
-        recovery_seconds=elapsed)
+            message = _refused(row.save, PersistenceError,
+                               f"{row.name}: a save on a full disk")
+        _require(shim.tripped and "cannot persist" in message
+                 and ".rpa" in message
+                 and not list(row.dir.rglob("*.tmp")),
+                 f"{row.name}: ENOSPC surfaced without naming the file, "
+                 f"or leaked a temporary file: {message}")
+        start = time.monotonic()
+        _require(row.load() == before,
+                 f"{row.name}: a failed save changed the previous file")
+        elapsed += time.monotonic() - start
+    return _held(fault, f"artifact_enospc: save {saves + 1} failed loudly; "
+                        "every earlier file loads as it was", elapsed)
 
 
-# -- serving faults -----------------------------------------------------------
-
-def _published_server(workdir: Path, agent_seed: int):
-    """A registry with two published versions, a server holding v1.
-
-    Returns ``(registry, server, candidate_version)`` where the
-    candidate (v2) is a deliberately different policy so a completed
-    swap would visibly change decisions — the experiments then prove it
-    never completes.
-    """
-    _, agent = _built_agent(agent_seed)
-    registry = PolicyRegistry(workdir / "registry")
-    incumbent = registry.load(registry.publish(agent))
-    agent.learner.qtable.values[:] += 0.25
-    candidate = registry.publish(agent)
-    server = PolicyServer(registry)
-    server.activate(incumbent)
-    return registry, server, candidate
-
-
-@_experiment("serve_swap_corrupt_candidate", resumable=True)
-def _exp_serve_corrupt_candidate(fault: ChaosFault,
-                                 workdir: Path) -> ExperimentOutcome:
-    """A candidate artifact corrupted on disk after publication (bit rot
-    or a torn copy in the verify-to-activate window) must be refused at
-    swap time; the incumbent keeps serving bit-identical decisions."""
-    registry, server, candidate = _published_server(
-        workdir, int(fault.params["agent_seed"]))
-    probe = np.arange(min(96, server.active_artifact.num_states))
-    before = server.decide(probe)
-    path = registry.path_for(candidate)
-    blob = bytearray(path.read_bytes())
-    header_len = int.from_bytes(blob[4:8], "little")
-    table_offset = _aligned(8 + header_len)
-    span = len(blob) - table_offset
-    mode = str(fault.params["mode"])
-    if mode == "bitflip":
-        index = table_offset + min(
-            int(float(fault.params["offset_fraction"]) * span), span - 1)
-        blob[index] ^= 1 << int(fault.params["bit"])
-        path.write_bytes(bytes(blob))
-        injected = (f"bit {fault.params['bit']} flipped at table byte "
-                    f"{index - table_offset}")
-    else:
-        keep = table_offset + int(float(fault.params["keep_fraction"]) * span)
-        path.write_bytes(bytes(blob[:keep]))
-        injected = f"table truncated to {keep}/{len(blob)} bytes"
-    start = time.monotonic()
-    report = server.swap(version=candidate)
-    after = server.decide(probe)
-    elapsed = time.monotonic() - start
-    _require(not report.activated and server.refused_swaps == 1,
-             f"a corrupt candidate ({injected}) was not refused at swap "
-             f"time: {report}")
-    _require(server.active_version == 1,
-             f"swap of a corrupt candidate moved the active version to "
-             f"{server.active_version} — the pointer flip was not atomic")
-    _require(np.array_equal(before, after),
-             "incumbent decisions changed after a refused swap — serving "
-             "was not isolated from the corrupt candidate")
-    return ExperimentOutcome(
-        kind=fault.kind, detected=True, recovered=True, resumable=True,
-        detail=f"serve_swap_corrupt_candidate[{mode}]: {injected}; swap "
-               f"refused, incumbent decisions bit-identical",
-        recovery_seconds=elapsed)
-
+# -- serving and learning faults ----------------------------------------------
 
 @_experiment("serve_slow_artifact_load", resumable=True)
 def _exp_serve_slow_load(fault: ChaosFault,
@@ -725,16 +861,15 @@ def _exp_serve_slow_load(fault: ChaosFault,
     """Pathologically slow artifact reads must trip the staging deadline:
     the swap is shed cleanly (no indefinite stall) and the incumbent
     keeps serving bit-identically."""
-    registry, server, candidate = _published_server(
-        workdir, int(fault.params["agent_seed"]))
-    probe = np.arange(min(96, server.active_artifact.num_states))
-    before = server.decide(probe)
+    row = _RegistryRow(fault.params, workdir)
+    row.prepare()
+    server, probe, before = row.server, row.states, row.before
     delay = float(fault.params["delay_s"])
     deadline = float(fault.params["deadline_s"])
     shim = SlowReadShim(delay, match=".rpa")
     start = time.monotonic()
     with shimmed(shim):
-        report = server.swap(version=candidate, deadline_s=deadline)
+        report = server.swap(version=2, deadline_s=deadline)
     stalled = time.monotonic() - start
     _require(shim.intercepted >= 1,
              "the slow-read shim never intercepted an artifact read — "
@@ -750,119 +885,11 @@ def _exp_serve_slow_load(fault: ChaosFault,
     _require(server.active_version == 1 and np.array_equal(before, after),
              "serving degraded after a deadline-shed swap — the incumbent "
              "should have been untouched")
-    return ExperimentOutcome(
-        kind=fault.kind, detected=True, recovered=True, resumable=True,
-        detail=f"serve_slow_artifact_load: reads stalled {delay * 1e3:g}ms "
+    return _held(
+        fault, f"serve_slow_artifact_load: reads stalled {delay * 1e3:g}ms "
                f"each ({stalled:.3f}s total), staging shed at "
                f"{deadline * 1e3:g}ms deadline; serving bit-identical",
-        recovery_seconds=elapsed)
-
-
-@_experiment("learn_journal_torn_batch", resumable=True)
-def _exp_learn_torn_batch(fault: ChaosFault,
-                          workdir: Path) -> ExperimentOutcome:
-    """A fleet writer killed mid-append tears the experience journal's
-    final line.  The reader must amputate it (idempotently — a second
-    read truncates nothing further), the content-hash cursor must make
-    a resumed learner re-read nothing twice, and a learner killed after
-    its checkpoint and resumed must reach the **bit-identical** table an
-    uninterrupted run over the same records produces."""
-    params = fault.params
-    _, agent = _built_agent(int(params["agent_seed"]))
-    table = np.asarray(agent.learner.qtable.values, dtype=np.float64)
-    fingerprint = _fingerprint(agent)
-    num_states, num_actions = table.shape
-    rng = np.random.default_rng(int(params["agent_seed"]))
-    n = int(params["n_records"])
-    break_after = int(params["break_after"])
-    records = [ExperienceRecord(
-        state=int(rng.integers(num_states)),
-        action=int(rng.integers(num_actions)),
-        reward=round(float(rng.normal()), 6),
-        next_state=int(rng.integers(num_states)),
-        policy_version=1, vehicle_id=i, step=0) for i in range(n)]
-
-    # The uninterrupted reference: every record, one ingest.
-    with ExperienceStream(workdir / "reference") as ref_stream:
-        for rec in records:
-            ref_stream.offer(rec)
-        ref_stream.flush()
-    reference = OnlineLearner(fingerprint, table)
-    reference.ingest(workdir / "reference")
-
-    # The faulted journal: a clean prefix, then a torn final line —
-    # the writer died inside the os.write of record break_after.
-    journal_dir = workdir / "journals"
-    with ExperienceStream(journal_dir) as stream:
-        for rec in records[:break_after]:
-            stream.offer(rec)
-        stream.flush()
-        torn = encode_record(records[break_after]).encode("utf-8")
-        cut = max(1, int(len(torn) * float(params["cut_fraction"])))
-        with open(stream.path, "ab") as fh:
-            fh.write(torn[:cut])
-
-    checkpoint = workdir / "learner-checkpoint.rpa"
-    learner = OnlineLearner(fingerprint, table, checkpoint_path=checkpoint)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        first = learner.ingest(journal_dir)
-    _require(any("amputating" in str(w.message) for w in caught),
-             "the torn final line was consumed without the documented "
-             "amputation warning")
-    _require(first.amputated_bytes == cut,
-             f"amputation removed {first.amputated_bytes} bytes, the torn "
-             f"fragment was {cut}")
-    _require(first.records == break_after and first.quarantined == 0,
-             f"the clean prefix held {break_after} records; ingest applied "
-             f"{first.records} with {first.quarantined} quarantined")
-    with warnings.catch_warnings():
-        # Amputation already happened physically; a second pass over the
-        # already-truncated journal must be silent and consume nothing.
-        warnings.simplefilter("error")
-        second = learner.ingest(journal_dir)
-    _require(second.records == 0 and second.amputated_bytes == 0,
-             f"a re-ingest under the cursor re-applied {second.records} "
-             f"record(s) / re-amputated {second.amputated_bytes} byte(s) — "
-             "exact resume is broken")
-
-    # The learner process "dies" here (we drop the object); the fleet
-    # writer recovers and appends the records the tear swallowed.
-    del learner
-    with ExperienceStream(journal_dir) as stream:
-        for rec in records[break_after:]:
-            stream.offer(rec)
-        stream.flush()
-    start = time.monotonic()
-    resumed = OnlineLearner.resume(checkpoint)
-    rest = resumed.ingest(journal_dir)
-    elapsed = time.monotonic() - start
-    _require(rest.records == n - break_after,
-             f"the resumed learner applied {rest.records} of the "
-             f"{n - break_after} post-crash records")
-    _require(resumed.records == n,
-             f"lifetime record count {resumed.records} != {n} after resume")
-    _require(np.array_equal(resumed.table, reference.table),
-             "kill-and-resume produced a table that differs from the "
-             "uninterrupted run — bit-identical resume is broken")
-
-    # And the cursor must detect a journal rewritten underneath it as a
-    # structured refusal, never as silent double-counting.
-    body = stream.path.read_bytes()
-    stream.path.write_bytes(body.replace(b'"v": 1', b'"v": 2', 1))
-    try:
-        resumed.ingest(journal_dir)
-    except ExperienceError:  # containment: the refusal IS the invariant
-        pass
-    else:
-        _require(False, "a journal rewritten under its cursor was "
-                        "re-ingested without a structured refusal")
-    return ExperimentOutcome(
-        kind=fault.kind, detected=True, recovered=True, resumable=True,
-        detail=f"learn_journal_torn_batch: {cut}-byte torn line amputated "
-               f"once, cursor resumed at record {break_after}/{n}, "
-               "resumed table bit-identical to the uninterrupted run",
-        recovery_seconds=elapsed)
+        elapsed)
 
 
 @_experiment("learn_regressed_candidate", resumable=True)
@@ -873,7 +900,7 @@ def _exp_learn_regressed(fault: ChaosFault,
     by the canary cohort, rolled back automatically with the incumbent
     bit-identical, and the regression-recovery latency recorded."""
     params = fault.params
-    _, agent = _built_agent(int(params["agent_seed"]))
+    agent = _built_agent(int(params["agent_seed"]))[1].agent
     table = np.asarray(agent.learner.qtable.values, dtype=np.float64)
     fingerprint = _fingerprint(agent)
     registry = PolicyRegistry(workdir / "registry")
@@ -910,11 +937,10 @@ def _exp_learn_regressed(fault: ChaosFault,
     _require(server.canary is None,
              "the rolled-back canary rollout is still attached to the "
              "server")
-    return ExperimentOutcome(
-        kind=fault.kind, detected=True, recovered=True, resumable=True,
-        detail=f"learn_regressed_candidate: canary caught v{poisoned} "
+    return _held(
+        fault, f"learn_regressed_candidate: canary caught v{poisoned} "
                f"after {report.rounds} fleet round(s) "
                f"({report.canary_decisions} canary decisions), rolled "
                "back to a verified bit-identical incumbent "
                f"in {report.recovery_s * 1e3:.1f}ms",
-        recovery_seconds=report.recovery_s)
+        report.recovery_s)

@@ -29,20 +29,15 @@ _PLAN_ROOT = 0xC4A05
 FAULT_KINDS: Tuple[str, ...] = (
     "worker_hang_sigterm",
     "abort_mid_sweep",
-    "torn_final_manifest_line",
-    "torn_nonfinal_manifest_line",
     "duplicated_manifest_lines",
     "reordered_manifest_lines",
-    "eventsink_torn_line",
-    "enospc_manifest_append",
     "slow_manifest_io",
-    "policy_bitflip",
-    "policy_sidecar_truncated",
-    "checkpoint_corrupt_resume",
-    "checkpoint_enospc",
-    "serve_swap_corrupt_candidate",
+    "journal_torn_tail",
+    "journal_interior_corrupt",
+    "journal_enospc_append",
+    "artifact_corrupt",
+    "artifact_enospc",
     "serve_slow_artifact_load",
-    "learn_journal_torn_batch",
     "learn_regressed_candidate",
 )
 """Every fault kind the harness can inject (see repro.chaos.experiments)."""
@@ -56,64 +51,43 @@ def _sample_params(kind: str, rng: np.random.Generator) -> Dict[str, Any]:
     if kind == "abort_mid_sweep":
         n = int(rng.integers(4, 8))
         return {"n_tasks": n, "crash_after": int(rng.integers(1, n))}
-    if kind == "torn_final_manifest_line":
-        return {"n_tasks": int(rng.integers(3, 7)),
-                "cut_fraction": round(float(rng.uniform(0.15, 0.9)), 3)}
-    if kind == "torn_nonfinal_manifest_line":
-        n = int(rng.integers(3, 7))
-        return {"n_tasks": n,
-                "target": int(rng.integers(0, n - 1)),
-                "mode": str(rng.choice(["syntactic", "semantic"])),
-                "cut_fraction": round(float(rng.uniform(0.15, 0.85)), 3)}
     if kind == "duplicated_manifest_lines":
         n = int(rng.integers(3, 7))
         return {"n_tasks": n, "dup_count": int(rng.integers(1, n))}
     if kind == "reordered_manifest_lines":
         return {"n_tasks": int(rng.integers(3, 7)),
                 "shuffle_seed": int(rng.integers(0, 2 ** 31))}
-    if kind == "eventsink_torn_line":
-        return {"n_events": int(rng.integers(4, 10)),
-                "cut_fraction": round(float(rng.uniform(0.15, 0.9)), 3)}
-    if kind == "enospc_manifest_append":
-        n = int(rng.integers(4, 8))
-        # header is targeted write #1; fail on some *record* append
-        return {"n_tasks": n,
-                "fail_after_writes": int(rng.integers(2, n + 1)),
-                "partial_fraction": round(float(rng.uniform(0.0, 0.9)), 3)}
     if kind == "slow_manifest_io":
         return {"n_tasks": int(rng.integers(3, 6)),
                 "delay_s": round(float(rng.uniform(0.002, 0.008)), 4)}
-    if kind == "policy_bitflip":
-        return {"offset_fraction": round(float(rng.uniform(0.05, 0.95)), 4),
+    if kind == "journal_torn_tail":
+        return {"n_records": int(rng.integers(3, 7)),
+                "cut_fraction": round(float(rng.uniform(0.1, 0.9)), 3)}
+    if kind == "journal_interior_corrupt":
+        n = int(rng.integers(3, 7))
+        return {"n_records": n,
+                "target": int(rng.integers(0, n - 1)),
+                "mode": str(rng.choice(["syntactic", "semantic"])),
+                "cut_fraction": round(float(rng.uniform(0.15, 0.85)), 3)}
+    if kind == "journal_enospc_append":
+        n = int(rng.integers(4, 8))
+        # write 1 is the header; fail on some *record* append
+        return {"n_records": n,
+                "fail_after_writes": int(rng.integers(2, n + 2)),
+                "partial_fraction": round(float(rng.uniform(0.1, 0.9)), 3)}
+    if kind == "artifact_corrupt":
+        return {"offset_fraction": round(float(rng.uniform(0.0, 1.0)), 4),
                 "bit": int(rng.integers(0, 8)),
-                "agent_seed": int(rng.integers(1, 1000))}
-    if kind == "policy_sidecar_truncated":
-        return {"keep_fraction": round(float(rng.uniform(0.1, 0.8)), 3),
-                "agent_seed": int(rng.integers(1, 1000))}
-    if kind == "checkpoint_corrupt_resume":
-        return {"episodes": 4,
+                "keep_fraction": round(float(rng.uniform(0.0, 1.0)), 3),
                 "interrupt_after": int(rng.integers(1, 4)),
-                "offset_fraction": round(float(rng.uniform(0.05, 0.95)), 4),
-                "agent_seed": int(rng.integers(1, 1000)),
-                "train_seed": int(rng.integers(0, 1000))}
-    if kind == "checkpoint_enospc":
-        return {"partial_fraction": round(float(rng.uniform(0.0, 0.9)), 3),
                 "agent_seed": int(rng.integers(1, 1000))}
-    if kind == "serve_swap_corrupt_candidate":
-        return {"mode": str(rng.choice(["bitflip", "truncate"])),
-                "offset_fraction": round(float(rng.uniform(0.05, 0.95)), 4),
-                "bit": int(rng.integers(0, 8)),
-                "keep_fraction": round(float(rng.uniform(0.1, 0.9)), 3),
+    if kind == "artifact_enospc":
+        return {"saves_before": int(rng.integers(1, 4)),
+                "partial_fraction": round(float(rng.uniform(0.0, 0.9)), 3),
                 "agent_seed": int(rng.integers(1, 1000))}
     if kind == "serve_slow_artifact_load":
         return {"delay_s": round(float(rng.uniform(0.05, 0.15)), 4),
                 "deadline_s": round(float(rng.uniform(0.005, 0.02)), 4),
-                "agent_seed": int(rng.integers(1, 1000))}
-    if kind == "learn_journal_torn_batch":
-        n = int(rng.integers(12, 24))
-        return {"n_records": n,
-                "break_after": int(rng.integers(3, n - 3)),
-                "cut_fraction": round(float(rng.uniform(0.1, 0.9)), 3),
                 "agent_seed": int(rng.integers(1, 1000))}
     if kind == "learn_regressed_candidate":
         return {"agent_seed": int(rng.integers(1, 1000)),

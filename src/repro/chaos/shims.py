@@ -99,7 +99,22 @@ class EnospcShim(TargetedShim):
         default()
 
 
-class SlowReadShim(TargetedShim):
+class _StallShim(TargetedShim):
+    """Shim base that stalls every targeted operation ``delay_s``."""
+
+    def __init__(self, delay_s: float, match: Optional[str] = None):
+        super().__init__(match)
+        if not delay_s >= 0:
+            raise ChaosError(f"delay_s must be >= 0, got {delay_s!r}")
+        self.delay_s = float(delay_s)
+
+    def _stall(self, path: Optional[Path]) -> None:
+        if self.targets(path):
+            self.intercepted += 1
+            time.sleep(self.delay_s)
+
+
+class SlowReadShim(_StallShim):
     """Pathological read latency: every targeted read stalls ``delay_s``.
 
     The bytes come back intact — this is the load-side twin of
@@ -108,23 +123,14 @@ class SlowReadShim(TargetedShim):
     this from a stall into a clean, bounded refusal.
     """
 
-    def __init__(self, delay_s: float, match: Optional[str] = None):
-        super().__init__(match)
-        if not delay_s >= 0:
-            raise ChaosError(f"delay_s must be >= 0, got {delay_s!r}")
-        self.delay_s = float(delay_s)
-
     def read(self, path: Optional[Path], size: Optional[int],
              default: Callable[[], bytes]) -> bytes:
         """Stall ``delay_s`` then return the bytes intact."""
-        if not self.targets(path):
-            return default()
-        self.intercepted += 1
-        time.sleep(self.delay_s)
+        self._stall(path)
         return default()
 
 
-class SlowWriteShim(TargetedShim):
+class SlowWriteShim(_StallShim):
     """Pathological I/O latency: every targeted write stalls ``delay_s``.
 
     The data still lands intact — this shim tests that the stack stays
@@ -132,17 +138,8 @@ class SlowWriteShim(TargetedShim):
     that it fails cleanly.
     """
 
-    def __init__(self, delay_s: float, match: Optional[str] = None):
-        super().__init__(match)
-        if not delay_s >= 0:
-            raise ChaosError(f"delay_s must be >= 0, got {delay_s!r}")
-        self.delay_s = float(delay_s)
-
     def write(self, path: Optional[Path], data: bytes,
               default: Callable[[bytes], Optional[int]]) -> Optional[int]:
         """Stall ``delay_s`` then write the data intact."""
-        if not self.targets(path):
-            return default(data)
-        self.intercepted += 1
-        time.sleep(self.delay_s)
+        self._stall(path)
         return default(data)

@@ -11,8 +11,8 @@ file (:mod:`repro.telemetry.events`) and the experience journals
 * the **torn tail** — the bytes after the last newline, the only shape a
   crash leaves — is discarded with a :class:`RuntimeWarning`, and
   *amputated* (truncated out of the file, idempotently) by a consumer
-  about to append or resume, so its next line cannot land on the
-  fragment;
+  about to append or resume, and by a writer whose own write failed,
+  so its next line cannot land on the fragment;
 * a complete line that does not decode is **interior corruption**,
   refused or *quarantined* (counted and skipped);
 * a **resume cursor** (offset, SHA-256 of the consumed bytes, lines
@@ -53,7 +53,9 @@ class JournalWriter:
     Opening a missing or empty file (eagerly with :meth:`open`, or on
     the first :meth:`append`) writes ``header`` first.  ``fsync=True``
     fsyncs every line.  A failed open or write raises ``error`` and
-    leaves every earlier line intact.
+    leaves every earlier line intact; the next append first cuts the
+    fragment the failed write may have left, so it starts on a line
+    boundary (and re-heads a file the cut leaves empty).
     """
 
     def __init__(self, path: PathLike, header: Mapping[str, Any], kind: str,
@@ -64,6 +66,7 @@ class JournalWriter:
         self._error = error
         self._fsync = fsync
         self._fd: Optional[int] = None
+        self._torn = False
 
     def open(self) -> None:
         """Open the descriptor (idempotent), heading an empty file."""
@@ -78,18 +81,30 @@ class JournalWriter:
                 f"cannot open {self._kind} journal {self.path} "
                 f"({exc})") from exc
         if fresh:
-            self.append(self._header)
+            self._write(self._header)
 
     def append(self, line: str) -> None:
         """Append ``line`` and its newline with one write."""
         if self._fd is None:
             self.open()
+        if self._torn:
+            raw = _read_bytes(self.path, self._error)
+            end = raw.rfind(b"\n") + 1
+            if end < len(raw):
+                _truncate(self.path, end, self._kind, self._error)
+            self._torn = False
+            if end == 0:
+                self._write(self._header)
+        self._write(line)
+
+    def _write(self, line: str) -> None:
         try:
             fsio.os_write(self._fd, (line + "\n").encode("utf-8"),
                           path=self.path)
             if self._fsync:
                 fsio.fsync(self._fd, path=self.path)
         except OSError as exc:
+            self._torn = True
             raise self._error(
                 f"cannot append to {self._kind} journal {self.path} "
                 f"({exc}); every earlier line is intact") from exc
@@ -134,6 +149,16 @@ def _read_bytes(path: Path, error: Type[ReproError]) -> bytes:
         return fsio.read_bytes(path)
     except OSError as exc:
         raise error(f"cannot read journal {path} ({exc})") from exc
+
+
+def _truncate(path: Path, end: int, kind: str,
+              error: Type[ReproError]) -> None:
+    """Cut ``path`` back to ``end`` bytes: the one way a torn tail goes."""
+    try:
+        os.truncate(path, end)
+    except OSError as exc:
+        raise error(f"cannot amputate the torn tail of {kind} "
+                    f"journal {path} ({exc})") from exc
 
 
 def _decode_header(line: bytes, path: Path, error: Type[ReproError]) -> dict:
@@ -206,11 +231,7 @@ def read(path: PathLike, kind: str, error: Type[ReproError], *,
                                 "the file is left as it is"),
             RuntimeWarning, stacklevel=3)
         if amputate:
-            try:
-                os.truncate(path, end)
-            except OSError as exc:
-                raise error(f"cannot amputate the torn tail of {kind} "
-                            f"journal {path} ({exc})") from exc
+            _truncate(path, end, kind, error)
     body = raw.find(b"\n") + 1
     head = _decode_header(raw[:body - 1], path, error) if body else None
     start, prior = body, 0

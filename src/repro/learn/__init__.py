@@ -11,8 +11,9 @@ the :class:`repro.serve.PolicyRegistry` and take traffic only via the
 guarded promotion pipeline (:mod:`repro.learn.promotion`) — canary,
 regression watchdog, auto-rollback with *measured* recovery time.
 
-Chaos kinds ``learn_journal_torn_batch`` and
-``learn_regressed_candidate`` attack exactly these guarantees.
+The experience and learner rows of the ``journal_*`` and
+``artifact_*`` chaos kinds, and ``learn_regressed_candidate``, attack
+exactly these guarantees.
 """
 
 from repro.learn.journal import (DEFAULT_BUFFER_LIMIT, ExperienceStream,

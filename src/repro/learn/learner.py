@@ -3,8 +3,9 @@
 The :class:`OnlineLearner` turns journaled fleet experience into
 candidate policies.  Its defining property is the exec-manifest resume
 contract: **kill it anywhere and resume, and the aggregate Q-table is
-bit-identical to an uninterrupted run** (chaos kind
-``learn_journal_torn_batch`` enforces this).  Two design choices make
+bit-identical to an uninterrupted run** (the experience and learner rows
+of the ``journal_torn_tail`` and ``artifact_corrupt`` chaos kinds
+enforce this).  Two design choices make
 that cheap to guarantee:
 
 * **Batch-invariant updates.**  The update rule is plain tabular

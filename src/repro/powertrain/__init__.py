@@ -17,11 +17,7 @@ throughput bench compare against.
 from repro.powertrain.modes import OperatingMode
 from repro.powertrain.operating_point import BatchResult, OperatingPoint
 from repro.powertrain.solver import PowertrainSolver
-from repro.powertrain.tables import (
-    ActionGridWorkspace,
-    DenseMaps,
-    PowertrainTables,
-)
+from repro.powertrain.tables import ActionGridWorkspace, PowertrainTables
 
 __all__ = [
     "OperatingMode",
@@ -30,5 +26,4 @@ __all__ = [
     "PowertrainSolver",
     "PowertrainTables",
     "ActionGridWorkspace",
-    "DenseMaps",
 ]

@@ -1,23 +1,16 @@
 """Precomputed per-vehicle tables and reusable action-grid workspaces.
 
-The struct-of-arrays hot path is built on two precomputation layers:
-
-* :class:`PowertrainTables` — every per-:class:`~repro.vehicle.params.VehicleParams`
-  constant the solver kernel needs, extracted **exactly** (no fitting, no
-  interpolation) at :class:`~repro.powertrain.solver.PowertrainSolver`
-  construction: per-gear wheel-speed/torque transform coefficients, battery
-  OCV line and resistance/limit constants, motor-envelope and engine
-  speed-band bounds, and the scalar road-load coefficients.  Because these
-  are the same numbers the component models use, arithmetic against them is
-  bit-identical to calling the models — that is the contract the golden
-  equivalence suite pins.
-* :class:`DenseMaps` — dense sampled views of the nonlinear component
-  surfaces (engine WOT torque + fuel map, motor envelope, battery OCV and
-  power limits).  These are **advisory**: analysis, plotting, and future
-  table-serving layers read them; the exact kernel never interpolates them,
-  so the hot path stays bit-identical to the seed physics.  Built lazily —
-  fault-injection rebuilds the solver's tables per plant change and must
-  not pay for maps it never reads.
+The struct-of-arrays hot path is built on two precomputation layers.
+:class:`PowertrainTables` holds every
+per-:class:`~repro.vehicle.params.VehicleParams` constant the solver
+kernel needs, extracted **exactly** (no fitting, no interpolation) at
+:class:`~repro.powertrain.solver.PowertrainSolver` construction: per-gear
+wheel-speed/torque transform coefficients, battery OCV line and
+resistance/limit constants, motor-envelope and engine speed-band bounds,
+and the scalar road-load coefficients.  Because these are the same
+numbers the component models use, arithmetic against them is
+bit-identical to calling the models — that is the contract the golden
+equivalence suite pins.
 
 :class:`ActionGridWorkspace` binds a *fixed* candidate action grid
 (currents × gears × aux powers) to a solver: everything that does not
@@ -32,8 +25,6 @@ same workspace.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -138,9 +129,6 @@ class PowertrainTables:
         self.rho_x_inv_red_eta = trans.reduction_ratio * (
             1.0 / trans.reduction_efficiency)
 
-        self._solver = solver
-        self._dense: Optional[DenseMaps] = None
-
     # ------------------------------------------------------------- helpers ---
 
     def open_circuit_voltage(self, soc: float) -> float:
@@ -163,62 +151,6 @@ class PowertrainTables:
             ok = ok & ((omega_eng >= self.engine_min_speed)
                        & (omega_eng <= self.engine_max_speed))
         return ok
-
-    def dense_maps(self, speed_samples: int = 64,
-                   torque_samples: int = 48,
-                   soc_samples: int = 33) -> "DenseMaps":
-        """The lazily built dense sampled maps (cached per resolution)."""
-        key = (speed_samples, torque_samples, soc_samples)
-        if self._dense is None or self._dense.resolution != key:
-            self._dense = DenseMaps(self._solver, speed_samples,
-                                    torque_samples, soc_samples)
-        return self._dense
-
-
-class DenseMaps:
-    """Dense sampled component surfaces for analysis and serving layers.
-
-    Samples are exact evaluations of the live component models at the grid
-    nodes; between nodes they are what a lookup-table consumer would
-    interpolate.  The solver kernel itself never reads these (see module
-    docstring), so they carry no equivalence burden.
-    """
-
-    def __init__(self, solver, speed_samples: int = 64,
-                 torque_samples: int = 48, soc_samples: int = 33) -> None:
-        if speed_samples < 2 or torque_samples < 2 or soc_samples < 2:
-            raise ConfigurationError(
-                "dense maps need at least two samples per axis")
-        self.resolution = (speed_samples, torque_samples, soc_samples)
-        params = solver.params
-
-        # Engine: WOT curve and fuel map over (speed, torque).
-        self.engine_speeds = np.linspace(solver._engine_min_speed,
-                                         solver._engine_max_speed,
-                                         speed_samples)
-        self.engine_wot = np.asarray(
-            solver.engine.max_torque(self.engine_speeds), dtype=float)
-        t_max = float(np.max(self.engine_wot)) if len(self.engine_wot) else 0.0
-        self.engine_torques = np.linspace(0.0, max(t_max, 1e-9),
-                                          torque_samples)
-        self.engine_fuel = np.asarray(solver.engine.fuel_rate(
-            self.engine_torques[:, None], self.engine_speeds[None, :]),
-            dtype=float)
-
-        # Motor: envelope over rotor speed.
-        self.motor_speeds = np.linspace(0.0, params.motor.max_speed,
-                                        speed_samples)
-        self.motor_envelope = np.asarray(
-            solver.motor.max_torque(self.motor_speeds), dtype=float)
-
-        # Battery: OCV line and directional power limits over SoC.
-        self.soc_grid = np.linspace(0.0, 1.0, soc_samples)
-        self.battery_ocv = np.asarray(
-            solver.battery.open_circuit_voltage(self.soc_grid), dtype=float)
-        self.battery_max_discharge = np.asarray(
-            solver.battery.max_discharge_power(self.soc_grid), dtype=float)
-        self.battery_max_charge = np.asarray(
-            solver.battery.max_charge_power(self.soc_grid), dtype=float)
 
 
 class ActionGridWorkspace:

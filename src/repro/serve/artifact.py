@@ -8,11 +8,12 @@ file a server can memory-map read-only and share between processes.
 The file is the package's one table container, ``.rpa``
 (:mod:`repro.artifact`, layout in ``docs/SERVING.md``): a serving
 artifact is one with no ``state`` header and a 2-D table.  Loading
-verifies magic, header shape, declared vs actual file size, and the
-digest hashed straight off the memory map.  Any mismatch — truncation,
-bit rot, a torn copy — raises a structured
-:class:`repro.errors.PersistenceError`; the table bytes can never be
-silently scrambled (fuzz-tested in ``tests/test_serve.py``).
+verifies magic, the header and its digest, declared vs actual file
+size, and the table digest hashed straight off the memory map.  Any
+mismatch — truncation, bit rot, a torn copy — raises a structured
+:class:`repro.errors.PersistenceError`; neither the header nor the
+table bytes can be silently scrambled (fuzz-tested in
+``tests/test_serve.py``).
 
 Compilation is deterministic: the same table produces bit-identical
 artifact bytes, which is what makes "hot-swap of an identical policy is
@@ -55,28 +56,23 @@ def _missing(path: Path, exc: FileNotFoundError) -> PersistenceError:
 
 
 def peek_fingerprint(path: Union[str, Path]) -> dict:
-    """The agent fingerprint recorded in an artifact's header, unverified.
+    """The agent fingerprint recorded in an artifact's header.
 
-    Parses only the header — the table digest is *not* checked, so this
-    works on an artifact whose table bytes are corrupt.  The result must
-    therefore never gate a verification decision; it exists so the
-    degradation ladder can recover action-space metadata (the current
-    levels) for its rule-based fallback when no healthy artifact is
-    loadable.  Raises :class:`repro.errors.PersistenceError` when even
-    the header is unreadable.
+    Verifies only the header (its ``header_sha256``) — the table digest
+    is *not* checked, so this works on an artifact whose table bytes are
+    corrupt.  The result must therefore never gate a verification
+    decision; it exists so the degradation ladder can recover
+    action-space metadata (the current levels) for its rule-based
+    fallback when no healthy artifact is loadable.  Raises
+    :class:`repro.errors.PersistenceError` when the header itself is
+    unreadable or altered.
     """
     path = Path(path)
     try:
         header, _ = read_header(path)
     except FileNotFoundError as exc:
         raise _missing(path, exc) from exc
-    fingerprint = header.get("fingerprint") if isinstance(header, dict) \
-        else None
-    if not isinstance(fingerprint, dict):
-        raise PersistenceError(
-            f"{path}: artifact header records no fingerprint object; the "
-            "file is corrupt or foreign")
-    return fingerprint
+    return header["fingerprint"]
 
 
 class PolicyArtifact:

@@ -144,8 +144,9 @@ class EventSink:
 
     A fresh path gets a header line; an existing file is refused unless
     ``append=True`` (an event stream is never silently overwritten), in
-    which case a torn final line is amputated, the existing header is
-    checked for version compatibility and its run id adopted.
+    which case a torn final line is amputated, every existing record is
+    validated (a corrupt one is refused, as :func:`read_events` does)
+    and the header's run id adopted.
     """
 
     def __init__(self, path: Union[str, Path], run_id: Optional[str] = None,
@@ -161,8 +162,7 @@ class EventSink:
                 f"cannot append: telemetry file {self.path} does not exist")
         self._seq = 0
         if exists:
-            header = _read(self.path, amputate=True).header
-            _validate_line(self.path, 1, header)
+            header = _validated(self.path, amputate=True)[0]
             self.run_id = str(header.get("run_id", ""))
         else:
             self.run_id = run_id or uuid.uuid4().hex[:12]
@@ -206,22 +206,25 @@ class EventSink:
         self.close()
 
 
-def _read(path: Path, amputate: bool = False) -> journal.JournalRead:
-    """One telemetry journal read whose first record is the header."""
+def _validate_line(path: Path, lineno: int, record: Mapping[str, Any]) -> None:
+    try:
+        validate_event(record)
+    except TelemetryError as exc:
+        raise TelemetryError(f"{path}:{lineno}: {exc}") from exc
+
+
+def _validated(path: Path, amputate: bool = False) -> List[dict]:
+    """Every record of one telemetry journal, header first, validated."""
     read = journal.read(path, "telemetry", TelemetryError,
                         amputate=amputate)
     kind = read.header.get("type") if read.header else None
     if kind != "telemetry":
         raise TelemetryError(f"{path}:1: first record must be the "
                              f"'telemetry' header, got {kind!r}")
-    return read
-
-
-def _validate_line(path: Path, lineno: int, record: Mapping[str, Any]) -> None:
-    try:
-        validate_event(record)
-    except TelemetryError as exc:
-        raise TelemetryError(f"{path}:{lineno}: {exc}") from exc
+    records = [read.header] + read.records
+    for lineno, record in enumerate(records, start=1):
+        _validate_line(path, lineno, record)
+    return records
 
 
 def read_events(path: Union[str, Path]) -> List[dict]:
@@ -232,9 +235,4 @@ def read_events(path: Union[str, Path]) -> List[dict]:
     tolerance); any other malformation — a corrupt line, an unknown
     event type, a missing or mistyped field, a version mismatch —
     raises :class:`~repro.errors.TelemetryError`."""
-    path = Path(path)
-    read = _read(path)
-    records = [read.header] + read.records
-    for lineno, record in enumerate(records, start=1):
-        _validate_line(path, lineno, record)
-    return records
+    return _validated(Path(path))

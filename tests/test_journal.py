@@ -9,6 +9,7 @@ interior corruption is refused or quarantined as asked; and a prefix
 rewritten under a resume cursor is refused.
 """
 
+import errno
 import json
 import tempfile
 import warnings
@@ -104,6 +105,51 @@ class TestTornTail:
             after = _read_quietly(path)
             assert after.header == HEADER
             assert after.records == records[:-1] + more
+
+
+class _TearOnce(fsio.FilesystemShim):
+    """Write number ``at`` keeps ``keep`` of its bytes (modulo its
+    length) and fails with ENOSPC; every other write passes."""
+
+    def __init__(self, at: int, keep: int):
+        self.at, self.keep, self.seen = at, keep, 0
+
+    def write(self, path, data, default):
+        self.seen += 1
+        if self.seen != self.at:
+            return default(data)
+        default(data[:self.keep % len(data)])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestFailedWrite:
+    @settings(max_examples=60, deadline=None)
+    @given(records=RECORDS.filter(bool), at=st.integers(1, 9),
+           keep=st.integers(0, 10_000))
+    def test_next_append_starts_on_a_line_boundary(self, records, at, keep):
+        # The same writer retries the failed line once space returns:
+        # the file reads back every record exactly once, quietly.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "j.jsonl"
+            writer = journal.JournalWriter(path, HEADER, "test",
+                                           TelemetryError)
+            try:
+                with fsio.shimmed(_TearOnce(at, keep)):
+                    try:
+                        writer.open()
+                    except TelemetryError:
+                        pass  # a torn header is re-written by the retry
+                    for record in records:
+                        line = json.dumps(record, sort_keys=True)
+                        try:
+                            writer.append(line)
+                        except TelemetryError:
+                            writer.append(line)
+            finally:
+                writer.close()
+            read = _read_quietly(path)
+            assert read.header == HEADER
+            assert read.records == records
 
 
 class TestInteriorCorruption:

@@ -269,6 +269,20 @@ class TestEventSink:
         sink.close()
         assert len(read_events(path)) == 1  # no second header
 
+    def test_append_refuses_a_record_missing_a_field(self, tmp_path):
+        """An appender validates every existing record, as the reader
+        does, so it never extends a file ``read_events`` would refuse."""
+        path = tmp_path / "e.jsonl"
+        with EventSink(path) as sink:
+            sink.emit("log", level="WARNING", logger="x", message="m")
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        del record["message"]
+        lines[1] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TelemetryError, match=r"e\.jsonl:2: .*'message'"):
+            EventSink(path, append=True)
+
     def test_append_missing_raises(self, tmp_path):
         with pytest.raises(TelemetryError):
             EventSink(tmp_path / "missing.jsonl", append=True)
