@@ -4,9 +4,9 @@ Measures the two figures of merit of the resilient online-learning loop
 (``docs/ONLINE_LEARNING.md``):
 
 * **experience_records_per_sec** — the end-to-end journal pipeline
-  (schema-validated encode + atomic ``O_APPEND`` writes + cursor-exact
-  read + Q-update ingest) over ``REPRO_BENCH_ONLINE_RECORDS`` records
-  (default 20000).  Machine-dependent, so gated by
+  (schema-validated batch encode + one atomic ``O_APPEND`` write per
+  512-record batch + cursor-exact read + Q-update ingest) over
+  ``REPRO_BENCH_ONLINE_RECORDS`` records (default 20000).  Machine-dependent, so gated by
   ``scripts/check_bench_schema.py`` only with ``--absolute``.
 * **regression_recovery_p50_ms / p99_ms** — the first-class robustness
   metric: wall-clock from a canary's rollback verdict (detection)
@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.control.rl_controller import build_rl_controller
 from repro.learn import (
-    ExperienceRecord,
     ExperienceStream,
     OnlineLearner,
     PromotionPipeline,
@@ -82,15 +81,16 @@ def _records_per_sec(table: np.ndarray, fingerprint: dict,
     learner = OnlineLearner(fingerprint, table,
                             checkpoint_path=root / "ckpt.rpa")
     start = time.perf_counter()
+    versions = np.ones(n_records, dtype=np.int64)
+    vehicle_ids = np.arange(n_records) % 1024
     with ExperienceStream(root / "journals") as stream:
-        for i in range(n_records):
-            stream.offer(ExperienceRecord(
-                state=int(states[i]), action=int(actions[i]),
-                reward=float(rewards[i]), next_state=int(next_states[i]),
-                policy_version=1, vehicle_id=i % 1024, step=i // 1024))
-            if stream.buffered >= 512:
-                stream.flush()
-        stream.flush()
+        for lo in range(0, n_records, 512):
+            hi = lo + 512
+            stream.offer_batch(states[lo:hi], actions[lo:hi],
+                               rewards[lo:hi], next_states[lo:hi],
+                               versions[lo:hi], vehicle_ids[lo:hi],
+                               step=lo // 1024)
+            stream.flush()
     ingest = learner.ingest(root / "journals")
     elapsed = time.perf_counter() - start
     assert ingest.records == n_records, (ingest.records, n_records)

@@ -11,8 +11,8 @@ well under 5 seconds:
 2. **Kill-and-resume bit-identity** — a learner checkpointed mid-stream,
    dropped, and resumed must reach the bit-identical table of an
    uninterrupted learner over the same records — even with a torn final
-   line and a corrupt interior record injected into the journal (the
-   torn line amputated, the corrupt one quarantined, both counted).
+   line and a corrupt interior batch line injected into the journal
+   (the torn line amputated, the corrupt one quarantined, both counted).
 3. **Forced rollback with measured recovery** — promoting a poisoned
    (negated-table) candidate through the pipeline must end in an
    automatic canary rollback, with the incumbent verified bit-identical
@@ -38,12 +38,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.control.rl_controller import build_rl_controller  # noqa: E402
 from repro.cycles import DriveCycle  # noqa: E402
 from repro.learn import (  # noqa: E402
-    ExperienceRecord,
     ExperienceStream,
     OnlineLearner,
     OnlineLearningLoop,
     PromotionPipeline,
-    encode_record,
 )
 from repro.powertrain import PowertrainSolver  # noqa: E402
 from repro.rl.persistence import _fingerprint  # noqa: E402
@@ -103,23 +101,27 @@ def _check_resume(agent, workdir, failures):
     rng = np.random.default_rng(5)
 
     def _burst(directory, count, start):
+        """``count`` random records, offered as batches of up to 10."""
+        ids = np.arange(start, start + count)
+        columns = (rng.integers(num_states, size=count),
+                   rng.integers(num_actions, size=count),
+                   rng.normal(size=count),
+                   rng.integers(num_states, size=count),
+                   np.ones(count, dtype=int), ids)
         with ExperienceStream(directory) as stream:
-            for i in range(count):
-                stream.offer(ExperienceRecord(
-                    state=int(rng.integers(num_states)),
-                    action=int(rng.integers(num_actions)),
-                    reward=float(rng.normal()),
-                    next_state=int(rng.integers(num_states)),
-                    policy_version=1, vehicle_id=start + i, step=0))
+            for lo in range(0, count, 10):
+                stream.offer_batch(*(c[lo:lo + 10] for c in columns),
+                                   step=int(ids[lo]) // 10)
             stream.flush()
             return stream.path
 
     # One journal, written in two bursts with a torn line and a corrupt
-    # record injected between them.
+    # batch line injected between them.
     path = _burst(workdir / "live", 40, 0)
+    batch_line = path.read_bytes().splitlines()[1]
     with open(path, "ab") as fh:
-        fh.write(b'{"not": "a record"}\n')          # quarantined
-        fh.write(encode_record(_probe_record()).encode()[:9])  # torn
+        fh.write(b'{"not": "a batch"}\n')           # quarantined
+        fh.write(batch_line[:9])                     # torn
     ckpt = workdir / "ckpt.rpa"
     learner = OnlineLearner(fingerprint, table, checkpoint_path=ckpt)
     with warnings.catch_warnings():
@@ -139,7 +141,7 @@ def _check_resume(agent, workdir, failures):
     if first.quarantined != 1 or first.amputated_bytes != 9:
         failures.append(
             f"injected corruption was miscounted: {first.quarantined} "
-            f"quarantined, {first.amputated_bytes} bytes amputated")
+            f"lines quarantined, {first.amputated_bytes} bytes amputated")
     elif second.records != 25 or ref_report.records != 65:
         failures.append(
             f"resume consumed {second.records} records (want 25), the "
@@ -148,14 +150,9 @@ def _check_resume(agent, workdir, failures):
         failures.append("kill-and-resume table differs from the "
                         "uninterrupted run — bit-identity is broken")
     else:
-        print("  resume: torn line amputated, 1 record quarantined, "
+        print("  resume: torn line amputated, 1 line quarantined, "
               "resumed table bit-identical over 65 records",
               file=sys.stderr)
-
-
-def _probe_record():
-    return ExperienceRecord(state=0, action=0, reward=0.0, next_state=0,
-                            policy_version=1, vehicle_id=0, step=0)
 
 
 def _check_rollback(agent, workdir, failures):

@@ -47,7 +47,6 @@ from repro.exec import Supervisor, SweepManifest, Task
 from repro.exec.manifest import encode_payload
 from repro.fsio import shimmed
 from repro.learn import (
-    ExperienceRecord,
     ExperienceStream,
     OnlineLearner,
     PromotionPipeline,
@@ -355,14 +354,6 @@ def _seed_learner(checkpoint: Optional[Path] = None,
                          checkpoint_path=checkpoint)
 
 
-def _experience(i: int) -> ExperienceRecord:
-    """Deterministic experience record number ``i``."""
-    return ExperienceRecord(
-        state=(7 * i) % _STATES, action=i % _ACTIONS,
-        reward=0.25 * (i % 5) - 0.5, next_state=(3 * i + 1) % _STATES,
-        policy_version=1, vehicle_id=i, step=0)
-
-
 class _JournalRow:
     amputates, quarantines, quarantined, writer = True, False, 0, None
 
@@ -449,20 +440,27 @@ class _ExperienceRow(_JournalRow):
     name, file, error = "experience", shard_filename(0), ExperienceError
     semantic_key, quarantines = "reward", True
 
-    def emit(self, i: int) -> ExperienceRecord:
-        """Offer record ``i`` unless a failed flush kept it, then flush."""
+    def emit(self, i: int) -> list:
+        """Offer batch ``i`` (three rows at step ``i``) unless a failed
+        flush kept it, then flush; returns its rows."""
         if self.writer is None:
             self.writer = ExperienceStream(self.path.parent)
+        j = np.arange(3 * i, 3 * i + 3)
+        batch = ((7 * j) % _STATES, j % _ACTIONS, 0.25 * (j % 5) - 0.5,
+                 (3 * j + 1) % _STATES, np.ones_like(j), j, np.full(3, i))
         if not self.writer.buffered:
-            self.writer.offer(_experience(i))
+            self.writer.offer_batch(*batch[:-1], step=i)
         self.writer.flush()
-        return _experience(i)
+        return list(zip(*(column.tolist() for column in batch)))
 
     def read(self) -> list:
-        """Every record, a corrupt line quarantined."""
+        """Each batch line's rows, a corrupt line quarantined."""
         piece = read_journal(self.path)
         self.quarantined = piece.quarantined
-        return piece.records
+        rows = list(zip(*(piece.columns[name].tolist() for name in (
+            "state", "action", "reward", "next_state", "policy_version",
+            "vehicle_id", "step"))))
+        return [rows[k:k + 3] for k in range(0, len(rows), 3)]
 
     def resume_learner(self, checkpoint: Path):
         """Append, resume, ingest: equal to one pass; (learner, seconds)."""

@@ -1,9 +1,10 @@
 """Fault-tolerant online learning at fleet scale (``docs/ONLINE_LEARNING.md``).
 
 The loop ROADMAP item 5 asks for, built survivably: fleet workers
-stream schema-validated experience into per-shard append-only JSONL
-journals (:mod:`repro.learn.journal` — torn-line amputation, corrupt
--record quarantine, oldest-first backpressure shedding); a crash-safe
+stream schema-validated experience, one batch line per tick, into
+per-shard append-only JSONL journals (:mod:`repro.learn.journal` —
+torn-line amputation, corrupt-batch quarantine, oldest-first
+backpressure shedding); a crash-safe
 central learner (:mod:`repro.learn.learner`) consumes them with
 content-hash exact-resume cursors and batch-invariant Q updates, so a
 kill-and-resume aggregate is bit-identical; candidates publish through
@@ -16,20 +17,18 @@ The experience and learner rows of the ``journal_*`` and
 exactly these guarantees.
 """
 
-from repro.learn.journal import (DEFAULT_BUFFER_LIMIT, ExperienceStream,
-                                 JournalSlice, read_journal,
-                                 shard_filename)
+from repro.learn.journal import (COLUMNS, DEFAULT_BUFFER_LIMIT,
+                                 ExperienceStream, JournalSlice,
+                                 decode_batch, read_journal, shard_filename)
 from repro.learn.learner import (IngestReport, OnlineLearner,
                                  OnlineLearnerConfig)
 from repro.learn.loop import (LoopReport, OnlineLearningLoop, RoundReport)
 from repro.learn.promotion import (PromotionPipeline, PromotionReport,
                                    RegressionWatchdog)
-from repro.learn.records import (RECORD_VERSION, ExperienceRecord,
-                                 decode_record, encode_record)
 
 __all__ = [
+    "COLUMNS",
     "DEFAULT_BUFFER_LIMIT",
-    "ExperienceRecord",
     "ExperienceStream",
     "IngestReport",
     "JournalSlice",
@@ -39,11 +38,9 @@ __all__ = [
     "OnlineLearningLoop",
     "PromotionPipeline",
     "PromotionReport",
-    "RECORD_VERSION",
     "RegressionWatchdog",
     "RoundReport",
-    "decode_record",
-    "encode_record",
+    "decode_batch",
     "read_journal",
     "shard_filename",
 ]

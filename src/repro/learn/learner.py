@@ -14,9 +14,9 @@ that cheap to guarantee:
   ``trace_decay=0, learning_rate_decay=0`` (property-tested in
   ``tests/test_learn.py``).  No eligibility traces and no step-size
   annealing means the final table depends only on the *sequence* of
-  records, never on how they were grouped into :meth:`ingest` calls; a
-  learner killed between any two records and resumed replays the exact
-  same float operations.
+  records, never on how they were grouped into journal batches or
+  :meth:`ingest` calls; a learner killed between any two ingests and
+  resumed replays the exact same float operations.
   (The offline trainer keeps its TD(λ) traces; they pay off there and
   would silently break exact resume here.)
 
@@ -27,7 +27,8 @@ that cheap to guarantee:
   per-journal content-hash cursors, the config and the counters.  There
   is no window where the table reflects records the cursors have not
   acknowledged, so a crash at any instant resumes from a consistent
-  pair.
+  pair.  An ingest decodes every shard before it applies anything, so
+  one that raises commits nothing, in memory or on disk.
 
 Corrupt journal lines are quarantined with honest counts (see
 :mod:`repro.learn.journal`); a corrupt *checkpoint* is a
@@ -88,10 +89,11 @@ class IngestReport:
     """Journal shard files consumed."""
 
     records: int = 0
-    """Valid records applied as updates this pass."""
+    """Valid records (transitions) applied as updates this pass."""
 
     quarantined: int = 0
-    """Corrupt lines skipped (counted, never trained on) this pass."""
+    """Corrupt lines, each a whole batch, skipped (counted, never
+    trained on) this pass."""
 
     excluded: int = 0
     """Schema-valid records rejected as foreign (state or action id
@@ -163,44 +165,56 @@ class OnlineLearner:
         """Per-journal resume cursors (filename -> cursor dict)."""
         return {name: dict(cur) for name, cur in self._cursors.items()}
 
-    def _apply(self, rec) -> None:
-        q = self._q
+    def _apply(self, q: np.ndarray, states, actions, rewards,
+               next_states) -> None:
+        """Sequential TD(0) on ``q``, one transition at a time in order."""
         lr = self._config.learning_rate
         gamma = self._config.discount
-        target = rec.reward + gamma * float(np.max(q[rec.next_state]))
-        q[rec.state, rec.action] += lr * (target - q[rec.state, rec.action])
+        for s, a, r, n in zip(states.tolist(), actions.tolist(),
+                              rewards.tolist(), next_states.tolist()):
+            target = r + gamma * float(q[n].max())
+            q[s, a] += lr * (target - q[s, a])
 
     def ingest(self, journal_dir: Union[str, Path]) -> IngestReport:
         """Consume every journal shard under ``journal_dir`` once.
 
-        Shards are read in sorted filename order from each one's stored
-        cursor, records are applied in journal order, and on success the
-        checkpoint (when configured) is atomically rewritten with the
-        new table *and* cursors together.  Idempotent when nothing new
-        was appended.
+        All or nothing: every shard is read from its stored cursor and
+        decoded first, then transitions are applied in journal order
+        (shards in sorted filename order) and the new table, cursors and
+        counters are committed together, with the checkpoint when one is
+        configured.  A raising ingest leaves the learner as it was.
+        Idempotent when nothing new was appended.
         """
-        directory = Path(journal_dir)
-        report = IngestReport()
+        pieces = {path.name: read_journal(path, self._cursors.get(path.name))
+                  for path in sorted(Path(journal_dir).glob("shard-*.jsonl"))}
+        report = IngestReport(journals=len(pieces))
         num_states, num_actions = self._q.shape
-        for path in sorted(directory.glob("shard-*.jsonl")):
-            piece = read_journal(path, self._cursors.get(path.name))
-            report.journals += 1
+        q = self._q.copy()
+        for piece in pieces.values():
             report.quarantined += piece.quarantined
             report.amputated_bytes += piece.amputated_bytes
-            for rec in piece.records:
-                if rec.state >= num_states or rec.next_state >= num_states \
-                        or rec.action >= num_actions:
-                    report.excluded += 1
-                    continue
-                self._apply(rec)
-                report.records += 1
-            self._cursors[path.name] = piece.cursor
+            cols = piece.columns
+            inside = ((cols["state"] < num_states)
+                      & (cols["next_state"] < num_states)
+                      & (cols["action"] < num_actions))
+            report.excluded += int(np.count_nonzero(~inside))
+            report.records += int(np.count_nonzero(inside))
+            self._apply(q, *(cols[name][inside] for name in (
+                "state", "action", "reward", "next_state")))
+        before = dict(vars(self))  # table and cursors are replaced whole
+        self._q = q
+        self._cursors = {**self._cursors,
+                         **{name: p.cursor for name, p in pieces.items()}}
         self.records += report.records
         self.quarantined += report.quarantined
         self.excluded += report.excluded
         self.ingests += 1
         if self._path is not None:
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except BaseException:
+                vars(self).update(before)
+                raise
         return report
 
     def publish(self, registry) -> int:

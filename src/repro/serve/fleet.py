@@ -40,9 +40,10 @@ count, as long as no requests are shed (queue pressure is inherently
 per-server; the regression test uses a shed-free config).
 
 **Experience streaming.**  Given ``experience=`` (an
-:class:`repro.learn.ExperienceStream`-shaped object), served transitions
-are journaled as ``(s, a, r, s′, policy_version)`` records for the
-online learner — with the degradation wiring the loop depends on:
+:class:`repro.learn.ExperienceStream`-shaped object), each tick's served
+transitions go to the online learner as one ``offer_batch`` call of
+``(s, a, r, s′, policy_version)`` columns, which the stream journals as
+one line — with the degradation wiring the loop depends on:
 vehicles with a faulty sensor (the fleet's DEGRADED analogue) are
 frozen out of the stream, limp/shed vehicles (the LIMP_HOME analogue)
 never produce records because they were not served, a degraded
@@ -213,7 +214,8 @@ class FleetResult:
     aggregation concatenates and :func:`math.fsum`\\ s)."""
 
     experience_records: int = 0
-    """Experience records durably journaled during the run."""
+    """Experience records (transitions, not journal lines) durably
+    journaled during the run."""
 
     experience_shed: int = 0
     """Experience records shed oldest-first by stream backpressure."""
@@ -268,9 +270,9 @@ class FleetSimulator:
         """Drive the configured population; returns the aggregates.
 
         When an experience stream is attached, each tick emits the
-        *previous* tick's served transitions (their successor state is
-        only observed now); the final tick's transitions have no
-        observed successor and are not emitted.
+        *previous* tick's served transitions as one batch (their
+        successor state is only observed now); the final tick's
+        transitions have no observed successor and are not emitted.
         """
         cfg = self._config
         steps = cfg.steps if steps is None else int(steps)

@@ -1,13 +1,14 @@
 """Tests of the resilient online-learning loop (:mod:`repro.learn`).
 
 Covers the acceptance criteria of the online-learning tentpole: the
-Hypothesis fuzz guarantee that any truncation, field drop, type
-mutation, or non-finite value in an experience record surfaces as a
-structured :class:`~repro.errors.ExperienceError` (never a crash, never
-silent garbage); journal torn-tail amputation and its idempotence;
-content-hash cursors that re-read nothing twice and refuse a journal
-rewritten underneath them; oldest-first backpressure shedding; the
-learner's kill-and-resume bit-identity contract; the regression
+Hypothesis fuzz guarantee that any truncation, column drop, ragged or
+mistyped column, or non-finite value in an experience batch line
+surfaces as a structured :class:`~repro.errors.ExperienceError` naming
+the bad row (never a crash, never silent garbage); journal torn-tail
+amputation and its idempotence; content-hash cursors that re-read
+nothing twice and refuse a journal rewritten underneath them;
+oldest-row-first backpressure shedding; the learner's all-or-nothing
+ingest and kill-and-resume bit-identity contract; the regression
 watchdog; the guarded promotion pipeline — including the canary edge
 cases (zero-decision cohort, starved rollout, a no-op swap of an
 identical candidate that must NOT reset the watchdog baseline) — and
@@ -28,15 +29,14 @@ from repro.artifact import write_table
 from repro.control.rl_controller import build_rl_controller
 from repro.errors import ExperienceError, PersistenceError, ServeError
 from repro.learn import (
-    ExperienceRecord,
+    COLUMNS,
     ExperienceStream,
     OnlineLearner,
     OnlineLearnerConfig,
     OnlineLearningLoop,
     PromotionPipeline,
     RegressionWatchdog,
-    decode_record,
-    encode_record,
+    decode_batch,
     read_journal,
 )
 from repro.learn.loop import STATE_NAME
@@ -70,39 +70,116 @@ def _registry(root, table, fingerprint, versions=1, bump=0.25):
     return registry
 
 
+_OFFER = ("state", "action", "reward", "next_state", "policy_version",
+          "vehicle_id")
+"""The columns in :meth:`ExperienceStream.offer_batch` argument order."""
+
+
 def _records(n, num_states=12, num_actions=4, seed=0, version=1):
+    """``n`` random transitions as columns."""
     rng = np.random.default_rng(seed)
-    return [ExperienceRecord(
-        state=int(rng.integers(num_states)),
-        action=int(rng.integers(num_actions)),
-        reward=round(float(rng.normal()), 6),
-        next_state=int(rng.integers(num_states)),
-        policy_version=version, vehicle_id=i, step=0) for i in range(n)]
+    return {"state": rng.integers(num_states, size=n),
+            "action": rng.integers(num_actions, size=n),
+            "reward": np.round(rng.normal(size=n), 6),
+            "next_state": rng.integers(num_states, size=n),
+            "policy_version": np.full(n, version),
+            "vehicle_id": np.arange(n)}
 
 
-def _write_journal(directory, records, shard=0):
+def _rows(columns, lo=0, hi=None):
+    """Rows ``lo:hi`` of ``columns``."""
+    return {name: np.asarray(columns[name])[lo:hi] for name in _OFFER}
+
+
+def _join(*parts):
+    return {name: np.concatenate([p[name] for p in parts]) for name in _OFFER}
+
+
+def _offer(stream, columns, step=0):
+    return stream.offer_batch(*(columns[name] for name in _OFFER), step=step)
+
+
+def _write_journal(directory, records, shard=0, sizes=None):
+    """Journal ``records`` as batches of ``sizes`` rows (default: one)."""
+    total = len(records["state"])
+    sizes = [total] if sizes is None else sizes
     with ExperienceStream(directory, shard=shard) as stream:
-        for rec in records:
-            stream.offer(rec)
+        lo = 0
+        for step, size in enumerate(sizes):
+            _offer(stream, _rows(records, lo, lo + size), step=step)
+            lo += size
         stream.flush()
         return stream.path
 
 
-_VALID = encode_record(ExperienceRecord(
-    state=3, action=1, reward=0.5, next_state=4,
-    policy_version=2, vehicle_id=7, step=11))
+def _same(piece, records):
+    """The slice holds exactly ``records``, row for row, bit for bit."""
+    return piece.records == len(records["state"]) and all(
+        piece.columns[name].tobytes()
+        == np.asarray(records[name], dtype=piece.columns[name].dtype)
+        .tobytes() for name in _OFFER)
+
+
+_BATCH = {"state": [3, 5, 0], "action": [1, 0, 2], "reward": [0.5, -1.25, 2.0],
+          "next_state": [4, 4, 1], "policy_version": [2, 2, 3],
+          "vehicle_id": [7, 8, 9]}
+
+
+def _line(step, columns):
+    """One batch line as the stream writes it."""
+    return json.dumps({"v": 2, "step": step, **{
+        name: np.asarray(columns[name]).tolist() for name in COLUMNS}},
+        sort_keys=True)
+
+
+_VALID = _line(11, _BATCH)
+
+
+def _mutated(column, row, value):
+    payload = json.loads(_VALID)
+    payload[column][row] = value
+    return json.dumps(payload)
 
 
 class TestRecordCodec:
     def test_round_trip(self):
-        rec = ExperienceRecord(state=3, action=1, reward=0.5, next_state=4,
-                               policy_version=2, vehicle_id=7, step=11)
-        assert decode_record(encode_record(rec)) == rec
+        columns = decode_batch(_VALID)
+        assert set(columns) == set(COLUMNS) | {"step"}
+        for name in COLUMNS:
+            assert columns[name].tolist() == _BATCH[name]
+            assert columns[name].dtype == (np.float64 if name == "reward"
+                                           else np.int64)
+        assert columns["step"].tolist() == [11, 11, 11]
+
+    def test_rewards_round_trip_bit_exactly(self, tmp_path):
+        rewards = np.array([-0.0, 5e-324, 0.1, -1e308, 1 / 3])
+        batch = {name: np.resize(col, 5) for name, col in _BATCH.items()}
+        path = _write_journal(tmp_path, dict(batch, reward=rewards))
+        decoded = read_journal(path).columns["reward"]
+        assert decoded.tobytes() == rewards.tobytes()
 
     def test_reward_is_coerced_to_float(self):
-        rec = ExperienceRecord(state=0, action=0, reward=1, next_state=0,
-                               policy_version=1, vehicle_id=0, step=0)
-        assert isinstance(rec.reward, float)
+        decoded = decode_batch(_mutated("reward", 1, 3))["reward"]
+        assert decoded.dtype == np.float64 and decoded[1] == 3.0
+
+    def test_version_mismatch_is_structured(self):
+        for version in (1, 3, 2.0, "2", True, None):
+            payload = json.loads(_VALID)
+            payload["v"] = version
+            with pytest.raises(ExperienceError, match="version"):
+                decode_batch(json.dumps(payload))
+
+    def test_unknown_fields_are_structured(self):
+        payload = json.loads(_VALID)
+        payload["extra"] = [1, 2, 3]
+        with pytest.raises(ExperienceError, match="unknown"):
+            decode_batch(json.dumps(payload))
+
+    def test_empty_batch_is_structured(self):
+        payload = {name: [] for name in COLUMNS}
+        payload.update(v=2, step=0)
+        with pytest.raises(ExperienceError, match="at least one row"):
+            decode_batch(json.dumps(payload))
 
     @pytest.mark.parametrize("field,value", [
         ("state", -1), ("action", 1.5), ("next_state", True),
@@ -110,35 +187,41 @@ class TestRecordCodec:
         ("reward", float("nan")), ("reward", float("inf")),
         ("reward", "much"),
     ])
-    def test_invalid_fields_are_structured(self, field, value):
-        kwargs = dict(state=0, action=0, reward=0.0, next_state=0,
-                      policy_version=1, vehicle_id=0, step=0)
-        kwargs[field] = value
-        with pytest.raises(ExperienceError):
-            ExperienceRecord(**kwargs)
+    def test_invalid_fields_are_structured(self, tmp_path, field, value):
+        # Offering validates the whole batch; the bad row is named and
+        # nothing is buffered.
+        batch = {name: list(column) for name, column in _BATCH.items()}
+        step = value if field == "step" else 0
+        if field != "step":
+            batch[field][1] = value
+        with ExperienceStream(tmp_path) as stream:
+            with pytest.raises(ExperienceError,
+                               match="step" if field == "step" else "row 1"):
+                _offer(stream, batch, step=step)
+            assert stream.offered == stream.buffered == 0
 
-    def test_version_mismatch_is_structured(self):
-        payload = json.loads(_VALID)
-        payload["v"] = 99
-        with pytest.raises(ExperienceError, match="version"):
-            decode_record(json.dumps(payload))
 
-    def test_unknown_fields_are_structured(self):
-        payload = json.loads(_VALID)
-        payload["extra"] = 1
-        with pytest.raises(ExperienceError, match="unknown"):
-            decode_record(json.dumps(payload))
+_INT_COLUMNS = [name for name in COLUMNS if name != "reward"]
+_BAD_INTS = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=3), st.floats(),
+    st.integers(max_value=-1), st.integers(min_value=2 ** 63),
+    st.lists(st.integers(), max_size=2))
+_BAD_REWARDS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(),
+    st.none(), st.text(max_size=3), st.integers(min_value=10 ** 309),
+    st.lists(st.floats(), max_size=2))
 
 
 class TestRecordCodecFuzz:
-    """Any mangling of a valid line must surface as ExperienceError —
-    never an unstructured crash, never a silently-wrong record."""
+    """Any mangling of a valid batch line must surface as ExperienceError
+    naming what is wrong — never an unstructured crash, never a
+    silently-wrong batch."""
 
     @settings(max_examples=60, deadline=None)
     @given(cut=st.integers(min_value=0, max_value=len(_VALID) - 1))
     def test_any_truncation_is_structured(self, cut):
         with pytest.raises(ExperienceError):
-            decode_record(_VALID[:cut])
+            decode_batch(_VALID[:cut])
 
     @settings(max_examples=30, deadline=None)
     @given(dropped=st.sampled_from(sorted(json.loads(_VALID))))
@@ -146,89 +229,144 @@ class TestRecordCodecFuzz:
         payload = json.loads(_VALID)
         del payload[dropped]
         with pytest.raises(ExperienceError):
-            decode_record(json.dumps(payload))
+            decode_batch(json.dumps(payload))
+
+    @settings(max_examples=40, deadline=None)
+    @given(column=st.sampled_from(COLUMNS), keep=st.integers(0, 4))
+    def test_ragged_columns_name_the_first_missing_row(self, column, keep):
+        payload = json.loads(_VALID)
+        payload[column] = (payload[column] * 2)[:keep]
+        if keep == 3:
+            return
+        # A short or long vehicle_id column makes every other one ragged.
+        with pytest.raises(ExperienceError, match=f"row {min(keep, 3)}"):
+            decode_batch(json.dumps(payload))
+
+    @settings(max_examples=40, deadline=None)
+    @given(column=st.sampled_from(COLUMNS),
+           value=st.one_of(st.none(), st.integers(), st.text(max_size=3),
+                           st.dictionaries(st.text(max_size=2),
+                                           st.integers(), max_size=2)))
+    def test_non_list_columns_are_structured(self, column, value):
+        payload = json.loads(_VALID)
+        payload[column] = value
+        with pytest.raises(ExperienceError, match="must be a list"):
+            decode_batch(json.dumps(payload))
 
     @settings(max_examples=80, deadline=None)
-    @given(field=st.sampled_from(sorted(set(json.loads(_VALID)) - {"v"})),
+    @given(field=st.sampled_from(COLUMNS), row=st.integers(0, 2),
            value=st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                            st.floats(), st.lists(st.integers(), max_size=2)))
-    def test_any_type_mutation_is_structured_or_equivalent(self, field,
+    def test_any_type_mutation_is_structured_or_equivalent(self, field, row,
                                                            value):
-        payload = json.loads(_VALID)
-        payload[field] = value
         try:
-            rec = decode_record(json.dumps(payload))
+            columns = decode_batch(_mutated(field, row, value))
         except ExperienceError:
             return
-        # The only acceptable non-error: a numeric reward equal in value
-        # (e.g. 0.5 -> 0.5); everything else would be silent garbage.
+        # The only acceptable non-error: a finite float reward, decoded
+        # to the same value; everything else would be silent garbage.
         assert field == "reward" and isinstance(value, float)
-        assert math.isfinite(value) and rec.reward == value
+        assert math.isfinite(value) and columns["reward"][row] == value
+
+    @settings(max_examples=120, deadline=None)
+    @given(column=st.sampled_from(_INT_COLUMNS), row=st.integers(0, 2),
+           value=_BAD_INTS)
+    def test_bad_integer_names_its_row(self, column, row, value):
+        with pytest.raises(ExperienceError, match=f"'{column}' row {row}"):
+            decode_batch(_mutated(column, row, value))
+
+    @settings(max_examples=30, deadline=None)
+    @given(row=st.integers(0, 2))
+    def test_policy_version_zero_names_its_row(self, row):
+        with pytest.raises(ExperienceError,
+                           match=f"'policy_version' row {row}"):
+            decode_batch(_mutated("policy_version", row, 0))
+
+    @settings(max_examples=80, deadline=None)
+    @given(row=st.integers(0, 2), value=_BAD_REWARDS)
+    def test_bad_reward_names_its_row(self, row, value):
+        with pytest.raises(ExperienceError, match=f"'reward' row {row}"):
+            decode_batch(_mutated("reward", row, value))
+
+    @settings(max_examples=60, deadline=None)
+    @given(row=st.integers(0, 2),
+           value=st.one_of(st.integers(-2 ** 70, 2 ** 70),
+                           st.floats(allow_nan=False,
+                                     allow_infinity=False)))
+    def test_any_finite_real_reward_decodes_exactly(self, row, value):
+        decoded = decode_batch(_mutated("reward", row, value))["reward"]
+        assert decoded[row] == float(value)
+        assert math.copysign(1.0, decoded[row]) \
+            == math.copysign(1.0, float(value))
 
     @settings(max_examples=60, deadline=None)
     @given(line=st.text(max_size=80))
     def test_random_garbage_is_structured(self, line):
         try:
-            rec = decode_record(line)
+            columns = decode_batch(line)
         except ExperienceError:
             return
-        assert decode_record(encode_record(rec)) == rec
+        assert len({len(column) for column in columns.values()}) == 1
 
     def test_nonfinite_json_tokens_are_structured(self):
         for token in ("NaN", "Infinity", "-Infinity"):
-            with pytest.raises(ExperienceError):
-                decode_record(_VALID.replace("0.5", token))
+            with pytest.raises(ExperienceError, match="row 0"):
+                decode_batch(_VALID.replace("0.5", token))
 
 
 class TestJournal:
     def test_write_read_round_trip(self, tmp_path):
         records = _records(9)
-        path = _write_journal(tmp_path, records)
+        path = _write_journal(tmp_path, records, sizes=[4, 5])
         piece = read_journal(path)
-        assert piece.records == records
+        assert _same(piece, records) and piece.lines == 2
+        assert piece.columns["step"].tolist() == [0] * 4 + [1] * 5
         assert piece.quarantined == 0 and piece.amputated_bytes == 0
         assert piece.cursor["offset"] == path.stat().st_size
 
     def test_cursor_resumes_exactly_once(self, tmp_path):
         records = _records(10)
-        path = _write_journal(tmp_path, records[:6])
+        path = _write_journal(tmp_path, _rows(records, 0, 6), sizes=[2, 4])
         first = read_journal(path)
-        assert first.records == records[:6]
+        assert _same(first, _rows(records, 0, 6))
         # Nothing new: the cursor consumes nothing twice.
         again = read_journal(path, first.cursor)
-        assert again.records == []
-        _write_journal(tmp_path, records[6:])
+        assert again.records == again.lines == 0
+        _write_journal(tmp_path, _rows(records, 6))
         rest = read_journal(path, again.cursor)
-        assert rest.records == records[6:]
+        assert _same(rest, _rows(records, 6))
 
     def test_torn_tail_is_amputated_idempotently(self, tmp_path):
         records = _records(5)
-        path = _write_journal(tmp_path, records)
+        path = _write_journal(tmp_path, records, sizes=[2, 3])
         intact = path.stat().st_size
         with open(path, "ab") as fh:
-            fh.write(encode_record(_records(1, seed=9)[0])[:17]
+            fh.write(_line(2, _records(3, seed=9))[:17]
                      .encode("utf-8"))
         with pytest.warns(RuntimeWarning, match="amputating"):
             piece = read_journal(path)
-        assert piece.records == records and piece.amputated_bytes == 17
+        assert _same(piece, records) and piece.amputated_bytes == 17
         assert path.stat().st_size == intact
         # Second read: physically truncated already, nothing to warn about.
         import warnings as warnings_module
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             again = read_journal(path, piece.cursor)
-        assert again.records == [] and again.amputated_bytes == 0
+        assert again.records == 0 and again.amputated_bytes == 0
 
     def test_interior_corruption_is_quarantined(self, tmp_path):
         records = _records(6)
-        path = _write_journal(tmp_path, records[:3])
+        path = _write_journal(tmp_path, _rows(records, 0, 3))
         with open(path, "ab") as fh:
-            fh.write(b'{"not": "an experience record"}\n')
+            fh.write(b'{"not": "an experience batch"}\n')
+            fh.write(_line(5, _records(4, seed=2)).replace(
+                '"policy_version": [1', '"policy_version": [true')
+                .encode() + b"\n")
             fh.write(b"\x80\xffgarbage\n")
-        _write_journal(tmp_path, records[3:])
+        _write_journal(tmp_path, _rows(records, 3), sizes=[1, 2])
         piece = read_journal(path)
-        assert piece.records == records
-        assert piece.quarantined == 2
+        assert _same(piece, records)
+        assert piece.quarantined == 3 and piece.lines == 3
 
     def test_rewrite_under_cursor_is_refused(self, tmp_path):
         path = _write_journal(tmp_path, _records(4))
@@ -248,16 +386,34 @@ class TestJournal:
         with pytest.raises(ExperienceError, match="header"):
             read_journal(empty)
 
+    def test_version_one_journal_is_refused(self, tmp_path):
+        # Record v2 is a deliberate format break: no converter.
+        old = tmp_path / "shard-0000.jsonl"
+        old.write_text(
+            '{"format": "repro-experience-journal", "shard": 0, "v": 1}\n'
+            '{"action": 1, "next_state": 4, "policy_version": 2, '
+            '"reward": 0.5, "state": 3, "step": 11, "v": 1, '
+            '"vehicle_id": 7}\n')
+        with pytest.raises(ExperienceError, match="unsupported version 1"):
+            read_journal(old)
+
     def test_backpressure_sheds_oldest_first(self, tmp_path):
-        records = _records(10)
+        records = _records(8)
         with ExperienceStream(tmp_path, buffer_limit=4) as stream:
-            for rec in records:
-                stream.offer(rec)
-            assert stream.shed == 6 and stream.buffered == 4
-            stream.flush()
+            _offer(stream, _rows(records, 0, 3), step=0)
+            _offer(stream, _rows(records, 3, 6), step=1)
+            # Six rows, room for four: batch 0 is cut to its last row.
+            assert stream.shed == 2 and stream.buffered == 4
+            _offer(stream, _rows(records, 6, 8), step=2)
+            # Batch 0's last row goes whole, batch 1 is cut by one.
+            assert stream.offered == 8 and stream.shed == 4
+            assert stream.buffered == 4
+            assert stream.flush() == 4 and stream.written == 4
             path = stream.path
         # The freshest experience survived; the stalest was dropped.
-        assert read_journal(path).records == records[-4:]
+        piece = read_journal(path)
+        assert _same(piece, _rows(records, 4)) and piece.lines == 2
+        assert piece.columns["step"].tolist() == [1, 1, 2, 2]
 
     def test_invalid_stream_configs_are_structured(self, tmp_path):
         with pytest.raises(ExperienceError):
@@ -275,7 +431,7 @@ class TestLearner:
 
     def test_ingest_applies_q_updates(self, tmp_path):
         table = self._table()
-        _write_journal(tmp_path / "j", _records(20))
+        _write_journal(tmp_path / "j", _records(20), sizes=[8, 12])
         learner = OnlineLearner(self._FP, table)
         report = learner.ingest(tmp_path / "j")
         assert report.records == 20 and report.journals == 1
@@ -298,11 +454,49 @@ class TestLearner:
         learner = OnlineLearner(self._FP, table, config=config,
                                 checkpoint_path=ckpt)
         for lo, hi in ((0, 11), (11, 17), (17, 30)):
-            _write_journal(tmp_path / "live", records[lo:hi])
+            _write_journal(tmp_path / "live", _rows(records, lo, hi),
+                           sizes=[2, hi - lo - 2])
             learner.ingest(tmp_path / "live")
             learner = OnlineLearner.resume(ckpt)
         assert np.array_equal(learner.table, reference.table)
         assert learner.records == 30
+
+    def test_failed_ingest_commits_nothing(self, tmp_path):
+        # A later shard that cannot be read must not leave the table or
+        # the earlier shards' cursors advanced behind stale counters.
+        table = self._table()
+        ckpt = tmp_path / "ckpt.rpa"
+        learner = OnlineLearner(self._FP, table, checkpoint_path=ckpt)
+        _write_journal(tmp_path / "j", _records(5))
+        bad = tmp_path / "j" / "shard-0001.jsonl"
+        bad.write_text('{"format": "something-else", "v": 2}\n')
+        with pytest.raises(ExperienceError, match="format"):
+            learner.ingest(tmp_path / "j")
+        assert np.array_equal(learner.table, table)
+        assert learner.cursors == {} and not ckpt.exists()
+        assert (learner.records, learner.quarantined, learner.excluded,
+                learner.ingests) == (0, 0, 0, 0)
+        bad.unlink()
+        assert learner.ingest(tmp_path / "j").records == 5
+        resumed = OnlineLearner.resume(ckpt)
+        assert resumed.records == 5 and resumed.ingests == 1
+        assert np.array_equal(resumed.table, learner.table)
+
+    def test_failed_checkpoint_commits_nothing(self, tmp_path,
+                                               monkeypatch):
+        def _full_disk(*args, **kwargs):
+            raise PersistenceError("cannot persist: no space left")
+
+        table = self._table()
+        learner = OnlineLearner(self._FP, table,
+                                checkpoint_path=tmp_path / "c.rpa")
+        _write_journal(tmp_path / "j", _records(5))
+        monkeypatch.setattr("repro.learn.learner.write_table", _full_disk)
+        with pytest.raises(PersistenceError, match="no space"):
+            learner.ingest(tmp_path / "j")
+        assert np.array_equal(learner.table, table)
+        assert learner.cursors == {} and learner.records == 0
+        assert learner.ingests == 0
 
     def test_missing_checkpoint_is_experience_error(self, tmp_path):
         with pytest.raises(ExperienceError, match="nothing to resume"):
@@ -337,42 +531,50 @@ class TestLearner:
     @given(data=st.data())
     def test_ingest_matches_td_lambda_zero(self, data):
         # The online rule is TD(lambda) at lambda = 0 with a constant
-        # step size, bit for bit, whatever the records and seed table.
+        # step size, bit for bit, whatever the records, seed table and
+        # batch partition of the journal.
         num_states = data.draw(st.integers(1, 6), label="states")
         num_actions = data.draw(st.integers(1, 4), label="actions")
         finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
         table = data.draw(hnp.arrays(np.float64, (num_states, num_actions),
                                      elements=finite), label="table")
-        records = [ExperienceRecord(
-            state=s, action=a, reward=r, next_state=n,
-            policy_version=1, vehicle_id=i, step=0)
-            for i, (s, a, r, n) in enumerate(data.draw(st.lists(
-                st.tuples(st.integers(0, num_states - 1),
-                          st.integers(0, num_actions - 1), finite,
-                          st.integers(0, num_states - 1)),
-                max_size=40), label="records"))]
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, num_states - 1),
+                      st.integers(0, num_actions - 1), finite,
+                      st.integers(0, num_states - 1)),
+            max_size=40), label="records")
+        cuts = sorted(data.draw(st.sets(st.integers(1, max(len(rows) - 1, 1)),
+                                        max_size=8), label="cuts")
+                      & set(range(1, len(rows))))
+        bounds = [0] + cuts + [len(rows)] if rows else [0]
+        sizes = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        records = {"state": [r[0] for r in rows],
+                   "action": [r[1] for r in rows],
+                   "reward": [r[2] for r in rows],
+                   "next_state": [r[3] for r in rows],
+                   "policy_version": [1] * len(rows),
+                   "vehicle_id": list(range(len(rows)))}
         lr = data.draw(st.floats(1e-3, 1.0), label="learning_rate")
         gamma = data.draw(st.floats(1e-3, 0.999), label="discount")
 
         learner = OnlineLearner(self._FP, table, config=OnlineLearnerConfig(
             learning_rate=lr, discount=gamma))
         with tempfile.TemporaryDirectory() as tmp:
-            _write_journal(Path(tmp), records)
-            assert learner.ingest(tmp).records == len(records)
+            _write_journal(Path(tmp), records, sizes=sizes)
+            assert learner.ingest(tmp).records == len(rows)
         offline = TDLambdaLearner(num_states, num_actions, TDLambdaConfig(
             learning_rate=lr, discount=gamma, trace_decay=0.0,
             learning_rate_decay=0.0))
         offline.qtable.values[:] = table
-        for rec in records:
-            offline.update(rec.state, rec.action, rec.reward,
-                           rec.next_state)
+        for state, action, reward, next_state in rows:
+            offline.update(state, action, reward, next_state)
         assert np.array_equal(learner.table, offline.qtable.values)
 
     def test_out_of_table_records_are_excluded(self, tmp_path):
         table = self._table(num_states=4, num_actions=2)
         good = _records(6, num_states=4, num_actions=2)
         foreign = _records(3, num_states=50, num_actions=9, seed=8)
-        _write_journal(tmp_path / "j", good + foreign)
+        _write_journal(tmp_path / "j", _join(good, foreign), sizes=[4, 5])
         learner = OnlineLearner(self._FP, table)
         report = learner.ingest(tmp_path / "j")
         assert report.records + report.excluded == 9

@@ -627,8 +627,12 @@ class TestFleet:
         assert streamed.experience_records > 0
         assert streamed.stream_errors == 0
         piece = read_journal(stream.path)
-        assert len(piece.records) == streamed.experience_records
-        assert all(rec.policy_version == 1 for rec in piece.records)
+        assert piece.records == streamed.experience_records
+        assert np.all(piece.columns["policy_version"] == 1)
+        # One batch line per tick with served vehicles, ticks in order.
+        steps = piece.columns["step"]
+        assert piece.lines == len(np.unique(steps)) <= config.steps - 1
+        assert np.all(np.diff(steps) >= 0)
 
     def test_fully_faulty_fleet_streams_nothing(self, policy, tmp_path):
         from repro.learn import ExperienceStream
