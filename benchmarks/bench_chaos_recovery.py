@@ -10,7 +10,7 @@ wall-clock cost of the documented recovery paths (p50/p99 from the
 campaign's constant-memory telemetry histogram).
 
 Emits ``benchmarks/results/BENCH_chaos_recovery.json`` (schema in
-``benchmarks/common.py``; validated by ``scripts/check_bench_schema.py``).
+``benchmarks/common.py``; validated by ``tests/test_bench_gates.py``).
 Run ``python benchmarks/bench_chaos_recovery.py --baseline`` to also
 refresh the committed trajectory baseline ``BENCH_chaos_recovery.json``
 at the repo root.  Environment knob: ``REPRO_BENCH_CHAOS_SEEDS``

@@ -94,7 +94,7 @@ def emit_json(name: str, metrics: Sequence[dict],
               path: Optional[str] = None) -> str:
     """Write the shared machine-readable bench result file.
 
-    Schema (validated by ``scripts/check_bench_schema.py``): a JSON object
+    Schema (validated by ``tests/test_bench_gates.py``): a JSON object
     with ``benchmark`` (str), ``schema_version`` (int), ``git_rev`` (str),
     ``timestamp`` (ISO-8601 UTC str), and ``metrics`` — a non-empty list
     of ``{"name": str, "value": float, "units": str}``.  Returns the path

@@ -38,7 +38,7 @@ API_BOUNDARY_MODULES = [
     "src/repro/powertrain/solver.py",
     "src/repro/powertrain/operating_point.py",
     "src/repro/powertrain/tables.py",
-    "src/repro/powertrain/reference.py",
+    "tests/reference_solver.py",
     "src/repro/cycles/cycle.py",
     "src/repro/cycles/io.py",
     "src/repro/vehicle/battery.py",

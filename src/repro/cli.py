@@ -589,15 +589,9 @@ def _cmd_chaos(args) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_serve(args) -> int:
-    from repro.serve import (
-        CanaryConfig,
-        FleetConfig,
-        FleetSimulator,
-        PolicyRegistry,
-        PolicyServer,
-        run_fleet_sharded,
-    )
+def _seeded_registry(args):
+    """The ``--registry``, seeded with a freshly trained policy if empty."""
+    from repro.serve import PolicyRegistry
 
     registry = PolicyRegistry(args.registry)
     if not registry.versions():
@@ -614,6 +608,19 @@ def _cmd_serve(args) -> int:
               episodes=args.train_episodes, evaluate_after=False)
         version = registry.publish(controller.agent)
         _LOG.info("published trained policy as v%d", version)
+    return registry
+
+
+def _cmd_serve(args) -> int:
+    from repro.serve import (
+        CanaryConfig,
+        FleetConfig,
+        FleetSimulator,
+        PolicyServer,
+        run_fleet_sharded,
+    )
+
+    registry = _seeded_registry(args)
 
     config = FleetConfig(vehicles=args.vehicles, steps=args.steps,
                          seed=args.seed)
@@ -682,23 +689,9 @@ def _cmd_serve(args) -> int:
 
 def _cmd_learn(args) -> int:
     from repro.learn import OnlineLearningLoop
-    from repro.serve import FleetConfig, PolicyRegistry
+    from repro.serve import FleetConfig
 
-    registry = PolicyRegistry(args.registry)
-    if not registry.versions():
-        if args.train_episodes < 1:
-            raise ConfigurationError(
-                f"registry {args.registry} is empty and --train-episodes "
-                "is 0; publish a policy first or allow seeding")
-        solver = PowertrainSolver(default_vehicle())
-        controller = build_rl_controller(solver, seed=args.seed)
-        cycle = standard_cycle(args.cycle)
-        _LOG.info("registry %s is empty; training %d episode(s) on %s",
-                  args.registry, args.train_episodes, cycle)
-        train(Simulator(solver), controller, cycle,
-              episodes=args.train_episodes, evaluate_after=False)
-        version = registry.publish(controller.agent)
-        _LOG.info("published trained policy as v%d", version)
+    registry = _seeded_registry(args)
 
     config = FleetConfig(vehicles=args.vehicles, steps=args.steps,
                          seed=args.seed)

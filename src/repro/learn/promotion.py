@@ -11,8 +11,8 @@ the online loop needs on top:
   deterministic probe of its decisions are bit-identical to before the
   attempt — and reports **regression-recovery time**: the wall-clock
   from the verdict (detection) through rollback to the verified-healthy
-  incumbent.  This is the first-class metric of ``BENCH_online.json``
-  (see ``docs/ONLINE_LEARNING.md`` for the precise definition).
+  incumbent.  The loop benchmark reports it as ``recovery_ms`` (see
+  ``docs/ONLINE_LEARNING.md`` for the precise definition).
 
 * **A cross-promotion baseline.**  The :class:`RegressionWatchdog`
   accumulates the incumbent's fleet-level reward and intervention-rate

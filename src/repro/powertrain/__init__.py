@@ -9,9 +9,9 @@ candidate actions, which is what makes tabular RL training tractable in
 pure Python; controllers with a fixed candidate grid bind it once to an
 :class:`ActionGridWorkspace` and drive the zero-allocation
 :meth:`PowertrainSolver.evaluate_grid` hot path (see
-``docs/PERFORMANCE.md``).  :mod:`repro.powertrain.reference` keeps the
+``docs/PERFORMANCE.md``).  ``tests/reference_solver.py`` keeps the
 frozen pre-vectorisation implementation the equivalence suite and the
-throughput bench compare against.
+kernel speedup gate compare against.
 """
 
 from repro.powertrain.modes import OperatingMode

@@ -40,7 +40,7 @@ The batch kernel is organised around two precomputation layers (see
   of the gear-dependent quantities followed by ``np.take`` gathers.
 
 The kernel is arithmetically **bit-identical** to the frozen seed
-implementation preserved in :mod:`repro.powertrain.reference` — same
+implementation preserved in ``tests/reference_solver.py`` — same
 elementwise operations in the same association order — which the golden
 equivalence suite (``tests/test_vectorized_equivalence.py``) enforces.
 Results produced through a caller-held workspace reuse its buffers and are

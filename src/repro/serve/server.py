@@ -490,21 +490,7 @@ class PolicyServer:
         rollout = self._canary
         verdict = rollout.record(canary, rewards, interventions)
         if verdict == "rollback":
-            self.rollbacks += 1
-            self._count("serve.rollback")
-            self.last_rollback = {
-                "version": rollout.candidate_version,
-                "reason": rollout.reason,
-                "decisions": rollout.canary_decisions,
-                "latency_s": self._clock() - self._canary_started_at,
-            }
-            if self._telemetry is not None:
-                self._telemetry.event(
-                    "serve_rollback", version=rollout.candidate_version,
-                    reason=rollout.reason[:300],
-                    decisions=rollout.canary_decisions)
-            self._canary = None
-            self._canary_artifact = None
+            self._drop_canary(rollout.reason)
         elif verdict == "promote":
             self._activate(self._canary_artifact, reason="canary promotion")
             self._canary = None
@@ -524,6 +510,10 @@ class PolicyServer:
         """
         if self._canary is None:
             raise ServeError("no canary rollout is in flight")
+        self._drop_canary(reason)
+
+    def _drop_canary(self, reason: str) -> None:
+        """Discard the in-flight candidate and record it as a rollback."""
         rollout = self._canary
         self.rollbacks += 1
         self._count("serve.rollback")

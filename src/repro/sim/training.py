@@ -52,7 +52,7 @@ class TrainingRun:
         One float64 array per figure of merit (``reward``,
         ``paper_reward``, ``fuel_g``, ``final_soc``, ``fallback_steps``),
         index-aligned with :attr:`episodes` — the machine-readable form
-        the benches and the perf trajectory emit.
+        the benches emit.
         """
         n = len(self.episodes)
         return {

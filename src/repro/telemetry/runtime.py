@@ -11,9 +11,7 @@ Bundles the three observability primitives behind a single opt-in handle:
 Telemetry is **opt-in with a no-op fast path**: every instrumented call
 site takes ``telemetry=None`` and guards with a single ``is not None``
 branch, so a disabled run executes exactly the seed code path — episode
-results stay bit-identical and the throughput trajectory holds (see
-``benchmarks/bench_telemetry_overhead.py`` and ``docs/OBSERVABILITY.md``
-for the overhead budget).
+results stay bit-identical (see ``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations

@@ -149,3 +149,17 @@ class TestGuardCommands:
         out = capsys.readouterr().out
         assert "mode_f" in out
         assert "NOMINAL" in out
+
+
+class TestRegistrySeeding:
+    @pytest.mark.parametrize("command", ["serve", "learn"])
+    def test_empty_registry_without_seeding_is_structured_error(
+            self, command, tmp_path, capsys):
+        argv = [command, "--registry", str(tmp_path / "registry"),
+                "--train-episodes", "0"]
+        if command == "learn":
+            argv += ["--workdir", str(tmp_path / "loop")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "is empty and --train-episodes is 0" in err[0]

@@ -38,7 +38,7 @@ from repro.serve import (
     compile_table,
     run_fleet_sharded,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, read_events
 from repro.vehicle import default_vehicle
 
 
@@ -476,6 +476,51 @@ class TestCanary:
             verdict = server.observe(True, rewards)
         assert verdict == "promote"
         assert server.active_version == 2 and server.rollbacks == 0
+
+    def test_abort_leaves_the_bookkeeping_of_a_rollback_verdict(
+            self, policy, tmp_path):
+        table, fingerprint = policy
+        registry = _registry(tmp_path, table, fingerprint)
+        registry.publish_table(np.zeros_like(table) - 5.0, fingerprint)
+        config = CanaryConfig(fraction=0.25, min_samples=32, sigmas=2.0,
+                              decision_budget=512)
+        outcomes = {}
+        for path in ("verdict", "abort"):
+            events = tmp_path / f"{path}.jsonl"
+            with Telemetry(events) as telemetry:
+                server = PolicyServer(registry, telemetry=telemetry,
+                                      clock=_ManualClock(tick=1.0))
+                server.activate(registry.load(1))
+                server.begin_canary(version=2, canary_config=config)
+                rng = np.random.default_rng(0)
+                if path == "verdict":
+                    verdict = None
+                    while verdict is None:
+                        server.observe(False, rng.normal(1.0, 0.1, size=16))
+                        verdict = server.observe(True, np.full(16, -3.0))
+                    assert verdict == "rollback"
+                    groups = server.last_rollback["decisions"] // 16
+                    reason = server.last_rollback["reason"]
+                else:
+                    # A healthy canary of the same size, aborted before
+                    # any verdict, with the verdict's reason.
+                    for _ in range(groups):
+                        server.observe(False, rng.normal(1.0, 0.1, size=16))
+                        assert server.observe(
+                            True, rng.normal(1.0, 0.1, size=16)) is None
+                    server.abort_canary(reason)
+                counter = telemetry.metrics.counter("serve.rollback").value
+            rolled = [{k: v for k, v in e.items() if k not in ("seq", "wall")}
+                      for e in read_events(events)
+                      if e["type"] == "serve_rollback"]
+            outcomes[path] = (server.rollbacks, counter,
+                              server.last_rollback, rolled,
+                              server.canary, server.active_version)
+        assert outcomes["verdict"] == outcomes["abort"]
+        rollbacks, counter, last, rolled, canary, active = outcomes["abort"]
+        assert (rollbacks, counter, canary, active) == (1, 1, None, 1)
+        assert len(rolled) == 1 and rolled[0]["version"] == last["version"]
+        assert rolled[0]["decisions"] == last["decisions"]
 
     def test_only_one_rollout_at_a_time(self, policy, tmp_path):
         table, fingerprint = policy

@@ -2,7 +2,7 @@
 
 The struct-of-arrays kernel (``repro.powertrain.solver``) must reproduce
 the pre-refactor physics **bit-identically** — no tolerance.  The frozen
-implementation lives in ``repro.powertrain.reference``:
+implementation lives in ``tests/reference_solver.py``:
 
 * :class:`ReferencePowertrainSolver` — the seed batched path, verbatim;
 * :class:`ScalarReferenceSolver` — the same physics one action at a time.
@@ -23,13 +23,13 @@ from repro.cycles import STANDARD_SPECS, standard_cycle
 from repro.faults.harness import FaultHarness
 from repro.faults.scenarios import builtin_scenarios
 from repro.powertrain import PowertrainSolver
-from repro.powertrain.reference import (
-    ReferencePowertrainSolver,
-    ScalarReferenceSolver,
-)
 from repro.safety import SafetySupervisor
 from repro.sim import Simulator
 from repro.vehicle import default_vehicle
+from tests.reference_solver import (
+    ReferencePowertrainSolver,
+    ScalarReferenceSolver,
+)
 
 BATCH_FIELDS = (
     "feasible", "mode", "gear", "engine_speed", "engine_torque",
