@@ -46,7 +46,7 @@ from repro.telemetry import Telemetry, read_events, summarize  # noqa: E402
 
 
 def main() -> int:
-    # The same catastrophic combined fault as smoke_guard.py, with
+    # The same catastrophic combined fault as tests/test_smoke.py, with
     # hair-trigger thresholds, so guard interventions and a health
     # transition are guaranteed to appear in the event stream.
     faults = FaultSchedule([

@@ -9,9 +9,9 @@ demand) that become the ``pre`` component of the RL state.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Sequence
-
-import numpy as np
 
 
 class PredictionQuantizer:
@@ -23,9 +23,10 @@ class PredictionQuantizer:
         t = [float(x) for x in thresholds]
         if len(t) < 1:
             raise ValueError("need at least one threshold")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("thresholds must be strictly increasing")
-        self._thresholds = np.asarray(t)
+        if any(math.isnan(x) for x in t) or any(
+                b <= a for a, b in zip(t, t[1:])):
+            raise ValueError("thresholds must be strictly increasing numbers")
+        self._thresholds = t
 
     @property
     def num_levels(self) -> int:
@@ -33,5 +34,7 @@ class PredictionQuantizer:
         return len(self._thresholds) + 1
 
     def __call__(self, prediction: float) -> int:
-        """Quantise one prediction to its level index."""
-        return int(np.searchsorted(self._thresholds, prediction, side="right"))
+        """Quantise one prediction to its level index: the number of
+        thresholds ``<= prediction``, as ``np.searchsorted(...,
+        side="right")`` counts them (NaN maps to the top level)."""
+        return bisect_right(self._thresholds, float(prediction))

@@ -21,6 +21,7 @@ supervisory controller has.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -205,6 +206,16 @@ class JointControlAgent:
         # the same preallocated buffers instead of rebuilding the grid.
         self._workspace = self.solver.workspace(
             self._grid_currents, self._grid_gears, self._grid_aux)
+        # The reward's utility term depends on the auxiliary draw alone, so
+        # it is fixed with the grid too: over the whole grid for ranking,
+        # and per primitive as one draw for the executed step's paper
+        # reward (see RewardFunction.aux_term).
+        self._aux_term = self.reward.aux_term(self._grid_aux)
+        level_terms = [float(self.reward.aux_term(a))
+                       for a in aux_levels.tolist()]
+        self._paper_aux_terms = [level_terms[k] for k in grid[2].tolist()]
+        self._block_starts = (np.arange(self.num_rl_actions)
+                              * (grid.shape[1] // self.num_rl_actions))
 
     # --------------------------------------------------------------- acting ---
 
@@ -250,8 +261,9 @@ class JointControlAgent:
         choices, selects an RL action epsilon-greedily (greedily in
         evaluation mode), and returns the executed step.
         """
-        p_dem = float(self.solver.dynamics.power_demand(speed, acceleration,
-                                                        grade))
+        batch = self.solver.evaluate_grid(
+            self._workspace, speed, acceleration, soc, dt, grade)
+        p_dem = batch.power_demand
         state = self.observe_state(p_dem, speed, soc)
         if self.predictor is not None:
             self.predictor.update(p_dem)
@@ -264,48 +276,22 @@ class JointControlAgent:
             prev_state, prev_action, prev_reward = self._pending
             self.learner.update(prev_state, prev_action, prev_reward, state)
 
-        batch = self.solver.evaluate_grid(
-            self._workspace, speed, acceleration, soc, dt, grade)
-        rewards = np.asarray(self.reward(
-            batch.fuel_rate, batch.aux_power, dt, soc_next=batch.soc_next,
-            soc_prev=soc, shortfall=batch.shortfall), dtype=float)
-
-        feasible_group, best_primitive = self._reduce(batch, rewards)
+        rewards, feasible_group, best_primitive, group_best = self._score(
+            batch, soc, dt)
         # Myopically best RL action — the guidance target for exploration.
-        if np.any(feasible_group):
-            group_rewards = np.where(feasible_group,
-                                     rewards[best_primitive], -np.inf)
-            myopic = int(np.argmax(group_rewards))
-        else:
-            myopic = None
+        myopic = None
+        if feasible_group.any():
+            myopic = int(np.where(feasible_group, group_best,
+                                  -np.inf).argmax())
         rl_action = self.exploration.select(
             self.learner.qtable.row(state), feasible_group, greedy=greedy,
             guided=myopic)
-
-        if feasible_group[rl_action]:
-            prim = int(best_primitive[rl_action])
-            fallback = False
-        else:
-            prim = self._fallback_primitive(batch)
-            fallback = True
-
-        reward = float(rewards[prim])
-        paper_reward = float(self.reward.paper_reward(
-            batch.fuel_rate[prim], batch.aux_power[prim], dt))
+        step = self._executed(batch, rewards, state, rl_action,
+                              feasible_group, best_primitive, p_dem, dt)
         if learn:
-            self._pending = (state, rl_action, reward)
-        self._last_soc = float(batch.soc_next[prim])
-
-        return ExecutedStep(
-            state=state, rl_action=rl_action,
-            current=float(batch.battery_current[prim]),
-            gear=int(batch.gear[prim]),
-            aux_power=float(batch.aux_power[prim]),
-            fuel_rate=float(batch.fuel_rate[prim]),
-            soc_next=float(batch.soc_next[prim]),
-            reward=reward, paper_reward=paper_reward,
-            feasible=not fallback, mode=int(batch.mode[prim]),
-            power_demand=p_dem, shortfall=float(batch.shortfall[prim]))
+            self._pending = (state, rl_action, step.reward)
+        self._last_soc = step.soc_next
+        return step
 
     def act_batch(self, speeds, accelerations, socs, dt: float,
                   grades=None) -> list:
@@ -316,8 +302,8 @@ class JointControlAgent:
         pending transition, no predictor/exploration advance (the
         prediction level is read from the predictor's current state).
         Each observation still gets the full vectorised grid evaluation
-        through the shared workspace.  Returns one :class:`ExecutedStep`
-        per observation.
+        through the shared workspace and the same scoring as :meth:`act`.
+        Returns one :class:`ExecutedStep` per observation.
         """
         speeds = np.asarray(speeds, dtype=float)
         accelerations = np.asarray(accelerations, dtype=float)
@@ -336,44 +322,20 @@ class JointControlAgent:
             level = self.quantizer(self.predictor.predict())
 
         steps = []
-        for i in range(len(speeds)):
-            speed = float(speeds[i])
-            accel = float(accelerations[i])
-            soc = float(socs[i])
-            grade = float(grades[i])
-            p_dem = float(self.solver.dynamics.power_demand(speed, accel,
-                                                            grade))
-            state = self.discretizer.state_of(p_dem, speed, soc, level)
+        for speed, accel, soc, grade in zip(speeds.tolist(),
+                                            accelerations.tolist(),
+                                            socs.tolist(), grades.tolist()):
             batch = self.solver.evaluate_grid(
                 self._workspace, speed, accel, soc, dt, grade)
-            rewards = np.asarray(self.reward(
-                batch.fuel_rate, batch.aux_power, dt,
-                soc_next=batch.soc_next, soc_prev=soc,
-                shortfall=batch.shortfall), dtype=float)
-            feasible_group, best_primitive = self._reduce(batch, rewards)
-            masked = np.where(feasible_group,
-                              self.learner.qtable.row(state), -np.inf)
-            if np.any(feasible_group):
-                rl_action = int(np.argmax(masked))
-                prim = int(best_primitive[rl_action])
-                fallback = False
-            else:
-                rl_action = int(np.argmax(self.learner.qtable.row(state)))
-                prim = self._fallback_primitive(batch)
-                fallback = True
-            steps.append(ExecutedStep(
-                state=state, rl_action=rl_action,
-                current=float(batch.battery_current[prim]),
-                gear=int(batch.gear[prim]),
-                aux_power=float(batch.aux_power[prim]),
-                fuel_rate=float(batch.fuel_rate[prim]),
-                soc_next=float(batch.soc_next[prim]),
-                reward=float(rewards[prim]),
-                paper_reward=float(self.reward.paper_reward(
-                    batch.fuel_rate[prim], batch.aux_power[prim], dt)),
-                feasible=not fallback, mode=int(batch.mode[prim]),
-                power_demand=p_dem,
-                shortfall=float(batch.shortfall[prim])))
+            p_dem = batch.power_demand
+            state = self.discretizer.state_of(p_dem, speed, soc, level)
+            rewards, feasible_group, best_primitive, _ = self._score(
+                batch, soc, dt)
+            rl_action = self.exploration.select(
+                self.learner.qtable.row(state), feasible_group, greedy=True)
+            steps.append(self._executed(batch, rewards, state, rl_action,
+                                        feasible_group, best_primitive,
+                                        p_dem, dt))
         return steps
 
     # -------------------------------------------------------- monitor hooks ---
@@ -395,29 +357,62 @@ class JointControlAgent:
         their table(s) through ``.qtable.values``.
         """
         values = self.learner.qtable.values
-        finite = bool(np.all(np.isfinite(values)))
-        max_abs = float(np.max(np.abs(values))) if finite else float("inf")
-        return finite, max_abs
+        # max |Q| = max(max Q, -min Q), and a NaN or infinity anywhere makes
+        # it non-finite: two reductions, no temporary table.
+        max_abs = abs(max(float(values.max()), -float(values.min())))
+        if not math.isfinite(max_abs):
+            return False, float("inf")
+        return True, max_abs
 
     # ------------------------------------------------------------ internals ---
 
-    def _reduce(self, batch: BatchResult,
-                rewards: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-RL-action feasibility and the best feasible primitive index
-        (the inner optimisation of the reduced action space).
+    def _score(self, batch: BatchResult, soc: float, dt: float
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Learning reward of every primitive, reduced per RL action:
+        ``(rewards, feasible_group, best_primitive, group_best)``."""
+        rewards = self.reward(
+            batch.fuel_rate, batch.aux_power, dt, soc_next=batch.soc_next,
+            soc_prev=soc, shortfall=batch.shortfall, aux_term=self._aux_term)
+        return (rewards,) + self._reduce(batch, rewards)
+
+    def _reduce(self, batch: BatchResult, rewards: np.ndarray
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-RL-action feasibility, best feasible primitive index, and
+        that primitive's reward (the inner optimisation of the reduced
+        action space).
 
         The primitive grid is built current-major (meshgrid ``indexing='ij'``
         with the current index first), so each RL-action group occupies a
         contiguous, equal-size block and the reduction is a single reshape.
         """
-        n = self.num_rl_actions
         masked = np.where(batch.feasible, rewards, -np.inf)
-        blocks = masked.reshape(n, -1)
-        best_in_block = np.argmax(blocks, axis=1)
-        best_primitive = best_in_block + np.arange(n) * blocks.shape[1]
-        feasible_group = np.isfinite(
-            blocks[np.arange(n), best_in_block])
-        return feasible_group, best_primitive
+        best_primitive = (masked.reshape(self.num_rl_actions, -1)
+                          .argmax(axis=1) + self._block_starts)
+        group_best = masked[best_primitive]
+        return np.isfinite(group_best), best_primitive, group_best
+
+    def _executed(self, batch: BatchResult, rewards: np.ndarray, state: int,
+                  rl_action: int, feasible_group: np.ndarray,
+                  best_primitive: np.ndarray, p_dem: float,
+                  dt: float) -> ExecutedStep:
+        """The step the chosen RL action executes: its best feasible
+        primitive, or the least-bad fallback when it has none."""
+        fallback = not feasible_group[rl_action]
+        prim = (self._fallback_primitive(batch) if fallback
+                else int(best_primitive[rl_action]))
+        fuel_rate = float(batch.fuel_rate[prim])
+        aux_power = float(batch.aux_power[prim])
+        return ExecutedStep(
+            state=state, rl_action=rl_action,
+            current=float(batch.battery_current[prim]),
+            gear=int(batch.gear[prim]), aux_power=aux_power,
+            fuel_rate=fuel_rate, soc_next=float(batch.soc_next[prim]),
+            reward=float(rewards[prim]),
+            paper_reward=self.reward.paper_reward(
+                fuel_rate, aux_power, dt,
+                aux_term=self._paper_aux_terms[prim]),
+            feasible=not fallback, mode=int(batch.mode[prim]),
+            power_demand=p_dem, shortfall=float(batch.shortfall[prim]))
 
     def _fallback_primitive(self, batch: BatchResult) -> int:
         """Least-bad primitive when no action is fully feasible.

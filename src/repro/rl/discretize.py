@@ -9,6 +9,8 @@ Q-table can be a dense array.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -47,9 +49,13 @@ class StateDiscretizer:
                  soc_min: float = 0.40, soc_max: float = 0.80,
                  soc_bins: int = 8, prediction_levels: int = 3):
         for edges in (power_edges, speed_edges):
-            e = list(edges)
-            if any(b <= a for a, b in zip(e, e[1:])):
-                raise ValueError("bin edges must be strictly increasing")
+            e = [float(x) for x in edges]
+            # NaN compares False both ways, so it would slip past the
+            # order test and then mis-bin every observation.
+            if any(math.isnan(x) for x in e) or any(
+                    b <= a for a, b in zip(e, e[1:])):
+                raise ValueError(
+                    "bin edges must be strictly increasing numbers")
         if soc_bins < 1:
             raise ValueError("need at least one SoC bin")
         if prediction_levels < 1:
@@ -65,6 +71,11 @@ class StateDiscretizer:
             soc_bins,
             prediction_levels,
         )
+        # The scalar path bisects the same edges as Python floats: one
+        # observation per step is too small for numpy's per-call overhead.
+        self._power_list = self._power_edges.tolist()
+        self._speed_list = self._speed_edges.tolist()
+        self._soc_list = self._soc_edges.tolist()
 
     @property
     def shape(self) -> Tuple[int, int, int, int]:
@@ -78,20 +89,28 @@ class StateDiscretizer:
 
     def indices(self, power_demand: float, speed: float, soc: float,
                 prediction_level: int) -> Tuple[int, int, int, int]:
-        """Per-dimension bin indices of one observation."""
-        ip = int(np.searchsorted(self._power_edges, power_demand, side="right"))
-        iv = int(np.searchsorted(self._speed_edges, speed, side="right"))
-        iq = int(np.clip(np.searchsorted(self._soc_edges, soc, side="right"),
-                         0, self._shape[2] - 1))
-        il = int(np.clip(prediction_level, 0, self._shape[3] - 1))
+        """Per-dimension bin indices of one observation.
+
+        ``bisect_right`` over the edges counts the edges ``<= x`` exactly
+        as ``np.searchsorted(..., side="right")`` does, NaN included (it
+        sorts above every edge); inputs go through ``float`` first so a
+        numpy scalar compares in double precision, as numpy casts it.
+        """
+        _, _, soc_bins, levels = self._shape
+        ip = bisect_right(self._power_list, float(power_demand))
+        iv = bisect_right(self._speed_list, float(speed))
+        iq = min(bisect_right(self._soc_list, float(soc)), soc_bins - 1)
+        il = int(min(max(prediction_level, 0), levels - 1))
         return ip, iv, iq, il
 
     def state_of(self, power_demand: float, speed: float, soc: float,
                  prediction_level: int = 0) -> int:
-        """Ravel one observation into its integer state id."""
-        return int(np.ravel_multi_index(
-            self.indices(power_demand, speed, soc, prediction_level),
-            self._shape))
+        """Ravel one observation into its integer state id (C order, as
+        ``np.ravel_multi_index``)."""
+        ip, iv, iq, il = self.indices(power_demand, speed, soc,
+                                      prediction_level)
+        _, speed_bins, soc_bins, levels = self._shape
+        return ((ip * speed_bins + iv) * soc_bins + iq) * levels + il
 
     def state_of_batch(self, power_demands: np.ndarray, speeds: np.ndarray,
                        socs: np.ndarray,

@@ -75,17 +75,17 @@ class EpsilonGreedy:
         """
         if feasible is None:
             feasible = np.ones(len(q_row), dtype=bool)
-        if not np.any(feasible):
+        feasible = np.asarray(feasible)
+        if not feasible.any():
             # Caller handles true fallback; be deterministic here.
             return int(np.argmax(q_row))
-        masked = np.where(feasible, q_row, -np.inf)
-        best = int(np.argmax(masked))
+        best = int(np.where(feasible, q_row, -np.inf).argmax())
         if greedy or self._rng.random() >= self.epsilon:
             return best
         if (guided is not None and guided != best and feasible[guided]
                 and self._rng.random() < self._guided_fraction):
             return int(guided)
-        others = np.nonzero(feasible)[0]
+        others = feasible.nonzero()[0]
         others = others[others != best]
         if len(others) == 0:
             return best

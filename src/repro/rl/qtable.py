@@ -52,7 +52,7 @@ class QTable:
 
     def best_value(self, state: int) -> float:
         """``max_a Q(s, a)`` (Algorithm 1 line 5 bootstrap target)."""
-        return float(np.max(self._values[state]))
+        return float(self._values[state].max())
 
     def best_action(self, state: int,
                     feasible: Optional[np.ndarray] = None) -> int:

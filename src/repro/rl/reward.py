@@ -156,9 +156,22 @@ class RewardFunction:
                 lo, hi))
         return self._soc_price
 
+    def aux_term(self, aux_power: ArrayLike) -> ArrayLike:
+        """The utility term ``w * f_aux(p_aux)`` of the reward.
+
+        It depends on the draw alone, so a caller with a fixed candidate
+        grid computes it once and passes it back as ``aux_term``.  Compute
+        it from the same kind of operand the reward will see: a scalar
+        draw goes through numpy's scalar ``** 2`` (libm ``pow``), an array
+        through the array kernel, and the two can differ in the last bit.
+        """
+        return self._config.aux_weight * np.asarray(self._utility(aux_power),
+                                                    dtype=float)
+
     def __call__(self, fuel_rate: ArrayLike, aux_power: ArrayLike, dt: float,
                  soc_next: ArrayLike = None, soc_prev: ArrayLike = None,
-                 shortfall: ArrayLike = 0.0) -> ArrayLike:
+                 shortfall: ArrayLike = 0.0,
+                 aux_term: ArrayLike = None) -> ArrayLike:
         """Per-step learning reward (dimensionally: grams-of-fuel-equivalent).
 
         ``fuel_rate`` in g/s, ``aux_power`` in W, ``dt`` in s.  ``soc_next``
@@ -167,11 +180,13 @@ class RewardFunction:
         ``soc_price * (soc_next - soc_prev)``; ``shortfall`` (N*m) activates
         the demand-miss penalty.  Note the shaping term is *not* multiplied
         by dt — it prices the actual charge moved during the step.
+        ``aux_term`` is :meth:`aux_term` of ``aux_power``, when the caller
+        already holds it.
         """
         c = self._config
-        base = (-np.asarray(fuel_rate, dtype=float)
-                + c.aux_weight * np.asarray(self._utility(aux_power),
-                                            dtype=float))
+        if aux_term is None:
+            aux_term = self.aux_term(aux_power)
+        base = -np.asarray(fuel_rate, dtype=float) + aux_term
         penalty = np.asarray(shortfall, dtype=float) * c.shortfall_penalty
         if soc_next is not None:
             penalty = penalty + c.window_penalty * self.window_violation(
@@ -184,12 +199,15 @@ class RewardFunction:
         return reward
 
     def paper_reward(self, fuel_rate: ArrayLike, aux_power: ArrayLike,
-                     dt: float) -> ArrayLike:
+                     dt: float, aux_term: ArrayLike = None) -> ArrayLike:
         """The unpenalised reward exactly as printed in the paper's Table 2:
-        ``(-mdot_f + w * f_aux(p_aux)) * dT``."""
-        return ((-np.asarray(fuel_rate, dtype=float)
-                 + self._config.aux_weight
-                 * np.asarray(self._utility(aux_power), dtype=float)) * dt)
+        ``(-mdot_f + w * f_aux(p_aux)) * dT``.  ``aux_term`` is
+        :meth:`aux_term` of ``aux_power``, when the caller already holds
+        it; a float ``fuel_rate`` then stays in plain float arithmetic."""
+        if aux_term is None:
+            fuel_rate = np.asarray(fuel_rate, dtype=float)
+            aux_term = self.aux_term(aux_power)
+        return (-fuel_rate + aux_term) * dt
 
 
 def build_reward_function(solver, config: Optional[RewardConfig] = None

@@ -124,27 +124,24 @@ class TDLambdaLearner:
     def update(self, state: int, action: int, reward: float,
                next_state: int) -> float:
         """Apply one Algorithm 1 step; returns the TD error delta."""
-        c = self._config
         q = self.qtable.values
-        delta = (reward + c.discount * self.qtable.best_value(next_state)
-                 - q[state, action])
-        self._traces.visit(state, action)
-        keys = np.array([k for k, _ in self._traces])
-        eligibilities = np.array([e for _, e in self._traces])
-        q[keys[:, 0], keys[:, 1]] += self.learning_rate * eligibilities * delta
-        self._traces.decay()
-        self._episode_dirty = True
+        delta = (reward + self._config.discount
+                 * self.qtable.best_value(next_state) - q[state, action])
+        self._apply(state, action, delta)
         return float(delta)
 
     def update_terminal(self, state: int, action: int, reward: float) -> float:
         """Terminal-transition update: no bootstrap from a successor state."""
-        c = self._config
-        q = self.qtable.values
-        delta = reward - q[state, action]
-        self._traces.visit(state, action)
-        keys = np.array([k for k, _ in self._traces])
-        eligibilities = np.array([e for _, e in self._traces])
-        q[keys[:, 0], keys[:, 1]] += self.learning_rate * eligibilities * delta
-        self._traces.decay()
-        self._episode_dirty = True
+        delta = reward - self.qtable.values[state, action]
+        self._apply(state, action, delta)
         return float(delta)
+
+    def _apply(self, state: int, action: int, delta: float) -> None:
+        """Algorithm 1 lines 6-9: accumulate the visited pair's trace, move
+        every tracked pair along its eligibility, then decay the traces."""
+        traces = self._traces
+        traces.visit(state, action)
+        self.qtable.values[traces.states, traces.actions] += (
+            self.learning_rate * traces.eligibilities * delta)
+        traces.decay()
+        self._episode_dirty = True

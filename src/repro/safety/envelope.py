@@ -9,15 +9,18 @@ violates it — the envelope exists for the controllers that misbehave
 solver saturation, faulted plants whose limits shifted under the
 controller's feet).
 
-Limits are read *live* from the solver on every check rather than frozen
-at construction, because plant faults mutate the shared solver in place
+Limits are read *live* from the solver rather than frozen at
+construction, because plant faults mutate the shared solver in place
 mid-episode (capacity fade shrinks the pack, a derate lowers the current
 bound); a frozen envelope would validate against a vehicle that no longer
-exists.
+exists.  Such a rebuild re-runs the solver's ``__init__``, which takes a
+new configuration epoch, so the envelope re-reads its limits whenever the
+epoch moves (as the solver's action-grid workspaces re-derive theirs).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -88,18 +91,24 @@ class FeasibilityEnvelope:
 
     def __init__(self, solver: PowertrainSolver):
         self._solver = solver
+        self._limits = None
+        self._epoch = None
 
     def limits(self) -> EnvelopeLimits:
-        """Read the current plant limits off the (possibly faulted) solver."""
-        battery = self._solver.params.battery
-        aux = self._solver.auxiliary
-        return EnvelopeLimits(
-            max_current=float(battery.max_current),
-            num_gears=int(self._solver.transmission.num_gears),
-            aux_min=float(aux.min_power),
-            aux_max=float(aux.max_power),
-            soc_lo=float(battery.soc_min - _WINDOW_SLACK),
-            soc_hi=float(battery.soc_max + _WINDOW_SLACK))
+        """The current plant limits of the (possibly faulted) solver."""
+        solver = self._solver
+        if self._epoch != solver._epoch:
+            battery = solver.params.battery
+            aux = solver.auxiliary
+            self._limits = EnvelopeLimits(
+                max_current=float(battery.max_current),
+                num_gears=int(solver.transmission.num_gears),
+                aux_min=float(aux.min_power),
+                aux_max=float(aux.max_power),
+                soc_lo=float(battery.soc_min - _WINDOW_SLACK),
+                soc_hi=float(battery.soc_max + _WINDOW_SLACK))
+            self._epoch = solver._epoch
+        return self._limits
 
     # ------------------------------------------------------------- checking ---
 
@@ -112,8 +121,8 @@ class FeasibilityEnvelope:
         """
         lim = self.limits()
         violations: List[Tuple[str, str]] = []
-        if not (np.isfinite(current) and np.isfinite(aux_power)
-                and np.isfinite(soc_next)):
+        if not (math.isfinite(current) and math.isfinite(aux_power)
+                and math.isfinite(soc_next)):
             violations.append((
                 "nonfinite_action",
                 f"current={current!r}, aux={aux_power!r}, "

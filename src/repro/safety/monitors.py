@@ -10,7 +10,7 @@ fields, so monitors stay trivially unit-testable.
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -193,30 +193,39 @@ class RewardCollapseMonitor(Monitor):
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0
-        self._recent: deque = deque()
+        # The recent window, oldest first: filled, then shifted down one
+        # slot per step, so its sum runs over the same values in the same
+        # order every step (numpy's pairwise sum depends on the order).
+        self._recent = np.empty(self.window)
+        self._filled = 0
 
     def observe(self, ctx: StepContext) -> Vote:
         """WARN when the recent reward mean falls ``sigmas`` baseline
         deviations below the lagged episode baseline."""
         r = float(ctx.reward)
-        if not np.isfinite(r):
+        if not math.isfinite(r):
             # The simulator's watchdog handles non-finite rewards; the
             # collapse statistic just skips them.
             return _OK
-        self._recent.append(r)
-        if len(self._recent) > self.window:
+        recent = self._recent
+        if self._filled < self.window:
+            recent[self._filled] = r
+            self._filled += 1
+        else:
             # The oldest recent reward ages out into the lagged baseline.
-            oldest = self._recent.popleft()
+            oldest = float(recent[0])
+            recent[:-1] = recent[1:]
+            recent[-1] = r
             self._count += 1
             delta = oldest - self._mean
             self._mean += delta / self._count
             self._m2 += delta * (oldest - self._mean)
         if self._count < self.min_history:
             return _OK
-        std = float(np.sqrt(self._m2 / (self._count - 1)))
+        std = math.sqrt(self._m2 / (self._count - 1))
         if std <= 0.0:
             return _OK
-        recent_mean = float(np.mean(self._recent))
+        recent_mean = self._recent_mean()
         deficit = (self._mean - recent_mean) / std
         if deficit > self.sigmas:
             return (AlarmLevel.WARN,
@@ -224,3 +233,8 @@ class RewardCollapseMonitor(Monitor):
                     f"{deficit:.1f} sigma below the episode baseline "
                     f"{self._mean:.3g}")
         return _OK
+
+    def _recent_mean(self) -> float:
+        """Mean of the full recent window, as ``np.mean`` computes it: the
+        pairwise sum of the same values in the same order, over the count."""
+        return float(np.add.reduce(self._recent)) / self.window

@@ -321,7 +321,8 @@ class SafetySupervisor(Controller):
             aux_power=substitute.aux_power, fuel_rate=substitute.fuel_rate,
             soc_next=substitute.soc_next, reward=reward,
             paper_reward=paper_reward, feasible=substitute.feasible,
-            mode=substitute.mode, power_demand=step.power_demand)
+            mode=substitute.mode, power_demand=step.power_demand,
+            shortfall=substitute.shortfall)
         return mediated, True, False
 
     # ------------------------------------------------------------ monitoring ---

@@ -118,6 +118,7 @@ class AuxiliarySystem:
         floor = sum(l.nominal_power for l in self._loads if not l.sheddable)
         if floor > params.max_power:
             raise ConfigurationError("non-sheddable loads exceed the auxiliary power cap")
+        self._min_power = max(params.min_power, floor)
 
     @property
     def params(self) -> AuxiliaryParams:
@@ -138,8 +139,7 @@ class AuxiliarySystem:
     def min_power(self) -> float:
         """Smallest admissible draw, W: the configured floor or the
         non-sheddable load sum, whichever is larger."""
-        non_sheddable = sum(l.nominal_power for l in self._loads if not l.sheddable)
-        return max(self._params.min_power, non_sheddable)
+        return self._min_power
 
     @property
     def max_power(self) -> float:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.rl.discretize import StateDiscretizer, uniform_edges
+from tests.reference_step import ReferenceDiscretizer
 
 
 class TestUniformEdges:
@@ -78,6 +79,12 @@ class TestStateDiscretizer:
         with pytest.raises(ValueError):
             StateDiscretizer(power_edges=(5.0, 1.0))
 
+    @pytest.mark.parametrize("edges", [(float("nan"),), (0.0, float("nan")),
+                                       (float("nan"), 1.0, 2.0)])
+    def test_rejects_nan_edges(self, edges):
+        with pytest.raises(ValueError):
+            StateDiscretizer(speed_edges=edges)
+
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             StateDiscretizer(soc_min=0.8, soc_max=0.4)
@@ -94,3 +101,46 @@ class TestStateDiscretizer:
         d = StateDiscretizer()
         s = d.state_of(p, v, q, l)
         assert 0 <= s < d.num_states
+
+
+def _observation(draw, edges):
+    """A value on an edge, a special value, or any double, as a Python
+    float or a numpy scalar."""
+    x = draw(st.one_of(
+        st.sampled_from(edges),
+        st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+        st.floats()))
+    return draw(st.sampled_from([float, np.float64]))(x)
+
+
+@st.composite
+def discretized_observations(draw):
+    power = sorted(set(draw(st.lists(st.floats(-5e4, 5e4), min_size=1,
+                                     max_size=5))))
+    speed = sorted(set(draw(st.lists(st.floats(0.0, 40.0), min_size=1,
+                                     max_size=4))))
+    bins = draw(st.integers(1, 9))
+    levels = draw(st.integers(1, 4))
+    reference = ReferenceDiscretizer(power_edges=power, speed_edges=speed,
+                                     soc_min=0.4, soc_max=0.8,
+                                     soc_bins=bins, prediction_levels=levels)
+    soc_edges = reference._soc_edges.tolist() + [0.4, 0.8]
+    level = draw(st.one_of(st.integers(-3, levels + 3),
+                           st.integers(-3, levels + 3).map(np.int64)))
+    return (power, speed, bins, levels, _observation(draw, power),
+            _observation(draw, speed), _observation(draw, soc_edges), level)
+
+
+@given(discretized_observations())
+def test_state_of_matches_batch_and_seed_path(obs):
+    """The scalar bisect path == the vectorised path == the seed
+    ``np.searchsorted`` path, on edges, signed zeros, infinities, NaN and
+    numpy scalars."""
+    power, speed, bins, levels, p, v, q, level = obs
+    kwargs = dict(power_edges=power, speed_edges=speed, soc_min=0.4,
+                  soc_max=0.8, soc_bins=bins, prediction_levels=levels)
+    d = StateDiscretizer(**kwargs)
+    seed = ReferenceDiscretizer(**kwargs).state_of(p, v, q, level)
+    assert d.state_of(p, v, q, level) == seed
+    assert int(d.state_of_batch(np.array([p]), np.array([v]),
+                                np.array([q]), np.array([level]))[0]) == seed

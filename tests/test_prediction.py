@@ -166,6 +166,12 @@ class TestPredictionQuantizer:
         with pytest.raises(ValueError):
             PredictionQuantizer(thresholds=(5.0, 1.0))
 
+    def test_rejects_nan_threshold(self):
+        # (0, NaN, 5) passed the pairwise order test and quantised -1 W
+        # to level 2.
+        with pytest.raises(ValueError):
+            PredictionQuantizer(thresholds=(0.0, float("nan"), 5.0))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PredictionQuantizer(thresholds=())
@@ -174,3 +180,20 @@ class TestPredictionQuantizer:
     def test_level_always_valid(self, x):
         q = PredictionQuantizer()
         assert 0 <= q(x) < q.num_levels
+
+    @given(st.data())
+    def test_level_matches_searchsorted(self, data):
+        thresholds = sorted(set(data.draw(st.lists(
+            st.floats(allow_nan=False, width=64), min_size=1,
+            max_size=6))))
+        q = PredictionQuantizer(thresholds)
+        # Predictions on the thresholds, signed zeros,
+        # infinities, NaN, and numpy scalars of both widths.
+        x = data.draw(st.one_of(
+            st.sampled_from(thresholds),
+            st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+            st.floats()))
+        x32 = np.float32(data.draw(st.floats(width=32)))
+        for value in (x, np.float64(x), x32):
+            assert q(value) == int(np.searchsorted(
+                np.asarray(thresholds), value, side="right"))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.artifact import read_table, write_table
 from repro.rl.qtable import QTable
 from repro.rl.traces import EligibilityTraces
+from tests.reference_step import ReferenceTraces
 
 
 class TestQTable:
@@ -135,3 +136,31 @@ class TestEligibilityTraces:
             t.decay()
         for _, e in t:
             assert 0.0 <= e <= 1.0 / (1.0 - 0.8) + 1e-9
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("visit"), st.integers(0, 11), st.integers(0, 3)),
+    st.just(("decay",)), st.just(("clear",)))
+
+
+@given(st.integers(1, 48), st.sampled_from([0.0, 0.3, 0.48, 0.8, 0.99]),
+       st.lists(_OPS, max_size=200))
+def test_traces_match_the_seed_ordered_map(max_entries, decay, ops):
+    """Any visit/decay/clear sequence leaves the same pairs, in the same
+    recency order, with bit-equal eligibilities as the seed list."""
+    fast = EligibilityTraces(decay=decay, max_entries=max_entries)
+    seed = ReferenceTraces(decay=decay, max_entries=max_entries)
+    for op in ops:
+        for traces in (fast, seed):
+            getattr(traces, op[0])(*op[1:])
+        assert len(fast) == len(seed)
+        assert [k for k, _ in fast] == [k for k, _ in seed]
+        assert (np.array([e for _, e in fast]).tobytes()
+                == np.array([e for _, e in seed]).tobytes())
+        for (s, a), e in seed:
+            assert fast.get(s, a) == e
+    # The slot views the learner updates through hold the same pairs.
+    pairs = dict(seed)
+    assert sorted(zip(fast.states.tolist(), fast.actions.tolist(),
+                      fast.eligibilities.tolist())) == sorted(
+        (s, a, e) for (s, a), e in pairs.items())

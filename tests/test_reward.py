@@ -14,6 +14,7 @@ from repro.rl.reward import (
 from repro.vehicle import default_vehicle
 from repro.vehicle.auxiliary import UtilityFunction
 from repro.vehicle.params import AuxiliaryParams
+from tests.reference_step import ReferenceReward
 
 
 @pytest.fixture
@@ -140,3 +141,34 @@ class TestBuildRewardFunction:
         solver = PowertrainSolver(default_vehicle())
         rf = build_reward_function(solver, RewardConfig(soc_price=42.0))
         assert rf.soc_price == 42.0
+
+
+_VALUES = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([0.0, -0.0]))
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(*(
+    st.lists(_VALUES, min_size=n, max_size=n) for _ in range(4)))),
+    st.floats(0.0, 1.0), st.sampled_from([1.0, 0.5, 2.0, 0.1]),
+    st.booleans())
+def test_reward_matches_the_seed_reward(columns, soc_prev, dt, scalar):
+    """With or without a precomputed ``aux_term``, the learning and paper
+    rewards equal the seed's bit for bit, on arrays and on scalars."""
+    fuel, aux, soc_next, shortfall = (np.abs(np.array(c)) for c in columns)
+    soc_next = soc_next / 1e4
+    if scalar:
+        fuel, aux, soc_next, shortfall = (float(c[0]) for c in (
+            fuel, aux, soc_next, shortfall))
+    fast = RewardFunction(UtilityFunction(AuxiliaryParams()), RewardConfig(),
+                          soc_min=0.4, soc_max=0.8, soc_price=450.0)
+    seed = ReferenceReward(UtilityFunction(AuxiliaryParams()), RewardConfig(),
+                           soc_min=0.4, soc_max=0.8, soc_price=450.0)
+    expected = np.asarray(seed(fuel, aux, dt, soc_next=soc_next,
+                               soc_prev=soc_prev, shortfall=shortfall))
+    for aux_term in (None, fast.aux_term(aux)):
+        got = np.asarray(fast(fuel, aux, dt, soc_next=soc_next,
+                              soc_prev=soc_prev, shortfall=shortfall,
+                              aux_term=aux_term))
+        assert got.tobytes() == expected.tobytes()
+        assert (np.asarray(fast.paper_reward(fuel, aux, dt,
+                                             aux_term=aux_term)).tobytes()
+                == np.asarray(seed.paper_reward(fuel, aux, dt)).tobytes())

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.control import RuleBasedController
 from repro.control.base import Controller
@@ -28,6 +29,7 @@ from repro.safety import (
 )
 from repro.sim import Simulator, evaluate, train
 from repro.vehicle import default_vehicle
+from tests.reference_step import ReferenceCollapseMonitor
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +190,36 @@ class TestMonitors:
         monitor = RewardCollapseMonitor(window=2, sigmas=1.0, min_history=3)
         assert monitor.observe(_ctx(reward=float("nan")))[0] is AlarmLevel.OK
 
+    @given(st.integers(2, 30), st.lists(st.one_of(
+        st.floats(-50.0, 50.0), st.sampled_from([np.nan, np.inf])),
+        max_size=150))
+    def test_reward_collapse_matches_the_seed_monitor(self, window, rewards):
+        """Same votes and bit-identical statistics as the seed monitor (a
+        deque averaged by ``np.mean``)."""
+        fast = RewardCollapseMonitor(window, sigmas=0.5,
+                                     min_history=window + 3)
+        seed = ReferenceCollapseMonitor(window, sigmas=0.5,
+                                        min_history=window + 3)
+        for i, r in enumerate(rewards):
+            ctx = _ctx(step=i, reward=r)
+            assert fast.observe(ctx) == seed.observe(ctx)
+            assert (fast._count, fast._mean, fast._m2) == (
+                seed._count, seed._mean, seed._m2)
+            if len(seed._recent) == window:
+                assert fast._recent_mean() == float(np.mean(seed._recent))
+
+    def test_reward_collapse_window_mean_is_np_mean(self):
+        """The recent-window mean rounds exactly like the seed's
+        ``np.mean`` over a deque, step after step."""
+        fast = RewardCollapseMonitor(window=25, min_history=30)
+        seed = ReferenceCollapseMonitor(window=25, min_history=30)
+        rewards = np.random.default_rng(1).normal(-1.5, 0.7, 400)
+        for i, r in enumerate(rewards.tolist()):
+            fast.observe(_ctx(step=i, reward=r))
+            seed.observe(_ctx(step=i, reward=r))
+            if i >= 24:
+                assert fast._recent_mean() == float(np.mean(seed._recent))
+
     def test_monitor_parameter_validation(self):
         with pytest.raises(ConfigurationError):
             InfeasibilityMonitor(warn_after=5, severe_after=2)
@@ -314,6 +346,28 @@ class TestSupervisorUnit:
         assert report.interventions == 1
         assert report.events[0].kind == "current_limit"
         assert report.events[0].action_before["current"] == pytest.approx(1e5)
+
+    @pytest.mark.parametrize("speed, acceleration",
+                             [(30.0, 3.0), (35.0, 4.0), (20.0, 5.0)])
+    def test_substitute_keeps_its_shortfall(self, solver, speed,
+                                            acceleration):
+        # A hard launch the substitute cannot fully deliver: the mediated
+        # step must record the torque shortfall its reward was charged for.
+        scripted = _ScriptedController([_step(current=1e4, solver=solver)])
+        supervisor = SafetySupervisor(scripted, solver)
+        supervisor.begin_episode()
+        returned = supervisor.act(speed, acceleration, 0.60, 1.0)
+        substitute = supervisor.envelope.resolve(
+            speed, acceleration, 0.60, 1.0, 0.0, 1e4, 0,
+            solver.auxiliary.min_power)
+        assert substitute.shortfall > 100.0
+        assert returned.shortfall == substitute.shortfall
+        assert returned.current == substitute.current
+        reward = supervisor._reward(
+            substitute.fuel_rate, substitute.aux_power, 1.0,
+            soc_next=substitute.soc_next, soc_prev=0.60,
+            shortfall=substitute.shortfall)
+        assert returned.reward == float(reward)
 
     def test_sustained_infeasibility_escalates_to_limp_home(self, solver):
         scripted = _ScriptedController(

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.rl.td_lambda import TDLambdaConfig, TDLambdaLearner
+from tests.reference_step import ReferenceTDLambdaLearner
 
 
 class TestConfig:
@@ -138,3 +140,23 @@ class TestConvergence:
             return learner.qtable.values[0, 0]
 
         assert run(0.9) > run(0.0) + 1e-6
+
+
+_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("update"), st.integers(0, 7), st.integers(0, 2),
+              st.floats(-5.0, 5.0), st.integers(0, 7)),
+    st.tuples(st.just("update_terminal"), st.integers(0, 7),
+              st.integers(0, 2), st.floats(-5.0, 5.0)),
+    st.just(("start_episode",))), max_size=120)
+
+
+@given(st.sampled_from([0.0, 0.6, 0.95]), st.integers(1, 48), _STEPS)
+def test_update_matches_the_seed_learner(trace_decay, max_traces, steps):
+    """Any sequence of updates, terminal updates and episode starts gives
+    the seed learner's TD errors and a bit-identical table."""
+    cfg = TDLambdaConfig(trace_decay=trace_decay, max_traces=max_traces)
+    fast = TDLambdaLearner(8, 3, cfg, seed=4)
+    seed = ReferenceTDLambdaLearner(8, 3, cfg, seed=4)
+    for name, *args in steps:
+        assert (getattr(fast, name)(*args) == getattr(seed, name)(*args))
+    assert fast.qtable.values.tobytes() == seed.qtable.values.tobytes()
