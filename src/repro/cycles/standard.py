@@ -27,7 +27,9 @@ urban-vs-highway contrast the paper's evaluation relies on.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.cycles.cycle import DriveCycle
 from repro.cycles.synthesis import CycleSpec, synthesize
@@ -66,13 +68,32 @@ STANDARD_SPECS: Dict[str, CycleSpec] = {
 """Specs of every built-in cycle, keyed by canonical upper-case name."""
 
 
+_SYNTHESISED: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+"""Read-only ``(speeds, grades)`` of each built-in cycle synthesised so far."""
+
+
 def standard_cycle(name: str) -> DriveCycle:
-    """Synthesise a built-in cycle by (case-insensitive) name."""
+    """A built-in cycle by (case-insensitive) name.
+
+    Each cycle is synthesised once per process; every call returns a
+    fresh :class:`DriveCycle` over the same read-only ``speeds`` and
+    ``grades`` arrays, so writing into them raises ``ValueError``
+    instead of corrupting the next caller's cycle.
+    """
     key = name.upper()
     if key not in STANDARD_SPECS:
         raise CycleLookupError(
             f"unknown cycle {name!r}; available: {sorted(STANDARD_SPECS)}")
-    return synthesize(STANDARD_SPECS[key])
+    traces = _SYNTHESISED.get(key)
+    if traces is None:
+        cycle = synthesize(STANDARD_SPECS[key])
+        traces = (cycle.speeds, cycle.grades)
+        for array in traces:
+            array.flags.writeable = False
+        _SYNTHESISED[key] = traces
+    speeds, grades = traces
+    return DriveCycle(STANDARD_SPECS[key].name, speeds, dt=1.0,
+                      grades=grades)
 
 
 def udds() -> DriveCycle:

@@ -11,10 +11,10 @@ turns them into something a fleet can consume safely:
 * :mod:`repro.serve.registry` — :class:`PolicyRegistry`: a directory of
   artifacts under monotonically increasing versions.
 * :mod:`repro.serve.server` — :class:`PolicyServer`: batched
-  state→action decisions with an LRU cache, atomic hot-swap (verify +
-  golden probe before a single pointer flip), graceful degradation down
-  a documented ladder, and a bounded request queue with deadline-based
-  load shedding.
+  state→action decisions through a dense per-state memo, atomic
+  hot-swap (verify + golden probe before a single pointer flip),
+  graceful degradation down a documented ladder, and a bounded request
+  queue with deadline-based load shedding.
 * :mod:`repro.serve.canary` — :class:`CanaryRollout`: route a fraction
   of the fleet to a candidate, compare reward/intervention-rate against
   the incumbent with Welford statistics, and roll back automatically

@@ -31,9 +31,10 @@ matter for the robustness story:
 **Shard-count invariance.**  A fleet can be partitioned: ``vehicles``
 vehicles starting at ``vehicle_offset`` of a ``total_vehicles``-wide
 population.  Population attributes are drawn once for the *global*
-population and sliced, per-vehicle sensor-noise streams come from
-``SeedSequence([seed, 0x5EED]).spawn(total)`` keyed by global vehicle
-id, and rewards accumulate per vehicle and aggregate with
+population and sliced, each faulty vehicle's sensor-noise stream is
+the child ``SeedSequence([seed, 0x5EED]).spawn(total)[gid]`` of its
+global vehicle id ``gid`` (built directly through ``spawn_key``), and
+rewards accumulate per vehicle and aggregate with
 :func:`math.fsum` (exactly-rounded, so grouping-free) — which is what
 makes :func:`run_fleet_sharded` aggregates bit-identical for any shard
 count, as long as no requests are shed (queue pressure is inherently
@@ -133,14 +134,18 @@ class FleetConfig:
             raise ServeError("a fleet needs at least one vehicle")
         if self.steps < 1:
             raise ServeError("a fleet run needs at least one step")
-        if self.dt <= 0:
-            raise ServeError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ServeError(f"dt must be finite and positive, got {self.dt}")
         if not self.cycles:
             raise ServeError("a fleet needs at least one drive cycle")
         if not self.aux_loads:
             raise ServeError("a fleet needs at least one auxiliary load")
         if not 0.0 <= self.fault_fraction <= 1.0:
             raise ServeError("fault_fraction must lie in [0, 1]")
+        if not (math.isfinite(self.sensor_noise)
+                and self.sensor_noise >= 0):
+            raise ServeError(f"sensor_noise must be finite and >= 0, got "
+                             f"{self.sensor_noise}")
         if self.request_batch < 1:
             raise ServeError("request_batch must be at least 1")
         if self.vehicle_offset < 0:
@@ -224,6 +229,26 @@ class FleetResult:
     """Stream write failures (each freezes streaming, never serving)."""
 
 
+def _sensor_noise(cfg: FleetConfig, faulty: np.ndarray,
+                  steps: int) -> np.ndarray:
+    """``(steps, vehicles)`` SoC observation noise of a fleet slice.
+
+    The second half of shard-count invariance: every faulty vehicle owns
+    a noise stream keyed by its *global* id -- the SeedSequence child
+    ``spawn(total)[gid]`` would hand it, built directly -- so it observes
+    the same noise whatever shard it lands in.  Healthy vehicles build
+    no stream, draw nothing and keep exactly-zero columns.
+    """
+    noise = np.zeros((steps, cfg.vehicles))
+    for i in np.flatnonzero(faulty):
+        child = np.random.SeedSequence(
+            [cfg.seed, _NOISE_STREAM_KEY],
+            spawn_key=(cfg.vehicle_offset + int(i),))
+        noise[:, i] = np.random.default_rng(child).normal(
+            0.0, cfg.sensor_noise, size=steps)
+    return noise
+
+
 class FleetSimulator:
     """Drives a heterogeneous vehicle population against a server."""
 
@@ -300,17 +325,7 @@ class FleetSimulator:
         soc = rng.uniform(self._soc_min, self._soc_max, size=total)[window]
         vehicle_ids = np.arange(lo, lo + n, dtype=np.uint64)
 
-        # The second half of the invariance: every vehicle owns a noise
-        # stream spawned from SeedSequence keyed by its *global* id, so
-        # a faulty vehicle observes the same noise whatever shard it
-        # lands in (and healthy vehicles consume no draws at all).
-        children = np.random.SeedSequence(
-            [cfg.seed, _NOISE_STREAM_KEY]).spawn(total)
-        noise = np.zeros((steps, n))
-        for i in np.flatnonzero(faulty):
-            noise[:, i] = np.random.default_rng(
-                children[lo + int(i)]).normal(0.0, cfg.sensor_noise,
-                                              size=steps)
+        noise = _sensor_noise(cfg, faulty, steps)
 
         server = self._server
         reference = None

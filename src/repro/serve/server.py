@@ -1,15 +1,15 @@
 """The policy server: batched decisions, hot-swap, canary, degradation.
 
 One :class:`PolicyServer` holds at most one *active* policy artifact and
-serves greedy state→action decisions from it through an LRU decision
-cache.  Around that hot path sit the robustness mechanisms this layer
-exists for:
+serves greedy state→action decisions from it through a dense per-state
+decision memo.  Around that hot path sit the robustness mechanisms this
+layer exists for:
 
 **Atomic hot-swap.**  A candidate version is *staged* — loaded, its
 SHA-256 digest and fingerprint verified, and golden-probed on a held-out
 deterministic state grid — entirely off the serving path.  Only a
 candidate that survives all of it is *activated*, and activation is a
-single pointer flip plus a cache clear: in-flight callers see either the
+single pointer flip plus a memo reset: in-flight callers see either the
 old policy or the new one, never a mixture.  Swapping in a bit-identical
 artifact provably changes no decision (golden-tested).
 
@@ -50,7 +50,7 @@ attached; a telemetry-free server is bit-identical in every decision
 from __future__ import annotations
 
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
@@ -65,9 +65,6 @@ from repro.serve.registry import PolicyRegistry
 @dataclass(frozen=True)
 class ServeConfig:
     """Operational knobs of one policy server."""
-
-    cache_size: int = 4096
-    """Maximum entries of the LRU decision cache."""
 
     probe_states: int = 128
     """Held-out state-grid size of the golden probe (capped at |S|)."""
@@ -84,8 +81,6 @@ class ServeConfig:
     ``None`` disables the deadline."""
 
     def __post_init__(self):
-        if self.cache_size < 1:
-            raise ServeError("cache_size must be at least 1")
         if self.probe_states < 1:
             raise ServeError("probe_states must be at least 1")
         if self.queue_limit < 1:
@@ -154,7 +149,7 @@ class PolicyServer:
         self._previous: Optional[PolicyArtifact] = None
         self._last_fingerprint: Optional[dict] = None
         self._fallback_hint: Optional[dict] = None
-        self._cache: "OrderedDict[int, int]" = OrderedDict()
+        self._memo = np.empty(0, dtype=np.intp)
         self._queue: deque = deque()
         self._canary: Optional[CanaryRollout] = None
         self._canary_artifact: Optional[PolicyArtifact] = None
@@ -177,9 +172,10 @@ class PolicyServer:
         self.degraded_loads = 0
         """Registry versions skipped as corrupt by the degradation walk."""
         self.cache_hits = 0
-        """LRU decision-cache hits (unique states, not batch elements)."""
+        """Decision-memo hits (unique states, not batch elements)."""
         self.cache_misses = 0
-        """LRU decision-cache misses."""
+        """Decision-memo misses (unique states whose greedy action was
+        computed from the table)."""
         self.last_rollback: Optional[dict] = None
         """``{"version", "reason", "decisions", "latency_s"}`` of the most
         recent canary rollback (``None`` until one happens)."""
@@ -234,7 +230,7 @@ class PolicyServer:
         self._previous = self._active
         self._active = artifact
         self._last_fingerprint = artifact.fingerprint
-        self._cache.clear()
+        self._reset_memo()
         self.swaps += 1
         self._count("serve.swap")
         self._set_version_gauge()
@@ -248,8 +244,18 @@ class PolicyServer:
         """Bottom of the degradation ladder: rule-based fallback serving."""
         self._previous = self._active
         self._active = None
-        self._cache.clear()
+        self._reset_memo()
         self._set_version_gauge()
+
+    def _reset_memo(self) -> None:
+        """Forget every memoised decision (a different policy now serves).
+
+        The memo holds the active table's greedy action per state, ``-1``
+        where none was computed yet.  It is dense, so it is bounded by
+        |S| and is at most 1/|A| of the mapped table.
+        """
+        size = self._active.num_states if self._active is not None else 0
+        self._memo = np.full(size, -1, dtype=np.intp)
 
     def _fallback_action(self) -> int:
         """The rule-based fallback action id: the zero-current level.
@@ -433,7 +439,7 @@ class PolicyServer:
         self._active = self._previous
         self._previous = None
         self._last_fingerprint = self._active.fingerprint
-        self._cache.clear()
+        self._reset_memo()
         self.rollbacks += 1
         self._count("serve.rollback")
         self._set_version_gauge()
@@ -541,11 +547,11 @@ class PolicyServer:
                 f"range [{int(states.min())}, {int(states.max())}]")
 
     def decide(self, states: np.ndarray) -> np.ndarray:
-        """Batched greedy decisions for ``states`` (LRU-cached).
+        """Batched greedy decisions for ``states`` (memoised per state).
 
         While degraded to fallback every state gets the rule-based
         fallback action; otherwise each unique state's greedy action is
-        served from the cache or computed in one argmax gather.
+        served from the memo or computed in one argmax gather.
         """
         if self._telemetry is None:
             return self._decide(states)
@@ -568,27 +574,20 @@ class PolicyServer:
             return np.full(states.shape, self._fallback_action(),
                            dtype=np.intp)
         self._check_states(states, active)
-        uniq, inverse = np.unique(states, return_inverse=True)
-        cache = self._cache
-        uniq_actions = np.empty(uniq.shape, dtype=np.intp)
-        missing: List[int] = []
-        for i, state in enumerate(uniq.tolist()):
-            action = cache.get(state)
-            if action is None:
-                missing.append(i)
-            else:
-                uniq_actions[i] = action
-                cache.move_to_end(state)
-        self.cache_hits += len(uniq) - len(missing)
-        if missing:
-            self.cache_misses += len(missing)
-            fresh = active.greedy(uniq[missing])
-            for i, action in zip(missing, fresh.tolist()):
-                uniq_actions[i] = action
-                cache[int(uniq[i])] = int(action)
-            while len(cache) > self._config.cache_size:
-                cache.popitem(last=False)
-        return uniq_actions[inverse].reshape(states.shape)
+        memo = self._memo
+        actions = memo[states]
+        missing = actions < 0
+        # Hits and misses count unique states of the batch, not elements.
+        unique = int(np.count_nonzero(np.bincount(states.ravel(),
+                                                  minlength=memo.size)))
+        if missing.any():
+            fresh = np.unique(states[missing])
+            memo[fresh] = active.greedy(fresh)
+            actions = memo[states]
+            self.cache_misses += fresh.size
+            unique -= fresh.size
+        self.cache_hits += unique
+        return actions
 
     # -- bounded request queue --------------------------------------------
 

@@ -1,0 +1,127 @@
+"""Frozen reference implementations of the fleet serving set-up paths.
+
+This module pins the seed semantics of two serving-plane pieces that were
+rewritten for speed:
+
+* :func:`reference_sensor_noise` — the fleet's per-vehicle SoC noise,
+  built by spawning one ``SeedSequence`` child for *every* vehicle of the
+  global population and drawing from the faulty ones' children;
+* :class:`ReferenceLRUServer` — a :class:`repro.serve.PolicyServer`
+  whose decisions go through the seed ``OrderedDict`` LRU cache (a
+  Python loop of ``get``/``move_to_end`` over the unique states, capped
+  at 4096 entries), cleared at the seed's three sites: activation,
+  fallback and rollback.
+
+The equivalence suite (``tests/test_serve_equivalence.py``) drives these
+side by side with the production paths and demands byte-identical noise
+and identical decisions and cache counters.  None of this is used by the
+package.  Do **not** "optimise" this file — its value is that it does not
+change.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+from typing import List
+
+import numpy as np
+
+from repro.errors import ServeError
+from repro.serve import FleetConfig, PolicyServer
+
+NOISE_STREAM_KEY = 0x5EED
+"""The seed fleet's SeedSequence key of the sensor-noise streams."""
+
+
+def reference_sensor_noise(cfg: FleetConfig, faulty: np.ndarray,
+                           steps: int) -> np.ndarray:
+    """The seed ``(steps, vehicles)`` noise matrix of a fleet slice."""
+    n = cfg.vehicles
+    lo = cfg.vehicle_offset
+    total = cfg.total_vehicles if cfg.total_vehicles is not None else n
+    children = np.random.SeedSequence(
+        [cfg.seed, NOISE_STREAM_KEY]).spawn(total)
+    noise = np.zeros((steps, n))
+    for i in np.flatnonzero(faulty):
+        noise[:, i] = np.random.default_rng(
+            children[lo + int(i)]).normal(0.0, cfg.sensor_noise,
+                                          size=steps)
+    return noise
+
+
+class ReferenceLRUServer(PolicyServer):
+    """A policy server deciding through the seed LRU decision cache."""
+
+    cache_size = 4096
+    """The seed ``ServeConfig.cache_size`` default."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._cache: "OrderedDict[int, int]" = OrderedDict()
+
+    def _activate(self, artifact, reason: str) -> None:
+        self._previous = self._active
+        self._active = artifact
+        self._last_fingerprint = artifact.fingerprint
+        self._cache.clear()
+        self.swaps += 1
+        self._count("serve.swap")
+        self._set_version_gauge()
+        if self._telemetry is not None:
+            previous = self._previous.version if self._previous else 0
+            self._telemetry.event("serve_swap", from_version=previous,
+                                  to_version=artifact.version,
+                                  activated="yes", reason=reason)
+
+    def _engage_fallback(self) -> None:
+        self._previous = self._active
+        self._active = None
+        self._cache.clear()
+        self._set_version_gauge()
+
+    def rollback(self, reason: str = "manual") -> int:
+        if self._previous is None:
+            raise ServeError("no previous policy to roll back to")
+        rolled_from = self.active_version
+        self._active = self._previous
+        self._previous = None
+        self._last_fingerprint = self._active.fingerprint
+        self._cache.clear()
+        self.rollbacks += 1
+        self._count("serve.rollback")
+        self._set_version_gauge()
+        if self._telemetry is not None:
+            self._telemetry.event("serve_rollback", version=rolled_from,
+                                  reason=reason, decisions=self.decisions)
+        return self.active_version
+
+    def _decide(self, states: np.ndarray) -> np.ndarray:
+        states = np.atleast_1d(np.asarray(states, dtype=np.intp))
+        self.decisions += int(states.size)
+        active = self._active
+        if active is None:
+            self.fallback_decisions += int(states.size)
+            return np.full(states.shape, self._fallback_action(),
+                           dtype=np.intp)
+        self._check_states(states, active)
+        uniq, inverse = np.unique(states, return_inverse=True)
+        cache = self._cache
+        uniq_actions = np.empty(uniq.shape, dtype=np.intp)
+        missing: List[int] = []
+        for i, state in enumerate(uniq.tolist()):
+            action = cache.get(state)
+            if action is None:
+                missing.append(i)
+            else:
+                uniq_actions[i] = action
+                cache.move_to_end(state)
+        self.cache_hits += len(uniq) - len(missing)
+        if missing:
+            self.cache_misses += len(missing)
+            fresh = active.greedy(uniq[missing])
+            for i, action in zip(missing, fresh.tolist()):
+                uniq_actions[i] = action
+                cache[int(uniq[i])] = int(action)
+            while len(cache) > self.cache_size:
+                cache.popitem(last=False)
+        return uniq_actions[inverse].reshape(states.shape)

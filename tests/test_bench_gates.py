@@ -123,7 +123,7 @@ def test_batched_decision_speedup(tmp_path):
     server.activate(registry.load(registry.publish(agent)))
     states = np.random.default_rng(SEED).integers(
         0, server.active_artifact.num_states, size=4096)
-    server.decide(states)  # warm the LRU cache for both paths
+    server.decide(states)  # warm the decision memo for both paths
     batched = _best_rate(
         lambda: [server.decide(states) for _ in range(20)], 20 * 4096)
     scalar = _best_rate(

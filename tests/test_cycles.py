@@ -109,6 +109,46 @@ class TestSynthesis:
             assert c.speeds[0] == 0.0
             assert c.speeds[-1] == 0.0
 
+    @pytest.mark.parametrize("name", sorted(STANDARD_SPECS))
+    def test_builtin_equals_fresh_synthesis(self, name):
+        cycle = standard_cycle(name)
+        fresh = synthesize(STANDARD_SPECS[name])
+        assert cycle.name == fresh.name
+        assert cycle.dt == fresh.dt
+        for got, want in ((cycle.speeds, fresh.speeds),
+                          (cycle.grades, fresh.grades)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STANDARD_SPECS))
+    def test_builtin_traces_are_read_only(self, name):
+        cycle = standard_cycle(name)
+        for trace in (cycle.speeds, cycle.grades):
+            with pytest.raises(ValueError):
+                trace[0] = 1.0
+            with pytest.raises(ValueError):
+                trace += 1.0
+        assert standard_cycle(name).speeds[0] == 0.0
+
+    def test_synthesised_once_per_name(self, monkeypatch):
+        from repro.cycles import standard
+
+        calls = []
+
+        def counting(spec):
+            calls.append(spec.name)
+            return synthesize(spec)
+
+        monkeypatch.setattr(standard, "_SYNTHESISED", {})
+        monkeypatch.setattr(standard, "synthesize", counting)
+        cycles = [standard_cycle(name) for name in ("udds", "UDDS", "Udds")]
+        cycles.append(standard_cycle("NYCC"))
+        cycles.append(standard_cycle("nycc"))
+        assert calls == ["UDDS", "NYCC"]
+        assert len({id(c) for c in cycles}) == len(cycles)
+        cycles[0].name = "renamed"
+        assert standard_cycle("UDDS").name == "UDDS"
+
     def test_unknown_cycle_raises(self):
         with pytest.raises(KeyError):
             standard_cycle("NOPE")

@@ -564,6 +564,16 @@ class TestBoundedQueue:
 
 
 class TestFleet:
+    @pytest.mark.parametrize("field, value", [
+        ("dt", 0.0), ("dt", -1.0), ("dt", float("nan")),
+        ("dt", float("inf")), ("sensor_noise", -0.02),
+        ("sensor_noise", float("nan")), ("sensor_noise", float("inf")),
+    ])
+    def test_config_rejects_bad_dt_and_noise(self, field, value):
+        with pytest.raises(ServeError, match=field):
+            FleetConfig(vehicles=16, steps=3, fault_fraction=1.0,
+                        **{field: value})
+
     def test_state_of_batch_matches_scalar_golden(self):
         disc = StateDiscretizer()
         rng = np.random.default_rng(5)

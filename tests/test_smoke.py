@@ -13,13 +13,20 @@ import pytest
 
 from repro import default_vehicle
 from repro.control import RuleBasedController
-from repro.cycles import udds
+from repro.control.rl_controller import build_rl_controller
+from repro.cycles import DriveCycle, udds
 from repro.faults.models import AuxLoadSpike, EnginePowerLoss, MotorDerating
 from repro.faults.scenarios import Scenario
 from repro.faults.schedule import FaultSchedule, ScheduledFault
 from repro.powertrain.solver import PowertrainSolver
+from repro.rl.persistence import _fingerprint
 from repro.safety import SafetySupervisor, SupervisorConfig
-from repro.sim import Simulator, evaluate
+from repro.serve import (CanaryConfig, FleetConfig, FleetSimulator,
+                         PolicyRegistry, PolicyServer)
+from repro.sim import Simulator, evaluate, train
+
+ROLLBACK_BUDGET = 4000
+"""Canary decision budget the serving smoke's forced rollback must beat."""
 
 
 def severe_scenario() -> Scenario:
@@ -80,3 +87,69 @@ def test_guard_limps_home_through_a_severe_fault():
     mpg = result.corrected_mpg()
     assert np.isfinite(mpg) and mpg > 0.0, \
         f"limp-home corrected MPG must be positive and finite, got {mpg}"
+
+
+def _tiny_trained_agent():
+    """A quickly but genuinely trained agent (short synthetic cycle)."""
+    speeds = np.concatenate([np.linspace(0.0, 12.0, 20),
+                             np.linspace(12.0, 0.0, 20)])
+    cycle = DriveCycle("smoke-serve", speeds)
+    solver = PowertrainSolver(default_vehicle())
+    controller = build_rl_controller(solver, seed=7)
+    train(Simulator(solver), controller, cycle, episodes=3,
+          evaluate_after=False)
+    return controller.agent
+
+
+@pytest.mark.smoke
+def test_serving_swaps_refuses_and_rolls_back(tmp_path):
+    """The serving layer's headline promises, end to end.
+
+    A tiny trained policy is published to a registry and served over
+    the whole state grid.  A hot-swap to a bit-identical republish must
+    change no decision; a swap to a candidate with corrupted table bytes
+    must be refused with the incumbent untouched; and a canary of a
+    deliberately scrambled candidate over a fleet run must end in an
+    automatic rollback within the decision budget, with the incumbent
+    still serving.
+    """
+    agent = _tiny_trained_agent()
+    registry = PolicyRegistry(tmp_path / "registry")
+    registry.publish(agent)          # v1: incumbent
+    registry.publish(agent)          # v2: bit-identical swap partner
+    registry.publish(agent)          # v3: will be corrupted
+    registry.publish_table(          # v4: scrambled canary candidate
+        np.zeros_like(agent.learner.qtable.values) - 5.0,
+        _fingerprint(agent))
+
+    server = PolicyServer(registry)
+    server.activate(registry.load(1))
+    grid = np.arange(registry.load(1).num_states)
+    baseline = server.decide(grid)
+
+    report = server.swap(version=2)
+    assert report.activated, f"identical hot-swap refused: {report.reason}"
+    assert np.array_equal(server.decide(grid), baseline), \
+        "hot-swap of a bit-identical policy changed decisions"
+
+    blob = bytearray(registry.path_for(3).read_bytes())
+    blob[-7] ^= 0x20
+    registry.path_for(3).write_bytes(bytes(blob))
+    report = server.swap(version=3)
+    assert not report.activated, "a corrupt candidate was activated"
+    assert np.array_equal(server.decide(grid), baseline), \
+        "a refused swap perturbed the incumbent"
+
+    server.begin_canary(version=4, canary_config=CanaryConfig(
+        fraction=0.25, min_samples=64, sigmas=2.0,
+        decision_budget=ROLLBACK_BUDGET, intervention_margin=0.02))
+    result = FleetSimulator(server, FleetConfig(
+        vehicles=512, steps=40, seed=2)).run()
+    assert result.canary_verdict == "rollback", (
+        f"forced canary regression ended in {result.canary_verdict!r}, "
+        "not rollback")
+    assert result.rollback["decisions"] <= ROLLBACK_BUDGET, (
+        f"rollback took {result.rollback['decisions']} decisions, over "
+        f"the {ROLLBACK_BUDGET} budget")
+    assert server.active_version == 2, \
+        f"rollback left v{server.active_version} serving, not the incumbent"
