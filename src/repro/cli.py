@@ -78,7 +78,7 @@ from repro.faults import FaultHarness, builtin_scenarios, get_scenario
 from repro.powertrain import PowertrainSolver
 from repro.rl.persistence import load_policy, save_policy
 from repro.sim import Simulator, evaluate, evaluate_stationary, run_robustness, train
-from repro.sim.callbacks import ProgressPrinter, train_with_callbacks
+from repro.sim.callbacks import ProgressPrinter
 from repro.vehicle import default_vehicle
 
 _BASELINES = {
@@ -377,9 +377,8 @@ def _cmd_train(args) -> int:
         simulator = Simulator(solver, telemetry=telemetry)
         _LOG.info("training %s on %s for %d episodes", args.variant, cycle,
                   args.episodes)
-        run = train_with_callbacks(simulator, controller, cycle,
-                                   episodes=args.episodes,
-                                   callbacks=[ProgressPrinter(every=10)])
+        run = train(simulator, controller, cycle, episodes=args.episodes,
+                    callback=ProgressPrinter(every=10), seed=args.seed)
     if len(run.episodes) >= 2:
         print("learning curve (reward/episode): "
               + sparkline(run.learning_curve))
@@ -486,7 +485,7 @@ def _cmd_compare(args) -> int:
     controller = build_rl_controller(solver, seed=args.seed)
     _LOG.info("training on %s (%d episodes)...", cycle, args.episodes)
     train(simulator, controller, cycle, episodes=args.episodes,
-          evaluate_after=False)
+          evaluate_after=False, seed=args.seed)
     rows = {"rl (proposed)": evaluate_stationary(simulator, controller,
                                                  cycle)}
     for name, factory in sorted(_BASELINES.items()):
@@ -605,7 +604,8 @@ def _seeded_registry(args):
         _LOG.info("registry %s is empty; training %d episode(s) on %s",
                   args.registry, args.train_episodes, cycle)
         train(Simulator(solver), controller, cycle,
-              episodes=args.train_episodes, evaluate_after=False)
+              episodes=args.train_episodes, evaluate_after=False,
+              seed=args.seed)
         version = registry.publish(controller.agent)
         _LOG.info("published trained policy as v%d", version)
     return registry

@@ -80,11 +80,6 @@ class DPSolution:
         """Linear interpolation of the value function at (t, soc)."""
         return float(np.interp(soc, self.soc_grid, self.values[t]))
 
-    @property
-    def optimal_cost(self) -> float:
-        """Cost-to-go from the initial SoC at departure (grams equivalent)."""
-        return self.cost_to_go(0, self.initial_soc)
-
 
 def _action_grid(solver: PowertrainSolver, config: DPConfig):
     i_max = solver.params.battery.max_current

@@ -267,8 +267,9 @@ class PowertrainSolver:
                           a_fp: np.ndarray) -> np.ndarray:
         """Motor fixed-point power inversion over workspace scratch buffers.
 
-        Same five ``torque <-> efficiency`` sweeps as
-        :meth:`Motor.torque_from_electrical_power`, with the speed-dependent
+        Same fixed point as :meth:`Motor.torque_from_electrical_power`
+        (five torque evaluations, the efficiency re-derived from the torque
+        between consecutive ones), with the speed-dependent
         subexpressions (``safe_speed``, torque limit, ``1 - 0.5 ds^2``)
         precomputed per unique gear and gathered.  The caller applies the
         zero-speed cutoff.  Returns a workspace buffer.
@@ -279,7 +280,19 @@ class PowertrainSolver:
         tmp = ws.buf("fp_tmp")
         generating = np.less(power, 0.0, out=ws.bool_buf("fp_generating"))
         eta.fill(tables.motor_peak_efficiency)
-        for _ in range(5):
+        for sweep in range(5):
+            if sweep:
+                # eta = clip(peak * ((1 - 0.5 ds^2) - 0.45 dt^2), floor, peak)
+                np.abs(torque, out=tmp)
+                np.divide(tmp, t_lim_fp, out=tmp)
+                np.minimum(tmp, 1.5, out=tmp)
+                np.subtract(tmp, tables.motor_opt_torque_fraction, out=tmp)
+                np.power(tmp, 2.0, out=tmp)
+                np.multiply(tmp, 0.45, out=tmp)
+                np.subtract(a_fp, tmp, out=tmp)
+                np.multiply(tmp, tables.motor_peak_efficiency, out=tmp)
+                np.maximum(tmp, tables.motor_efficiency_floor, out=tmp)
+                np.minimum(tmp, tables.motor_peak_efficiency, out=eta)
             # torque = where(motoring, power * eta / safe_speed,
             #                power / (eta * safe_speed))
             np.multiply(power, eta, out=torque)
@@ -287,17 +300,6 @@ class PowertrainSolver:
             np.multiply(eta, safe_speed, out=tmp)
             np.divide(power, tmp, out=tmp)
             np.copyto(torque, tmp, where=generating)
-            # eta = clip(peak * ((1 - 0.5 ds^2) - 0.45 dt^2), floor, peak)
-            np.abs(torque, out=tmp)
-            np.divide(tmp, t_lim_fp, out=tmp)
-            np.minimum(tmp, 1.5, out=tmp)
-            np.subtract(tmp, tables.motor_opt_torque_fraction, out=tmp)
-            np.power(tmp, 2.0, out=tmp)
-            np.multiply(tmp, 0.45, out=tmp)
-            np.subtract(a_fp, tmp, out=tmp)
-            np.multiply(tmp, tables.motor_peak_efficiency, out=tmp)
-            np.maximum(tmp, tables.motor_efficiency_floor, out=tmp)
-            np.minimum(tmp, tables.motor_peak_efficiency, out=eta)
         return torque
 
     def _moving_grid(self, ws: ActionGridWorkspace, wheel_speed: float,

@@ -136,22 +136,6 @@ class PowertrainTables:
         soc = min(max(float(soc), 0.0), 1.0)
         return self.voltage_at_empty + self.voc_span * soc
 
-    def feasible_gear_mask(self, wheel_speed: float,
-                           engine_needed: bool = True) -> np.ndarray:
-        """Boolean per-gear feasibility at a wheel speed (exact algebra).
-
-        A gear is feasible when the EM stays inside its speed envelope and,
-        if ``engine_needed``, the crankshaft lands inside the engine band —
-        the same comparisons :meth:`Transmission.feasible_gears` makes, but
-        against the precomputed coefficient tables.
-        """
-        omega_eng = wheel_speed * self.ratios
-        ok = omega_eng * self.reduction_ratio <= self.motor_max_speed
-        if engine_needed:
-            ok = ok & ((omega_eng >= self.engine_min_speed)
-                       & (omega_eng <= self.engine_max_speed))
-        return ok
-
 
 class ActionGridWorkspace:
     """A fixed candidate action grid bound to a solver, with reusable state.
@@ -249,13 +233,5 @@ class ActionGridWorkspace:
         arr = self._scratch.get(name)
         if arr is None:
             arr = np.empty(self.n, dtype=bool)
-            self._scratch[name] = arr
-        return arr
-
-    def unique_buf(self, name: str) -> np.ndarray:
-        """A reusable float scratch array of unique-gear length."""
-        arr = self._scratch.get(name)
-        if arr is None:
-            arr = np.empty(self.n_unique)
             self._scratch[name] = arr
         return arr

@@ -136,11 +136,6 @@ class CanaryRollout:
         return self._canary.count
 
     @property
-    def incumbent_decisions(self) -> int:
-        """Decisions served by the incumbent since the rollout began."""
-        return self._incumbent.count
-
-    @property
     def verdict(self) -> Optional[str]:
         """``"rollback"``, ``"promote"``, or ``None`` while undecided."""
         return self._verdict

@@ -28,7 +28,7 @@ from repro.exec import Supervisor, Task, TaskFailure
 from repro.powertrain.solver import PowertrainSolver
 from repro.sim.results import EpisodeResult
 from repro.sim.simulator import Simulator
-from repro.sim.training import train
+from repro.sim.training import evaluate, train
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,10 @@ def _run_repetition(controller_factory, solver_factory, cycle, seed,
     solver = solver_factory()
     simulator = Simulator(solver)
     controller = controller_factory(solver, int(seed))
-    run = train(simulator, controller, cycle, episodes=episodes,
-                initial_soc=initial_soc, seed=int(seed),
-                evaluate_after=faults is None)
-    if faults is not None:
-        run.evaluation = simulator.run_episode(
-            controller, cycle, initial_soc=initial_soc, learn=False,
-            greedy=True, faults=faults)
-    return run.evaluation
+    train(simulator, controller, cycle, episodes=episodes,
+          initial_soc=initial_soc, seed=int(seed), evaluate_after=False)
+    return evaluate(simulator, controller, cycle, initial_soc=initial_soc,
+                    faults=faults)
 
 
 def run_batch(controller_factory: Callable[[PowertrainSolver, int],

@@ -2,25 +2,28 @@
 
 :func:`repro.sim.training.train` accepts a single ``callback(episode,
 result)``; this module provides composable implementations — a progress
-printer, reward-plateau early stopping (raise :class:`StopTraining`), and a
-best-policy checkpointer built on :mod:`repro.rl.persistence` — plus
-:class:`CallbackList` to chain them.
+printer, reward-plateau early stopping, and a best-policy checkpointer
+built on :mod:`repro.rl.persistence` — plus :class:`CallbackList` to chain
+them::
+
+    train(simulator, controller, cycle, episodes=200,
+          callback=CallbackList([ProgressPrinter(every=10),
+                                 EarlyStopping(patience=15)]))
+
+Early stopping raises :class:`~repro.sim.training.StopTraining` (re-exported
+here), which ``train()`` turns into a clean end of the loop.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 from repro.rl.agent import JointControlAgent
 from repro.rl.persistence import save_policy
 from repro.sim.results import EpisodeResult
-
-
-class StopTraining(Exception):
-    """Raised by a callback to end training early (caught by callers that
-    opt into early stopping via :func:`train_with_callbacks`)."""
+from repro.sim.training import StopTraining
 
 
 class CallbackList:
@@ -98,47 +101,3 @@ class BestPolicyCheckpoint:
             self.best = result.total_reward
             save_policy(self._agent, self._path)
             self.saves += 1
-
-
-def train_with_callbacks(simulator, controller, cycle, episodes: int,
-                         callbacks: Sequence[Callable[[int, EpisodeResult],
-                                                      None]],
-                         initial_soc: float = 0.60):
-    """Like :func:`repro.sim.training.train`, but :class:`StopTraining`
-    raised by a callback ends training cleanly (the greedy evaluation still
-    runs)."""
-    from repro.sim.training import TrainingRun, evaluate
-
-    chain = CallbackList(callbacks)
-    telemetry = simulator.telemetry
-    span = None
-    if telemetry is not None:
-        span = telemetry.tracer.start(
-            "train.run", cycle=cycle.name, episodes=episodes,
-            first_episode=0, resumed=False)
-    run = TrainingRun()
-    completed = False
-    try:
-        for ep in range(episodes):
-            result = simulator.run_episode(controller, cycle,
-                                           initial_soc=initial_soc,
-                                           learn=True)
-            run.episodes.append(result)
-            if telemetry is not None:
-                telemetry.event(
-                    "training_episode", episode=ep,
-                    total_reward=float(result.total_reward),
-                    final_soc=float(result.final_soc))
-            try:
-                chain(ep, result)
-            except StopTraining:
-                break
-        run.evaluation = evaluate(simulator, controller, cycle,
-                                  initial_soc=initial_soc)
-        completed = True
-    finally:
-        if span is not None:
-            telemetry.tracer.end(
-                span, trained=len(run.episodes),
-                outcome="ok" if completed else "error")
-    return run

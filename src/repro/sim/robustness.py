@@ -114,10 +114,6 @@ class RobustnessReport:
             return 1.0
         return len(self.rows) / self.planned
 
-    def for_scenario(self, scenario: str) -> List[RobustnessRow]:
-        """Rows of one scenario across controllers."""
-        return [r for r in self.rows if r.scenario == scenario]
-
     def worst_retention(self) -> float:
         """Smallest MPG retention across all faulted runs."""
         faulted = [r.mpg_retention for r in self.rows

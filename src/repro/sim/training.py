@@ -26,6 +26,15 @@ from repro.sim.results import EpisodeResult
 from repro.sim.simulator import Simulator
 
 
+class StopTraining(Exception):
+    """Raised by a :func:`train` callback to end training cleanly.
+
+    The episode whose callback raised stays in :attr:`TrainingRun.episodes`
+    and is checkpointed if ``checkpoint_every`` makes it due; the greedy
+    evaluation still runs.  Any other exception from a callback propagates.
+    """
+
+
 @dataclass
 class TrainingRun:
     """Outcome of a training session."""
@@ -101,9 +110,14 @@ def train(simulator: Simulator, controller: Controller, cycle: DriveCycle,
     repeatable single-start training.
 
     ``callback(episode_index, result)`` runs after each episode (progress
-    reporting, early stopping by raising, ...).  When ``evaluate_after`` is
-    set, a final greedy non-learning drive from the nominal ``initial_soc``
-    is recorded in ``evaluation``.
+    reporting, best-policy saving, ...; chain several with
+    :class:`repro.sim.callbacks.CallbackList`).  A callback that raises
+    :class:`StopTraining` ends the loop cleanly: that episode stays in
+    ``episodes``, its checkpoint is written if due, the evaluation below
+    still runs, and the run is bit-identical to an uninterrupted one with
+    that many episodes.  Any other exception from the callback propagates.
+    When ``evaluate_after`` is set, a final greedy non-learning drive from
+    the nominal ``initial_soc`` is recorded in ``evaluation``.
 
     **Crash safety** — ``checkpoint_path`` writes an atomic training
     checkpoint (:func:`repro.rl.persistence.save_checkpoint`) every
@@ -161,12 +175,18 @@ def train(simulator: Simulator, controller: Controller, cycle: DriveCycle,
                     "training_episode", episode=ep,
                     total_reward=float(result.total_reward),
                     final_soc=float(result.final_soc))
+            stop = False
             if callback is not None:
-                callback(ep, result)
+                try:
+                    callback(ep, result)
+                except StopTraining:
+                    stop = True
             if (checkpoint_path is not None
                     and (ep + 1) % checkpoint_every == 0):
                 save_checkpoint(agent, checkpoint_path, episode=ep + 1,
                                 train_rng=rng)
+            if stop:
+                break
         if evaluate_after:
             run.evaluation = evaluate(simulator, controller, cycle,
                                       initial_soc=initial_soc)

@@ -132,13 +132,6 @@ class Battery:
         at_imax = voc * p.max_current - p.discharge_resistance * p.max_current ** 2
         return np.minimum(resistive, at_imax)
 
-    def max_charge_power(self, soc: ArrayLike) -> ArrayLike:
-        """Largest bus power magnitude the pack can sink at this SoC, W (positive)."""
-        voc = np.asarray(self.open_circuit_voltage(soc), dtype=float)
-        p = self._params
-        i = p.max_current
-        return voc * i + p.charge_resistance * i ** 2
-
     # --- Coulomb counting --------------------------------------------------------
 
     def step(self, state: BatteryState, current: float, dt: float) -> BatteryState:

@@ -124,13 +124,14 @@ class Motor:
         t_lim = np.maximum(self.max_torque(speed), 1e-9)
         motoring = power >= 0.0
         # Fixed-point iteration from the peak-efficiency guess; efficiency
-        # varies slowly with torque, so a few sweeps converge to well below
-        # the solver's torque tolerance.
+        # varies slowly with torque, so five torque evaluations (the
+        # efficiency re-derived between them) converge to well below the
+        # solver's torque tolerance.
         eta = np.full(np.broadcast(power, speed).shape,
                       self._params.peak_efficiency)
-        torque = np.zeros_like(eta)
-        for _ in range(5):
+        for sweep in range(5):
+            if sweep:
+                eta = self._efficiency_given_limit(torque, speed, t_lim)
             torque = np.where(motoring, power * eta / safe_speed,
                               power / (eta * safe_speed))
-            eta = self._efficiency_given_limit(torque, speed, t_lim)
         return np.where(speed > 1e-6, torque, 0.0)

@@ -2,7 +2,14 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.control.rl_controller import build_rl_controller
+from repro.cycles import standard_cycle
+from repro.powertrain import PowertrainSolver
+from repro.rl.persistence import save_policy
+from repro.sim import Simulator, train
+from repro.vehicle import default_vehicle
 
 
 class TestCyclesCommand:
@@ -34,6 +41,45 @@ class TestTrainCommand:
         assert stem.with_suffix(".rpa").exists()
         out = capsys.readouterr().out
         assert "greedy evaluation" in out
+
+
+    def test_saves_the_policy_train_saves(self, tmp_path, capsys):
+        """``repro train`` is ``train()`` with its default exploring starts
+        and the ``--seed`` of both the controller and the start draws."""
+        stem = tmp_path / "cli"
+        assert main(["train", "--cycle", "SC03", "--episodes", "2",
+                     "--repeats", "1", "--seed", "3",
+                     "--save", str(stem)]) == 0
+        solver = PowertrainSolver(default_vehicle())
+        controller = build_rl_controller(solver, seed=3)
+        train(Simulator(solver), controller, standard_cycle("SC03"),
+              episodes=2, seed=3)
+        save_policy(controller.agent, tmp_path / "lib")
+        assert (stem.with_suffix(".rpa").read_bytes()
+                == (tmp_path / "lib.rpa").read_bytes())
+
+
+class _TrainCalled(Exception):
+    """Stops a command at its training call (see the seed test below)."""
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "serve", "learn"])
+def test_seed_reaches_the_exploring_starts(command, tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_train(*args, **kwargs):
+        seen.update(kwargs)
+        raise _TrainCalled
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    argv = [command, "--seed", "7"]
+    if command in ("serve", "learn"):
+        argv += ["--registry", str(tmp_path / "registry")]
+    if command == "learn":
+        argv += ["--workdir", str(tmp_path / "loop")]
+    with pytest.raises(_TrainCalled):
+        main(argv)
+    assert seen["seed"] == 7
 
 
 class TestEvaluateCommand:

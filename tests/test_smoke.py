@@ -8,13 +8,17 @@ smoke -q``.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro import default_vehicle
+from repro.chaos import FAULT_KINDS, ChaosPlan, run_campaign
 from repro.control import RuleBasedController
 from repro.control.rl_controller import build_rl_controller
 from repro.cycles import DriveCycle, udds
+from repro.exec import Supervisor, SweepManifest, Task
 from repro.faults.models import AuxLoadSpike, EnginePowerLoss, MotorDerating
 from repro.faults.scenarios import Scenario
 from repro.faults.schedule import FaultSchedule, ScheduledFault
@@ -27,6 +31,9 @@ from repro.sim import Simulator, evaluate, train
 
 ROLLBACK_BUDGET = 4000
 """Canary decision budget the serving smoke's forced rollback must beat."""
+
+CHAOS_SEEDS = 3
+"""Campaign seeds of the chaos smoke (full fault catalog per seed)."""
 
 
 def severe_scenario() -> Scenario:
@@ -153,3 +160,80 @@ def test_serving_swaps_refuses_and_rolls_back(tmp_path):
         f"the {ROLLBACK_BUDGET} budget")
     assert server.active_version == 2, \
         f"rollback left v{server.active_version} serving, not the incumbent"
+
+
+@pytest.mark.smoke
+def test_chaos_campaign_holds_every_invariant():
+    """A 3-seed chaos campaign over the full fault catalog.
+
+    Torn/corrupt/duplicated/reordered journals, ENOSPC on journal appends
+    and table saves, slow I/O, SIGTERM-proof hangs, bit flips and cuts in
+    ``.rpa`` table files and a regressed candidate must all be detected,
+    every resumable fault recovered, no invariant violated, and every
+    seed's fault plan deterministic (``docs/ROBUSTNESS.md``).
+    """
+    report = run_campaign(seeds=CHAOS_SEEDS)
+    rendered = report.render()
+    assert report.detection_rate == 1.0, rendered
+    assert report.recovery_rate == 1.0, rendered
+    assert not report.violations, rendered
+    assert report.faults == CHAOS_SEEDS * len(FAULT_KINDS), (
+        f"ran {report.faults} faults, expected "
+        f"{CHAOS_SEEDS * len(FAULT_KINDS)}")
+    for seed in range(CHAOS_SEEDS):
+        assert ChaosPlan.generate(seed) == ChaosPlan.generate(seed), \
+            f"seed {seed}: fault plan is not deterministic"
+
+
+def _square_task(key: str, value: int) -> Task:
+    return Task(key=key, spec={"kind": "smoke", "key": key},
+                fn=lambda: value * value)
+
+
+def _crash() -> None:
+    raise RuntimeError("injected crash")
+
+
+def _hang() -> None:
+    time.sleep(60)
+
+
+def _supervised_sweep(manifest: SweepManifest):
+    supervisor = Supervisor(jobs=2, timeout=2.0, retries=1,
+                            manifest=manifest, failure_mode="quarantine")
+    tasks = [
+        _square_task("alpha", 3),
+        Task(key="crash", spec={"kind": "smoke", "key": "crash"}, fn=_crash),
+        _square_task("beta", 4),
+        Task(key="hang", spec={"kind": "smoke", "key": "hang"}, fn=_hang),
+    ]
+    return supervisor.run(tasks)
+
+
+@pytest.mark.smoke
+def test_parallel_sweep_quarantines_and_resumes(tmp_path):
+    """A 2-worker supervised sweep with injected failures, then a resume.
+
+    Of four tasks, two healthy, one crashing and one hanging past the
+    wall-clock timeout, the sweep must quarantine exactly the two bad ones
+    with structured failure records after one retry each.  Re-launching it
+    with ``resume`` must replay the finished tasks from the manifest and
+    reproduce the results.
+    """
+    path = tmp_path / "smoke.jsonl"
+    first = _supervised_sweep(SweepManifest(path))
+    assert first.results == {"alpha": 9, "beta": 16}, first.results
+    assert sorted(first.quarantined) == ["crash", "hang"], first.quarantined
+    kinds = {f.key: f.kind for f in first.failures}
+    assert kinds["crash"] == "error", kinds
+    assert kinds["hang"] == "timeout", kinds
+    attempts = {f.key: f.attempts for f in first.failures}
+    assert attempts == {"crash": 2, "hang": 2}, attempts  # 1 retry each
+    assert all(f.exception_type == "RuntimeError"
+               for f in first.failures if f.key == "crash")
+    assert abs(first.coverage - 0.5) < 1e-12
+
+    second = _supervised_sweep(SweepManifest(path, resume=True))
+    assert second.results == first.results, second.results
+    assert sorted(second.resumed) == ["alpha", "beta"], second.resumed
+    assert sorted(second.quarantined) == ["crash", "hang"]

@@ -25,6 +25,7 @@ from repro.exec import Supervisor, SweepManifest, Task, TaskFailure
 from repro.powertrain import PowertrainSolver
 from repro.safety import SafetySupervisor
 from repro.sim import Simulator, evaluate, train
+from repro.sim.callbacks import EarlyStopping
 from repro.telemetry import (
     Counter,
     EventSink,
@@ -494,6 +495,22 @@ class TestSimulatorInstrumentation:
                     if r["type"] == "training_episode"]) == 3
         # 3 training episodes + the greedy evaluation
         assert len([r for r in records if r["type"] == "episode"]) == 4
+
+    def test_stopped_training_span_ends_ok(self, cycle, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with Telemetry(path) as tel:
+            solver = PowertrainSolver(default_vehicle())
+            simulator = Simulator(solver, telemetry=tel)
+            train(simulator, build_rl_controller(solver, seed=5), cycle,
+                  episodes=10,
+                  callback=EarlyStopping(patience=2, min_delta=1e9))
+        records = read_events(path)
+        (span,) = [r for r in records
+                   if r["type"] == "span" and r["name"] == "train.run"]
+        assert span["attributes"]["trained"] == 3
+        assert span["attributes"]["outcome"] == "ok"
+        assert len([r for r in records
+                    if r["type"] == "training_episode"]) == 3
 
 
 class _BoomController(Controller):
