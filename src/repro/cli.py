@@ -395,6 +395,9 @@ def _build_eval_controller(solver, args):
         controller = build_rl_controller(solver, seed=args.seed)
         if args.policy:
             load_policy(controller.agent, args.policy)
+        else:
+            print("warning: the RL controller is untrained (no --policy): "
+                  "it drives a fresh Q-table", file=sys.stderr)
         return controller
     return _BASELINES[args.controller](solver)
 

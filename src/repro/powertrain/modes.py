@@ -42,12 +42,21 @@ def classify(engine_torque: np.ndarray, motor_torque: np.ndarray,
     ``braking`` marks steps whose demanded wheel torque is negative.  The
     returned array holds :class:`OperatingMode` integer values.
     """
-    engine_on = engine_torque > torque_tol
-    motoring = motor_torque > torque_tol
-    generating = motor_torque < -torque_tol
-    standstill = wheel_speed <= 1e-9
+    return classify_flags(engine_torque > torque_tol,
+                          motor_torque > torque_tol,
+                          motor_torque < -torque_tol,
+                          wheel_speed <= 1e-9, braking)
 
-    mode = np.full(np.shape(engine_torque), int(OperatingMode.IDLE))
+
+def classify_flags(engine_on: np.ndarray, motoring: np.ndarray,
+                   generating: np.ndarray, standstill: np.ndarray,
+                   braking: np.ndarray) -> np.ndarray:
+    """The mode rules of :func:`classify` over precomputed boolean flags.
+
+    The solver tabulates these rules over every flag pattern of a moving,
+    non-braking step, so they have this one implementation.
+    """
+    mode = np.full(np.shape(engine_on), int(OperatingMode.IDLE))
     mode = np.where(engine_on & ~motoring & ~generating,
                     int(OperatingMode.ICE_ONLY), mode)
     mode = np.where(~engine_on & motoring, int(OperatingMode.EM_ONLY), mode)

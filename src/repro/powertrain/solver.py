@@ -36,8 +36,22 @@ The batch kernel is organised around two precomputation layers (see
   configuration and rebuilt automatically when fault injection re-runs
   ``__init__`` in place), and
 * per-action-grid statics (:class:`ActionGridWorkspace`, built once per
-  controller grid and reused every step), with per-*unique-gear* evaluation
-  of the gear-dependent quantities followed by ``np.take`` gathers.
+  controller grid and reused every step): the gear ratios gathered per
+  unique gear and per action.  A speed-dependent quantity that costs
+  several array calls is evaluated per *unique gear* and gathered with
+  ``np.take``; one that costs a single ufunc is computed on the whole grid.
+
+At a few hundred actions each numpy call costs more in overhead than in
+arithmetic, so the kernel is written to make few of them.  It calls no
+component model: the road load, the motor and engine torque limits, the
+motor efficiency map and its power inversion, and the battery's power and
+current relations each have one implementation here or in the tables,
+used at every site, including the rare over-charge and starvation
+corrections.  Two-branch ``where`` selections whose selected branch is
+always the smaller (or larger) of the two are ``np.minimum`` (or
+``np.maximum``), clamps are the ``clip`` ufunc, and the mode of a moving
+step is an 8-entry table lookup built from
+:func:`repro.powertrain.modes.classify_flags`.
 
 The kernel is arithmetically **bit-identical** to the frozen seed
 implementation preserved in ``tests/reference_solver.py`` — same
@@ -50,12 +64,12 @@ only valid until the next evaluation on that workspace.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.powertrain.modes import OperatingMode, classify
+from repro.powertrain.modes import OperatingMode, classify_flags
 from repro.powertrain.operating_point import BatchResult, OperatingPoint
 from repro.powertrain.tables import ActionGridWorkspace, PowertrainTables
 from repro.vehicle.auxiliary import AuxiliarySystem
@@ -65,6 +79,14 @@ from repro.vehicle.engine import Engine
 from repro.vehicle.motor import Motor
 from repro.vehicle.params import VehicleParams
 from repro.vehicle.transmission import Transmission
+
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+"""The clip ufunc itself (min then max, elementwise): the ``np.clip``
+wrapper costs more than the ``np.minimum(np.maximum(...))`` pair it would
+replace."""
 
 _TORQUE_TOL = 1e-6
 _SPEED_TOL = 1e-6
@@ -81,6 +103,20 @@ _CONFIG_EPOCHS = itertools.count()
 """Monotonic configuration-epoch source.  Each ``PowertrainSolver.__init__``
 takes a fresh epoch, including the in-place re-initialisations the fault
 harness performs, so caller-held workspaces can detect plant changes."""
+
+
+class _MotorStatics(NamedTuple):
+    """Per-action motor terms of one moving step, for the power inversions."""
+
+    speed: np.ndarray
+    safe_speed: np.ndarray
+    """Speed floored at 1e-6 for the division."""
+    t_lim_fp: np.ndarray
+    """Torque limit floored at 1e-9."""
+    a_fp: np.ndarray
+    """Speed term ``1 - 0.5 ds^2`` of the efficiency map."""
+    stalled: Optional[np.ndarray]
+    """Where the speed is not above 1e-6; None when no action stalls."""
 
 
 class PowertrainSolver:
@@ -167,11 +203,12 @@ class PowertrainSolver:
 
         # One road-load evaluation serves wheel torque and power demand
         # (the seed computed it twice with identical inputs).
-        speed_arr = np.asarray(speed, dtype=float)
-        tractive = self.dynamics.road_load(speed, acceleration, grade).total
-        wheel_speed = float(speed_arr / self.tables.wheel_radius)
-        wheel_torque = float(tractive * self.tables.wheel_radius)
-        p_dem = float(tractive * speed_arr)
+        tables = self.tables
+        speed = float(speed)
+        tractive = tables.tractive_force(speed, float(acceleration), grade)
+        wheel_speed = speed / tables.wheel_radius
+        wheel_torque = float(tractive * tables.wheel_radius)
+        p_dem = float(tractive * speed)
 
         if wheel_speed <= _SPEED_TOL:
             return self._standstill_grid(workspace, p_dem, float(soc), dt)
@@ -187,25 +224,6 @@ class PowertrainSolver:
         return batch.point(0)
 
     # ------------------------------------------------------------ internals ---
-
-    def _soc_after(self, currents: np.ndarray, soc: float, dt: float) -> np.ndarray:
-        """Post-step SoC (fraction) for each actual current, by Coulomb counting."""
-        p = self._params.battery
-        delta = np.where(currents >= 0.0, -currents * dt,
-                         -currents * dt * p.coulombic_efficiency)
-        charge = soc * p.capacity + delta
-        return np.clip(charge / p.capacity, 0.0, 1.0)
-
-    def _window_ok(self, soc_next: np.ndarray) -> np.ndarray:
-        """True where the post-step SoC stays inside the (slackened) window.
-
-        Edge-inclusive: landing exactly on ``soc_min - slack`` (or the upper
-        mirror) is feasible even when floating-point round-off places the
-        computed fraction a few ULPs outside.
-        """
-        p = self._params.battery
-        return ((soc_next >= p.soc_min - _WINDOW_SLACK - _WINDOW_EDGE_TOL)
-                & (soc_next <= p.soc_max + _WINDOW_SLACK + _WINDOW_EDGE_TOL))
 
     def _open_circuit_voltage(self, soc: float) -> np.float64:
         """Scalar OCV, arithmetically identical to :meth:`Battery.open_circuit_voltage`."""
@@ -228,33 +246,19 @@ class PowertrainSolver:
         voc2 = np.float64(np.asarray(voc) ** 2)
 
         # battery.current_for_power(aux, soc) against the precomputed
-        # per-grid discriminant terms (aux is static per workspace).
+        # per-grid discriminant terms (aux is static per workspace); see
+        # _current_for_power for the clamped discharge root.
         disc = voc2 - ws.four_rd_aux
         disc_i = (voc - np.sqrt(np.maximum(disc, 0.0))) / tables.two_rd
-        disc_i = np.where(disc >= 0.0, disc_i, voc / tables.two_rd)
-        chg = voc2 - ws.four_rc_aux
-        chg_i = (voc - np.sqrt(chg)) / tables.two_rc
-        i_act = np.where(ws.aux_nonneg, disc_i, chg_i)
-        i_act = np.minimum(np.maximum(i_act, -tables.max_current),
-                           tables.max_current)
-
-        r_act = np.where(i_act >= 0.0, tables.discharge_resistance,
-                         tables.charge_resistance)
-        p_batt = voc * i_act - r_act * i_act ** 2
-
-        neg_idt = -i_act * dt
-        delta = np.where(i_act >= 0.0, neg_idt,
-                         neg_idt * tables.coulombic_efficiency)
-        charge = soc * tables.capacity + delta
-        soc_next = np.minimum(np.maximum(charge / tables.capacity, 0.0),
-                              1.0)
-        window = ((soc_next >= tables.window_lo)
-                  & (soc_next <= tables.window_hi))
-        feasible = window & ws.ones_bool
+        chg_i = (voc - np.sqrt(voc2 - ws.four_rc_aux)) / tables.two_rc
+        i_act = _clip(np.where(ws.aux_nonneg, disc_i, chg_i),
+                      -tables.max_current, tables.max_current)
+        p_batt = self._terminal_power(i_act, voc)
+        soc_next, window = self._coulomb_count(i_act, soc, dt)
 
         zeros = ws.zeros
         return BatchResult(
-            feasible=feasible, mode=ws.idle_mode, power_demand=p_dem,
+            feasible=window.copy(), mode=ws.idle_mode, power_demand=p_dem,
             wheel_speed=0.0, wheel_torque=0.0, gear=ws.gears,
             engine_speed=zeros, engine_torque=zeros, motor_speed=zeros,
             motor_torque=zeros, battery_current=i_act, battery_power=p_batt,
@@ -262,45 +266,164 @@ class PowertrainSolver:
             meets_demand=ws.ones_bool, window_ok=window, soc_next=soc_next,
             shortfall=zeros)
 
-    def _commanded_torque(self, ws: ActionGridWorkspace, power: np.ndarray,
-                          safe_speed: np.ndarray, t_lim_fp: np.ndarray,
-                          a_fp: np.ndarray) -> np.ndarray:
-        """Motor fixed-point power inversion over workspace scratch buffers.
+    # Battery and motor models over the kernel's statics.  Each is the one
+    # implementation the kernel uses at every site; the same elementwise
+    # operations in the same order as the component model it names.
 
-        Same fixed point as :meth:`Motor.torque_from_electrical_power`
-        (five torque evaluations, the efficiency re-derived from the torque
-        between consecutive ones), with the speed-dependent
-        subexpressions (``safe_speed``, torque limit, ``1 - 0.5 ds^2``)
-        precomputed per unique gear and gathered.  The caller applies the
-        zero-speed cutoff.  Returns a workspace buffer.
+    def _terminal_power(self, current: np.ndarray,
+                        voc: np.float64) -> np.ndarray:
+        """``Battery.terminal_power`` at the step's open-circuit voltage."""
+        tables = self.tables
+        r = np.where(current >= 0.0, tables.discharge_resistance,
+                     tables.charge_resistance)
+        return voc * current - r * np.square(current)
+
+    def _current_for_power(self, power: np.ndarray, voc: np.float64,
+                           voc2: np.float64) -> np.ndarray:
+        """``Battery.current_for_power`` at the step's open-circuit voltage.
+
+        One quadratic with the directional resistance: the model solves a
+        discharge and a charge quadratic and selects by the sign of the
+        power, and the branch it selects sees the power unclamped.  Past
+        the pack's deliverable power (negative discriminant) the model
+        selects ``voc / 2R``, the clamped root here, since ``sqrt(0.0)`` is
+        0.  ``4R * 0.5`` is ``2R`` exactly.
         """
         tables = self.tables
-        eta = ws.buf("fp_eta")
+        four_r = np.where(power >= 0.0, tables.four_rd, tables.four_rc)
+        disc = voc2 - four_r * power
+        root = voc - np.sqrt(np.maximum(disc, 0.0))
+        return root / (four_r * 0.5)
+
+    def _coulomb_count(self, current: np.ndarray, soc: float,
+                       dt: float) -> tuple:
+        """Post-step SoC per action (``Battery.step``) and the window check.
+
+        The check is edge-inclusive up to ``_WINDOW_EDGE_TOL``.
+        """
+        tables = self.tables
+        neg_idt = -current * dt
+        # where(i >= 0, -i dt, -i dt eta_c): with 0 < eta_c <= 1 the
+        # charging term is the smaller one exactly when -i dt > 0.
+        delta = np.minimum(neg_idt, neg_idt * tables.coulombic_efficiency)
+        charge = soc * tables.capacity + delta
+        soc_next = _clip(charge / tables.capacity, 0.0, 1.0)
+        window = ((soc_next >= tables.window_lo)
+                  & (soc_next <= tables.window_hi))
+        return soc_next, window
+
+    def _motor_efficiency(self, torque: np.ndarray, t_lim_fp: np.ndarray,
+                          a_fp: np.ndarray, out=None) -> np.ndarray:
+        """``Motor._efficiency_given_limit`` with the speed terms precomputed.
+
+        ``t_lim_fp`` is the floored torque limit and ``a_fp`` the speed
+        term ``1 - 0.5 ds^2`` of each action's motor speed.
+        """
+        tables = self.tables
+        eta = np.abs(torque, out=out)
+        np.divide(eta, t_lim_fp, out=eta)
+        np.minimum(eta, 1.5, out=eta)
+        np.subtract(eta, tables.motor_opt_torque_fraction, out=eta)
+        np.square(eta, out=eta)
+        np.multiply(eta, 0.45, out=eta)
+        np.subtract(a_fp, eta, out=eta)
+        np.multiply(eta, tables.motor_peak_efficiency, out=eta)
+        return _clip(eta, tables.motor_efficiency_floor,
+                     tables.motor_peak_efficiency, out=eta)
+
+    def _bus_power(self, ws: ActionGridWorkspace, t_em: np.ndarray,
+                   motor: _MotorStatics) -> np.ndarray:
+        """Battery bus power: ``Motor.electrical_power`` plus the aux draw."""
+        mech = t_em * motor.speed
+        eta = self._motor_efficiency(t_em, motor.t_lim_fp, motor.a_fp)
+        # where(mech >= 0, mech / eta, mech * eta): with 0 < eta < 1 the
+        # larger of the two is the selected branch (a tie is one number).
+        p_em = np.divide(mech, eta)
+        np.maximum(p_em, np.multiply(mech, eta, out=eta), out=p_em)
+        return np.add(p_em, ws.aux, out=p_em)
+
+    def _commanded_torque(self, ws: ActionGridWorkspace, power: np.ndarray,
+                          motor: _MotorStatics) -> np.ndarray:
+        """``Motor.torque_from_electrical_power`` over workspace buffers.
+
+        The same fixed point: five torque evaluations, the efficiency
+        re-derived from the torque between consecutive ones, and zero
+        torque where the motor stalls (speed not above 1e-6).  Returns a
+        workspace buffer.
+        """
+        safe_speed = motor.safe_speed
         torque = ws.buf("fp_torque")
         tmp = ws.buf("fp_tmp")
-        generating = np.less(power, 0.0, out=ws.bool_buf("fp_generating"))
-        eta.fill(tables.motor_peak_efficiency)
+        eta_buf = ws.buf("fp_eta")
+        eta = self.tables.motor_peak_efficiency
         for sweep in range(5):
             if sweep:
-                # eta = clip(peak * ((1 - 0.5 ds^2) - 0.45 dt^2), floor, peak)
-                np.abs(torque, out=tmp)
-                np.divide(tmp, t_lim_fp, out=tmp)
-                np.minimum(tmp, 1.5, out=tmp)
-                np.subtract(tmp, tables.motor_opt_torque_fraction, out=tmp)
-                np.power(tmp, 2.0, out=tmp)
-                np.multiply(tmp, 0.45, out=tmp)
-                np.subtract(a_fp, tmp, out=tmp)
-                np.multiply(tmp, tables.motor_peak_efficiency, out=tmp)
-                np.maximum(tmp, tables.motor_efficiency_floor, out=tmp)
-                np.minimum(tmp, tables.motor_peak_efficiency, out=eta)
-            # torque = where(motoring, power * eta / safe_speed,
-            #                power / (eta * safe_speed))
+                eta = self._motor_efficiency(torque, motor.t_lim_fp,
+                                             motor.a_fp, out=eta_buf)
+            # where(power >= 0, power * eta / v, power / (eta * v)): with
+            # 0 < eta < 1 the smaller of the two is the selected branch.
             np.multiply(power, eta, out=torque)
             np.divide(torque, safe_speed, out=torque)
             np.multiply(eta, safe_speed, out=tmp)
             np.divide(power, tmp, out=tmp)
-            np.copyto(torque, tmp, where=generating)
+            np.minimum(torque, tmp, out=torque)
+        if motor.stalled is not None:
+            np.copyto(torque, 0.0, where=motor.stalled)
         return torque
+
+    def _shortfall(self, t_shaft: np.ndarray, t_ice: np.ndarray,
+                   t_em: np.ndarray, motor_ok: np.ndarray) -> np.ndarray:
+        """Undelivered shaft torque, for graceful fallback ranking."""
+        tables = self.tables
+        delivered = t_ice + _with_loss(tables.reduction_ratio * t_em,
+                                       tables.reduction_efficiency,
+                                       tables.inv_reduction_efficiency)
+        shortfall = np.maximum(t_shaft - delivered, 0.0)
+        return np.where(motor_ok, shortfall, np.abs(t_shaft))
+
+    def _shed_overcharge(self, ws: ActionGridWorkspace, motor: _MotorStatics,
+                         over_chg: np.ndarray, i_act: np.ndarray,
+                         t_em_final: np.ndarray, neg_lim: np.ndarray,
+                         voc: np.float64, voc2: np.float64) -> tuple:
+        """Cut regeneration past the charge-current limit (rare).
+
+        The over-charging actions take the EM torque the limit current can
+        absorb and shed the excess regeneration to the friction brakes.
+        Returns the new EM torque, bus power and current.
+        """
+        tables = self.tables
+        i_lim = _clip(i_act, -tables.max_current, tables.max_current)
+        p_em_lim = self._terminal_power(i_lim, voc) - ws.aux
+        t_em_chg = self._commanded_torque(ws, p_em_lim, motor)
+        t_em_final = np.where(over_chg, _clip(t_em_chg, neg_lim, 0.0),
+                              t_em_final)
+        p_batt_act = self._bus_power(ws, t_em_final, motor)
+        return (t_em_final, p_batt_act,
+                self._current_for_power(p_batt_act, voc, voc2))
+
+    def _feed_starved(self, ws: ActionGridWorkspace, motor: _MotorStatics,
+                      starved: np.ndarray, p_batt_check: np.ndarray,
+                      t_em_final: np.ndarray, t_em_lim: np.ndarray,
+                      voc: np.float64, voc2: np.float64) -> tuple:
+        """Cut motoring torque to what a starved pack can feed (rare).
+
+        The pack cannot feed the EM the electrical power its torque needs.
+        The point is flagged infeasible already, but the fallback path may
+        still execute it, so the executed torque must not exceed what the
+        delivered bus power can feed; otherwise the reported operating
+        point creates energy (motor output above its electrical input).
+        Only motoring actions starve (a braking EM torque is never
+        positive).  Returns the new EM torque, current and bus power.
+        """
+        tables = self.tables
+        t_em_avail = _clip(self._commanded_torque(
+            ws, p_batt_check - ws.aux, motor), 0.0, t_em_lim)
+        t_em_final = np.where(starved, np.minimum(t_em_final, t_em_avail),
+                              t_em_final)
+        p_batt_act = self._bus_power(ws, t_em_final, motor)
+        i_act = _clip(self._current_for_power(p_batt_act, voc, voc2),
+                      -tables.max_current, tables.max_current)
+        return t_em_final, i_act, self._terminal_power(i_act, voc)
 
     def _moving_grid(self, ws: ActionGridWorkspace, wheel_speed: float,
                      wheel_torque: float, p_dem: float, soc: float,
@@ -311,85 +434,76 @@ class PowertrainSolver:
         tables = self.tables
         inv = ws.gear_inv
 
-        # --- per-unique-gear quantities (G entries, then gathered to N) ---
-        gear_u = ws.gear_unique
-        ratio_u = tables.ratios[gear_u]
-        omega_eng_u = wheel_speed * ratio_u
+        # --- speed-dependent terms: per unique gear (G entries), gathered
+        # to the grid (N) where they cost more than one ufunc at N ---
+        omega_eng_u = wheel_speed * ws.ratio_u
         omega_mot_u = omega_eng_u * tables.reduction_ratio
-        motor_ok_u = omega_mot_u <= tables.motor_speed_bound
-        can_run_u = ((omega_eng_u >= tables.engine_min_speed)
-                     & (omega_eng_u <= tables.engine_max_speed))
-        t_em_lim_u = np.asarray(self.motor.max_torque(omega_mot_u),
-                                dtype=float)
-        neg_lim_u = -t_em_lim_u
+        speeds_u = omega_mot_u.tolist()
+        t_em_lim_u = tables.motor_torque_limits(speeds_u)
+        ds_u = (omega_mot_u / tables.motor_max_speed
+                - tables.motor_opt_speed_fraction)
+        omega_mot = omega_mot_u.take(inv)
+        t_em_lim = t_em_lim_u.take(inv)
+        a_fp = (1.0 - 0.5 * np.square(ds_u)).take(inv)
+        neg_lim = -t_em_lim
+        motor_ok = omega_mot <= tables.motor_speed_bound
+        motor = _MotorStatics(
+            omega_mot, np.maximum(omega_mot, 1e-6),
+            np.maximum(t_em_lim, 1e-9), a_fp,
+            None if min(speeds_u, default=np.inf) > 1e-6
+            else ~(omega_mot > 1e-6))
         # The demanded shaft torque keeps the sign of the wheel torque for
         # every gear (ratios and efficiencies are positive), so the braking
         # decision is uniform across the batch and the directional branches
         # of the Eq. 8 inversions collapse to scalar Python branches.
         braking = wheel_torque < 0.0
         if braking:
-            t_shaft_u = wheel_torque * tables.gearbox_efficiency / ratio_u
-            t_em_dem_u = t_shaft_u / tables.rho_x_inv_red_eta
+            t_brk = wheel_torque * tables.gearbox_efficiency
+            t_shaft = t_brk / ws.ratio
+            t_em_dem_u = t_brk / ws.ratio_u / tables.rho_x_inv_red_eta
         else:
-            t_shaft_u = wheel_torque / tables.ratio_x_gb_eta[gear_u]
-            t_em_dem_u = t_shaft_u / tables.rho_x_red_eta
-        # Fixed-point inversion statics.
-        safe_speed_u = np.maximum(omega_mot_u, 1e-6)
-        t_lim_fp_u = np.maximum(t_em_lim_u, 1e-9)
-        ds_u = (omega_mot_u / tables.motor_max_speed
-                - tables.motor_opt_speed_fraction)
-        a_u = 1.0 - 0.5 * ds_u ** 2
-        spd_all_pos = bool((omega_mot_u > 1e-6).all())
-
-        omega_mot = omega_mot_u.take(inv)
-        motor_ok = motor_ok_u.take(inv)
-        t_shaft = t_shaft_u.take(inv)
-        t_em_lim = t_em_lim_u.take(inv)
-        neg_lim = neg_lim_u.take(inv)
-        safe_speed = safe_speed_u.take(inv)
-        t_lim_fp = t_lim_fp_u.take(inv)
-        a_fp = a_u.take(inv)
+            t_shaft = wheel_torque / ws.ratio_x_gb_eta
+            t_em_dem_u = (wheel_torque / ws.ratio_x_gb_eta_u
+                          / tables.rho_x_red_eta)
 
         # --- commanded EM torque from the commanded current (the "intent") ---
         voc = self._open_circuit_voltage(soc)
         # Ufunc square, not scalar pow — see the note in _standstill_grid.
         voc2 = np.float64(np.asarray(voc) ** 2)
-        p_batt_cmd = voc * ws.i_cmd - ws.ri2_cmd
-        p_em_cmd = p_batt_cmd - ws.aux
-        t_em_cmd = self._commanded_torque(ws, p_em_cmd, safe_speed, t_lim_fp,
-                                          a_fp)
-        if not spd_all_pos:
-            np.copyto(t_em_cmd, 0.0, where=(~(omega_mot_u > 1e-6)).take(inv))
-        t_em = np.minimum(np.maximum(t_em_cmd, neg_lim), t_em_lim)
+        p_em_cmd = voc * ws.i_cmd - ws.ri2_cmd - ws.aux
+        t_em = _clip(self._commanded_torque(ws, p_em_cmd, motor), neg_lim,
+                     t_em_lim)
 
         if braking:
             # --- engine declutched, regen bounded by demand and envelope ---
-            brk_lo = np.maximum(neg_lim_u, t_em_dem_u).take(inv)
-            t_em_final = np.minimum(np.maximum(t_em, brk_lo), 0.0)
+            brk_lo = np.maximum(-t_em_lim_u, t_em_dem_u).take(inv)
+            t_em_final = _clip(t_em, brk_lo, 0.0)
             t_ice_final = ws.zeros
             meets = motor_ok
-            engine_off = ws.ones_bool
             omega_eng_final = ws.zeros
             shortfall = np.where(motor_ok, 0.0, np.abs(t_shaft))
         else:
             # --- motoring: engine makes up the remainder, cannot absorb surplus
-            eta_elem = np.where(t_em >= 0.0, tables.reduction_efficiency,
-                                tables.inv_reduction_efficiency)
-            shaft_from_em = tables.reduction_ratio * t_em * eta_elem
-            t_ice_raw = t_shaft - shaft_from_em
-            t_ice_max_u = np.asarray(self.engine.max_torque(omega_eng_u),
-                                     dtype=float)
+            t_ice_raw = t_shaft - _with_loss(tables.reduction_ratio * t_em,
+                                             tables.reduction_efficiency,
+                                             tables.inv_reduction_efficiency)
+            if tables.engine_parametric:
+                t_ice_max_u = tables.engine_torque_limits(
+                    omega_eng_u.tolist())
+            else:
+                t_ice_max_u = np.asarray(self.engine.max_torque(omega_eng_u),
+                                         dtype=float)
             t_ice_max = t_ice_max_u.take(inv)
-            can_run = can_run_u.take(inv)
+            can_run = ((omega_eng_u >= tables.engine_min_speed)
+                       & (omega_eng_u <= tables.engine_max_speed)).take(inv)
             ev_only = (~can_run) | (t_ice_raw <= _TORQUE_TOL)
             # EV-only: the EM must carry the whole demand by itself.
-            t_em_ev_u = np.minimum(np.maximum(t_em_dem_u, neg_lim_u),
-                                   t_em_lim_u)
+            t_em_ev_u = _clip(t_em_dem_u, -t_em_lim_u, t_em_lim_u)
             t_em_ev = t_em_ev_u.take(inv)
             ev_meets = (np.abs(t_em_ev_u - t_em_dem_u)
                         <= _TORQUE_TOL).take(inv)
             # Engine-assisted: engine clipped at wide-open throttle.
-            t_ice_mot = np.minimum(np.maximum(t_ice_raw, 0.0), t_ice_max)
+            t_ice_mot = _clip(t_ice_raw, 0.0, t_ice_max)
             eng_meets = t_ice_raw <= t_ice_max + _TORQUE_TOL
 
             t_em_final = np.where(ev_only, t_em_ev, t_em)
@@ -397,113 +511,52 @@ class PowertrainSolver:
             meets = np.where(ev_only, ev_meets, eng_meets) & motor_ok
             # Engine speed collapses to zero when it produces no torque.
             engine_off = t_ice_final <= _TORQUE_TOL
-            omega_eng_final = np.where(engine_off, 0.0,
-                                       omega_eng_u.take(inv))
-
-            # Undelivered shaft torque for graceful fallback ranking.
-            eta_fin = np.where(t_em_final >= 0.0, tables.reduction_efficiency,
-                               tables.inv_reduction_efficiency)
-            delivered = t_ice_final + tables.reduction_ratio * t_em_final * eta_fin
-            shortfall = np.maximum(t_shaft - delivered, 0.0)
-            shortfall = np.where(motor_ok, shortfall, np.abs(t_shaft))
+            omega_eng = wheel_speed * ws.ratio
+            omega_eng_final = np.where(engine_off, 0.0, omega_eng)
+            shortfall = self._shortfall(t_shaft, t_ice_final, t_em_final,
+                                        motor_ok)
 
         # --- actual electrical balance after saturation ---
-        # motor.electrical_power with the per-gear efficiency statics.
-        mech = t_em_final * omega_mot
-        tf_act = np.minimum(np.abs(t_em_final) / t_lim_fp, 1.5)
-        dt_act = tf_act - tables.motor_opt_torque_fraction
-        eta_act = np.minimum(
-            np.maximum(tables.motor_peak_efficiency * (a_fp - 0.45 * dt_act ** 2),
-                       tables.motor_efficiency_floor),
-            tables.motor_peak_efficiency)
-        p_em_act = np.where(mech >= 0.0, mech / eta_act, mech * eta_act)
-        p_batt_act = p_em_act + ws.aux
-        # battery.current_for_power(p_batt_act, soc), inline.
-        disc = voc2 - tables.four_rd * np.maximum(p_batt_act, 0.0)
-        disc_i = (voc - np.sqrt(np.maximum(disc, 0.0))) / tables.two_rd
-        i_act = np.where(disc >= 0.0, disc_i, voc / tables.two_rd)
-        chg = voc2 - tables.four_rc * np.minimum(p_batt_act, 0.0)
-        chg_i = (voc - np.sqrt(chg)) / tables.two_rc
-        i_act = np.where(p_batt_act >= 0.0, i_act, chg_i)
-
-        # Regen may exceed the charge-current limit: clamp and shed the excess
-        # regeneration to the friction brakes.  (Rare; uses the component
-        # models directly, exactly like the reference path.)
+        p_batt_act = self._bus_power(ws, t_em_final, motor)
+        i_act = self._current_for_power(p_batt_act, voc, voc2)
         over_chg = i_act < -tables.max_current
-        if over_chg.any():
-            i_clamped = self.battery.clamp_current(i_act)
-            p_batt_lim = np.asarray(
-                self.battery.terminal_power(i_clamped, soc), dtype=float)
-            p_em_lim = p_batt_lim - ws.aux
-            t_em_lim_chg = np.asarray(
-                self.motor.torque_from_electrical_power(p_em_lim, omega_mot),
-                dtype=float)
-            t_em_final = np.where(over_chg, np.clip(t_em_lim_chg, -t_em_lim, 0.0),
-                                  t_em_final)
-            p_em_act = np.asarray(
-                self.motor.electrical_power(t_em_final, omega_mot), dtype=float)
-            p_batt_act = p_em_act + ws.aux
-            i_act = np.asarray(self.battery.current_for_power(p_batt_act, soc),
-                               dtype=float)
+        if np.count_nonzero(over_chg):
+            t_em_final, p_batt_act, i_act = self._shed_overcharge(
+                ws, motor, over_chg, i_act, t_em_final, neg_lim, voc, voc2)
         current_ok = np.abs(i_act) <= tables.current_tol
         # Whatever gets executed must be a physical current: clamp to the
         # pack limit (the pre-clamp check above already marked the point
         # infeasible, but the fallback path may still execute it).
-        i_act = np.minimum(np.maximum(i_act, -tables.max_current),
-                           tables.max_current)
+        i_act = _clip(i_act, -tables.max_current, tables.max_current)
         # Discharge saturation (demand beyond pack power) shows up as the
         # quadratic clamping inside current_for_power; flag it infeasible when
         # the delivered bus power misses the requirement.
-        r_act = np.where(i_act >= 0.0, tables.discharge_resistance,
-                         tables.charge_resistance)
-        p_batt_check = voc * i_act - r_act * i_act ** 2
+        p_batt_check = self._terminal_power(i_act, voc)
         power_ok = np.abs(p_batt_check - p_batt_act) <= np.maximum(
             50.0, 0.02 * np.abs(p_batt_act))
-        # Discharge starvation: the pack cannot feed the EM the electrical
-        # power its torque requires.  The point is flagged infeasible above,
-        # but the fallback path may still execute it, so cut the executed EM
-        # torque back to what the delivered bus power can actually feed —
-        # otherwise the reported operating point creates energy (motor
-        # mechanical output above its electrical input).  (Rare; component
-        # models, like the reference path.)
         starved = (~power_ok) & (t_em_final > 0.0)
-        if starved.any():
-            p_em_avail = p_batt_check - ws.aux
-            t_em_avail = np.clip(np.asarray(
-                self.motor.torque_from_electrical_power(p_em_avail, omega_mot),
-                dtype=float), 0.0, t_em_lim)
-            t_em_final = np.where(starved, np.minimum(t_em_final, t_em_avail),
-                                  t_em_final)
-            p_em_act = np.asarray(
-                self.motor.electrical_power(t_em_final, omega_mot), dtype=float)
-            p_batt_act = p_em_act + ws.aux
-            i_act = np.asarray(self.battery.clamp_current(
-                self.battery.current_for_power(p_batt_act, soc)), dtype=float)
-            p_batt_check = np.asarray(self.battery.terminal_power(i_act, soc),
-                                      dtype=float)
-            delivered = (t_ice_final + np.asarray(
-                self.transmission.motor_torque_at_shaft(t_em_final),
-                dtype=float))
-            shortfall = np.where(braking, 0.0,
-                                 np.maximum(t_shaft - delivered, 0.0))
-            shortfall = np.where(motor_ok, shortfall, np.abs(t_shaft))
+        if np.count_nonzero(starved):
+            t_em_final, i_act, p_batt_check = self._feed_starved(
+                ws, motor, starved, p_batt_check, t_em_final, t_em_lim, voc,
+                voc2)
+            shortfall = self._shortfall(t_shaft, t_ice_final, t_em_final,
+                                        motor_ok)
 
         # --- Coulomb counting and SoC window ---
-        neg_idt = -i_act * dt
-        delta = np.where(i_act >= 0.0, neg_idt,
-                         neg_idt * tables.coulombic_efficiency)
-        charge = soc * tables.capacity + delta
-        soc_next = np.minimum(np.maximum(charge / tables.capacity, 0.0),
-                              1.0)
-        window = ((soc_next >= tables.window_lo)
-                  & (soc_next <= tables.window_hi))
+        soc_next, window = self._coulomb_count(i_act, soc, dt)
 
         if braking:
             fuel = ws.zeros
+            # transmission.wheel_torque(0.0, t_em_final, gears); the sign of
+            # a zero shaft torque cannot reach the (negative) brake torque.
+            shaft = _with_loss(tables.reduction_ratio * t_em_final,
+                               tables.reduction_efficiency,
+                               tables.inv_reduction_efficiency)
             brake = np.minimum(
-                wheel_torque - np.asarray(
-                    self.transmission.wheel_torque(0.0, t_em_final, ws.gears),
-                    dtype=float), 0.0)
+                wheel_torque - _with_loss(ws.ratio * shaft,
+                                          tables.gearbox_efficiency,
+                                          tables.inv_gearbox_efficiency),
+                0.0)
             # With the engine declutched the full classify() collapses to
             # "regenerating or idle" (engine torque is identically zero).
             mode = np.where(t_em_final < -_TORQUE_TOL,
@@ -511,39 +564,34 @@ class PowertrainSolver:
                             int(OperatingMode.IDLE))
         else:
             if tables.engine_parametric:
-                # engine.fuel_rate inlined over the per-gear statics; the
-                # declutched elements run through the same arithmetic as the
-                # seed (speed 0) and are zeroed just below.
-                t_max_fuel = np.where(engine_off, 1e-9,
-                                      np.maximum(t_ice_max_u, 1e-9).take(inv))
-                torque_frac = np.minimum(
-                    np.maximum(t_ice_final / t_max_fuel, 0.0), 1.5)
+                # engine.fuel_rate inlined over the per-gear statics.  A
+                # declutched action has engine speed 0, so it is not
+                # running and its fuel is 0 whatever the terms below hold.
                 ds_eng_u = ((omega_eng_u - tables.eng_opt_speed)
                             / tables.eng_speed_span)
-                a_eng = np.where(
-                    engine_off, tables.eng_a_at_zero,
-                    (1.0 - tables.eng_speed_falloff * ds_eng_u ** 2).take(inv))
+                a_eng = (1.0 - tables.eng_speed_falloff
+                         * np.square(ds_eng_u)).take(inv)
+                torque_frac = _clip(t_ice_final / np.maximum(t_ice_max, 1e-9),
+                                    0.0, 1.5)
                 dt_eng = torque_frac - tables.eng_opt_torque_fraction
-                eta_eng = np.minimum(np.maximum(
+                eta_eng = _clip(
                     tables.eng_peak_efficiency
-                    * (a_eng - tables.eng_torque_falloff * dt_eng ** 2),
-                    tables.eng_efficiency_floor), tables.eng_peak_efficiency)
-                power_eng = np.maximum(t_ice_final, 0.0) * omega_eng_final
-                load_fuel = power_eng / (eta_eng
-                                         * tables.eng_fuel_energy_density)
-                speed_frac = np.where(
-                    engine_off, 0.0,
-                    (omega_eng_u / tables.eng_fuel_max_speed).take(inv))
-                idle_fuel = tables.eng_idle_fuel_rate * (speed_frac + 0.5)
-                running = omega_eng_final > 1e-9
-                fuel = np.where(running, load_fuel + idle_fuel, 0.0)
+                    * (a_eng - tables.eng_torque_falloff * np.square(dt_eng)),
+                    tables.eng_efficiency_floor, tables.eng_peak_efficiency)
+                # t_ice_final is clipped at 0, so max(t_ice_final, 0) is
+                # t_ice_final itself.
+                load_fuel = (t_ice_final * omega_eng_final
+                             / (eta_eng * tables.eng_fuel_energy_density))
+                idle_fuel = tables.eng_idle_fuel_rate * (
+                    omega_eng / tables.eng_fuel_max_speed + 0.5)
+                fuel = np.where(omega_eng_final > 1e-9, load_fuel + idle_fuel,
+                                0.0)
             else:
-                fuel = np.asarray(
+                fuel = np.where(engine_off, 0.0, np.asarray(
                     self.engine.fuel_rate(t_ice_final, omega_eng_final),
-                    dtype=float)
-            fuel = np.where(engine_off, 0.0, fuel)
+                    dtype=float))
             brake = ws.zeros
-            mode = classify(t_ice_final, t_em_final, wheel_speed, braking)
+            mode = _moving_mode(t_ice_final, t_em_final)
 
         feasible = meets & window & current_ok & power_ok
 
@@ -556,3 +604,37 @@ class PowertrainSolver:
             battery_power=p_batt_check, aux_power=ws.aux, fuel_rate=fuel,
             brake_torque=brake, meets_demand=meets, window_ok=window,
             soc_next=soc_next, shortfall=shortfall)
+
+
+def _with_loss(torque: np.ndarray, eta: float,
+               inv_eta: float) -> np.ndarray:
+    """``torque * where(torque >= 0, eta, inv_eta)`` for ``0 < eta <= 1``.
+
+    A gear stage loses ``eta`` in the direction the torque drives it.  The
+    smaller of the two products is the selected branch: ``eta <= 1 <=
+    inv_eta`` and rounding is monotone, and a tie is one number.
+    """
+    return np.minimum(torque * eta, torque * inv_eta)
+
+
+def _moving_mode(engine_torque: np.ndarray,
+                 motor_torque: np.ndarray) -> np.ndarray:
+    """``classify`` of a moving, non-braking step, as a table lookup.
+
+    Indexes :data:`_MOVING_MODES` by ``engine_on * 4 + motoring * 2 +
+    generating``; equal to ``classify(engine_torque, motor_torque,
+    wheel_speed, False)`` for any ``wheel_speed > 1e-9``.
+    """
+    code = (engine_torque > _TORQUE_TOL).view(np.uint8) << 2
+    code |= (motor_torque > _TORQUE_TOL).view(np.uint8) << 1
+    code |= (motor_torque < -_TORQUE_TOL).view(np.uint8)
+    return _MOVING_MODES.take(code)
+
+
+_MODE_BITS = np.arange(8)
+_MOVING_MODES = classify_flags((_MODE_BITS & 4) > 0, (_MODE_BITS & 2) > 0,
+                               (_MODE_BITS & 1) > 0, False, False)
+"""Operating mode of a moving, non-braking step for each flag pattern
+``engine_on * 4 + motoring * 2 + generating``, from the rules in
+:func:`repro.powertrain.modes.classify_flags` (patterns 3 and 7 cannot
+occur: a torque cannot be both above and below the tolerance band)."""

@@ -26,6 +26,8 @@ same workspace.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -83,6 +85,9 @@ class PowertrainTables:
         self.motor_efficiency_floor = float(motor.efficiency_floor)
         self.motor_opt_speed_fraction = float(motor.optimal_speed_fraction)
         self.motor_opt_torque_fraction = float(motor.optimal_torque_fraction)
+        self.motor_max_torque = float(motor.max_torque)
+        self.motor_max_power = float(motor.max_power)
+        self.motor_base_speed = float(motor.base_speed)
 
         # --- engine admissible speed band (honours substituted engines) ---
         self.engine_min_speed = float(solver._engine_min_speed)
@@ -106,11 +111,11 @@ class PowertrainTables:
             self.eng_fuel_energy_density = float(ep.fuel_energy_density)
             self.eng_idle_fuel_rate = float(ep.idle_fuel_rate)
             self.eng_fuel_max_speed = float(ep.max_speed)
-            # Efficiency-hill values at crankshaft speed zero (declutched
-            # elements; their fuel is zeroed afterwards but the elementwise
-            # arithmetic must still match the seed bit for bit).
-            ds_zero = (0.0 - ep.optimal_speed) / self.eng_speed_span
-            self.eng_a_at_zero = 1.0 - ep.speed_falloff * (ds_zero * ds_zero)
+            # Wide-open-throttle curve (Engine.max_torque).
+            self.eng_max_torque = float(ep.max_torque)
+            self.eng_max_power = float(ep.max_power)
+            self.eng_peak_torque_speed = float(ep.peak_torque_speed)
+            self.eng_curve_width = float(solver.engine._curve_width)
 
         # --- transmission (Eq. 8-10) ---
         self.reduction_ratio = float(trans.reduction_ratio)
@@ -131,10 +136,50 @@ class PowertrainTables:
 
     # ------------------------------------------------------------- helpers ---
 
-    def open_circuit_voltage(self, soc: float) -> float:
-        """Scalar OCV at a state of charge, V (exact seed arithmetic)."""
-        soc = min(max(float(soc), 0.0), 1.0)
-        return self.voltage_at_empty + self.voc_span * soc
+    def tractive_force(self, speed: float, acceleration: float,
+                       grade: float) -> np.float64:
+        """Scalar ``VehicleDynamics.road_load(...).total``, N.
+
+        The same terms in the same association order, on Python floats
+        (``speed * speed`` is what ``speed ** 2`` computes on an array).
+        """
+        rolling = (self.mass_x_gravity * np.cos(grade)
+                   * self.rolling_resistance if speed > 1e-9 else 0.0)
+        return (self.mass * acceleration + self.mass_x_gravity * np.sin(grade)
+                + rolling + self.aero_factor * (speed * speed))
+
+    def motor_torque_limits(self, speeds: Sequence[float]) -> np.ndarray:
+        """``Motor.max_torque`` at a few speeds (one per gear), N*m.
+
+        A Python loop: for five gears it costs a third of the model's
+        nine array calls, with the same arithmetic per element.
+        """
+        limits = []
+        for speed in speeds:
+            if 0.0 <= speed <= self.motor_max_speed:
+                if speed <= self.motor_base_speed:
+                    limits.append(self.motor_max_torque)
+                else:
+                    limits.append(min(self.motor_max_torque,
+                                      self.motor_max_power / max(speed, 1e-9)))
+            else:
+                limits.append(0.0)
+        return np.array(limits)
+
+    def engine_torque_limits(self, speeds: Sequence[float]) -> np.ndarray:
+        """Parametric ``Engine.max_torque`` at a few speeds, N*m (as above)."""
+        limits = []
+        for speed in speeds:
+            if self.engine_min_speed <= speed <= self.engine_max_speed:
+                rel = ((speed - self.eng_peak_torque_speed)
+                       / self.eng_curve_width)
+                curve = self.eng_max_torque * (1.0 - 0.35 * (rel * rel))
+                # The band starts above 0, so the power limit is finite.
+                torque = min(curve, self.eng_max_power / max(speed, 1e-9))
+                limits.append(torque if torque > 0.0 else 0.0)
+            else:
+                limits.append(0.0)
+        return np.array(limits)
 
 
 class ActionGridWorkspace:
@@ -178,7 +223,6 @@ class ActionGridWorkspace:
         self.gear_unique, self.gear_inv = np.unique(gears,
                                                     return_inverse=True)
         self.gear_inv = np.ascontiguousarray(self.gear_inv)
-        self.n_unique = len(self.gear_unique)
         self.aux_max0 = np.maximum(aux, 0.0)
         self.aux_min0 = np.minimum(aux, 0.0)
         self.aux_nonneg = aux >= 0.0
@@ -211,6 +255,14 @@ class ActionGridWorkspace:
         self.gear_out_of_range = bool(
             self.n and np.any((self.gears < 0)
                               | (self.gears >= tables.num_gears)))
+        # Gear ratios gathered once per grid: per unique gear for the
+        # quantities the moving kernel evaluates per gear, and per action
+        # for those that cost one ufunc on the whole grid.
+        if not self.gear_out_of_range:
+            self.ratio_u = tables.ratios[self.gear_unique]
+            self.ratio = tables.ratios[self.gears]
+            self.ratio_x_gb_eta_u = tables.ratio_x_gb_eta[self.gear_unique]
+            self.ratio_x_gb_eta = tables.ratio_x_gb_eta[self.gears]
         self._epoch = self._solver._epoch
 
     def ensure_current(self) -> None:
@@ -225,13 +277,5 @@ class ActionGridWorkspace:
         arr = self._scratch.get(name)
         if arr is None:
             arr = np.empty(self.n)
-            self._scratch[name] = arr
-        return arr
-
-    def bool_buf(self, name: str) -> np.ndarray:
-        """A reusable boolean scratch/output array of grid length."""
-        arr = self._scratch.get(name)
-        if arr is None:
-            arr = np.empty(self.n, dtype=bool)
             self._scratch[name] = arr
         return arr

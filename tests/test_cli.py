@@ -102,6 +102,40 @@ class TestEvaluateCommand:
                      "--controller", "thermostat"]) == 0
 
 
+UNTRAINED = "warning: the RL controller is untrained"
+
+
+class TestUntrainedPolicyWarning:
+    """An RL controller without --policy drives a fresh Q-table: say so."""
+
+    @pytest.fixture(scope="class")
+    def policy(self, tmp_path_factory):
+        stem = tmp_path_factory.mktemp("policy") / "p"
+        controller = build_rl_controller(PowertrainSolver(default_vehicle()),
+                                         seed=0)
+        save_policy(controller.agent, stem)
+        return str(stem)
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--controller", "rl"],
+        ["guard-report"],
+    ])
+    def test_warns_without_policy(self, capsys, command):
+        assert main(command + ["--cycle", "SC03", "--repeats", "1"]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1 and warnings[0].startswith(UNTRAINED)
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--controller", "rl"],
+        ["guard-report"],
+    ])
+    def test_silent_with_policy(self, capsys, command, policy):
+        assert main(command + ["--cycle", "SC03", "--repeats", "1",
+                               "--policy", policy]) == 0
+        assert UNTRAINED not in capsys.readouterr().err
+
+
 class TestCompareCommand:
     def test_compare_prints_ladder(self, capsys):
         assert main(["compare", "--cycle", "SC03", "--episodes", "2",

@@ -11,21 +11,31 @@ Covered here: randomized (speed, accel, SoC, grade) grids, full episodes
 on every built-in cycle, guarded (:class:`SafetySupervisor`) runs, and
 fault-scenario runs (plant + sensor faults).  Any mismatch in any trace
 field is a regression in the optimised kernel, not an acceptable drift.
+The kernel's rare branches and its inlined road load and mode lookup are
+compared byte for byte, signed zeros and NaN payloads included.
 """
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.control.rl_controller import RLController, build_rl_controller
 from repro.cycles import STANDARD_SPECS, standard_cycle
 from repro.faults.harness import FaultHarness
 from repro.faults.scenarios import builtin_scenarios
 from repro.powertrain import PowertrainSolver
+from repro.powertrain.modes import classify
+from repro.powertrain.solver import _TORQUE_TOL, _moving_mode
 from repro.safety import SafetySupervisor
 from repro.sim import Simulator
 from repro.vehicle import default_vehicle
+from repro.vehicle.dynamics import VehicleDynamics
 from tests.reference_solver import (
     ReferencePowertrainSolver,
     ScalarReferenceSolver,
@@ -214,3 +224,124 @@ def test_act_batch_matches_scalar_fallback():
     scalar = Controller.act_batch(b, speeds, accels, socs, 1.0)
     assert batched == scalar
     assert isinstance(a, RLController)
+
+
+def assert_batches_byte_identical(fast, ref):
+    for name in BATCH_FIELDS:
+        a = np.ascontiguousarray(getattr(fast, name))
+        b = np.ascontiguousarray(getattr(ref, name))
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
+            f"BatchResult.{name} bytes diverged: {a} vs {b}")
+    for name in BATCH_SCALARS:
+        assert (np.float64(getattr(fast, name)).tobytes()
+                == np.float64(getattr(ref, name)).tobytes()), name
+
+
+@pytest.fixture
+def rare_branch_calls(monkeypatch):
+    """Count the moving kernel's calls into its two rare corrections."""
+    calls = collections.Counter()
+    for name in ("_shed_overcharge", "_feed_starved"):
+        original = getattr(PowertrainSolver, name)
+
+        def spy(self, *args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(PowertrainSolver, name, spy)
+    return calls
+
+
+class TestRareBranches:
+    """The over-charge and starvation corrections, against the seed solver.
+
+    Starvation fires on about 6% of UDDS moving steps with the agent's
+    grid; over-charge fires on none of them with the default vehicle.  So
+    each is forced by a chosen plant and state, checked to have fired, and
+    every output compared byte for byte.
+    """
+
+    @pytest.mark.parametrize("speed, accel, soc", [
+        (8.0, 1.2, 0.45), (30.0, 1.5, 0.42), (5.0, 2.0, 0.5)])
+    def test_starved_branch(self, rare_branch_calls, speed, accel, soc):
+        fast = PowertrainSolver(default_vehicle())
+        ref = ReferencePowertrainSolver(default_vehicle())
+        grid = build_rl_controller(fast, seed=1).agent._workspace
+        batch = fast.evaluate_grid(grid, speed, accel, soc, 1.0)
+        assert rare_branch_calls["_feed_starved"] == 1
+        assert_batches_byte_identical(batch, ref.evaluate_actions(
+            speed, accel, soc, grid.currents, grid.gears, grid.aux, 1.0))
+
+    @pytest.mark.parametrize("accel", [-6.0, -3.0, -1.5])
+    def test_overcharge_branch(self, rare_branch_calls, accel):
+        # A 25 A pack and a motor whose efficiency peaks at 60% of its
+        # torque limit: commanding the current limit while braking lands a
+        # few ULPs past it, which the over-charge branch sheds.
+        base = default_vehicle()
+        params = dataclasses.replace(
+            base,
+            battery=dataclasses.replace(base.battery, max_current=25.0),
+            motor=dataclasses.replace(base.motor,
+                                      optimal_torque_fraction=0.6))
+        fast = PowertrainSolver(params)
+        ref = ReferencePowertrainSolver(params)
+        currents = np.repeat([-60.0, -25.0, -10.0, 0.0, 20.0], 10)
+        gears = np.tile(np.repeat(np.arange(5), 2), 5)
+        aux = np.tile([0.0, 1500.0], 25)
+        grid = fast.workspace(currents, gears, aux)
+        batch = fast.evaluate_grid(grid, 5.0, accel, 0.8, 1.0)
+        assert rare_branch_calls["_shed_overcharge"] == 1
+        assert_batches_byte_identical(batch, ref.evaluate_actions(
+            5.0, accel, 0.8, currents, gears, aux, 1.0))
+
+
+def _with_neighbours(*values):
+    """The values and the floats one ULP to either side of each."""
+    out = []
+    for v in values:
+        out += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+    return out
+
+
+_TORQUES = st.one_of(
+    st.sampled_from(_with_neighbours(_TORQUE_TOL, -_TORQUE_TOL, 0.0)
+                    + [-0.0, math.inf, -math.inf, math.nan, -math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestMovingModeLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_TORQUES, _TORQUES), min_size=1, max_size=16),
+           st.floats(min_value=1e-6, max_value=100.0, exclude_min=True))
+    def test_matches_classify(self, torques, wheel_speed):
+        engine = np.array([t[0] for t in torques])
+        motor = np.array([t[1] for t in torques])
+        lookup = _moving_mode(engine, motor)
+        rules = classify(engine, motor, wheel_speed, False)
+        assert lookup.dtype == rules.dtype
+        assert lookup.tobytes() == rules.tobytes()
+
+
+_SPEEDS = st.one_of(
+    st.sampled_from(_with_neighbours(0.0, 1e-9) + [-0.0, -1.0, math.nan]),
+    st.floats(min_value=-50.0, max_value=80.0))
+_ACCELS = st.one_of(st.sampled_from([0.0, -0.0, -3.5, math.nan]),
+                    st.floats(min_value=-10.0, max_value=10.0))
+_GRADES = st.one_of(st.sampled_from([0.0, -0.0, 0.06, -0.06, math.nan]),
+                    st.floats(min_value=-0.5, max_value=0.5))
+
+
+_ROAD_LOAD_SOLVER = PowertrainSolver(default_vehicle())
+
+
+class TestInlinedRoadLoad:
+    @settings(max_examples=300, deadline=None)
+    @given(_SPEEDS, _ACCELS, _GRADES)
+    def test_matches_vehicle_dynamics(self, speed, accel, grade):
+        solver = _ROAD_LOAD_SOLVER
+        inline = solver.tables.tractive_force(speed, accel, grade)
+        model = VehicleDynamics(solver.params.body).road_load(
+            speed, accel, grade).total
+        assert (np.float64(inline).tobytes()
+                == np.asarray(model, dtype=float).tobytes())
+
