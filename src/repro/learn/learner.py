@@ -167,13 +167,61 @@ class OnlineLearner:
 
     def _apply(self, q: np.ndarray, states, actions, rewards,
                next_states) -> None:
-        """Sequential TD(0) on ``q``, one transition at a time in order."""
+        """Sequential TD(0) on ``q``, one transition at a time in order.
+
+        The table is updated as Python lists of floats and written back
+        once: per record, ``row[a] += lr * (r + gamma * max(rows[n]) -
+        row[a])``.  Records revisit a few hundred cells in short
+        conflict-free runs, so batching them cannot pay; what costs is
+        per-record numpy overhead, which lists avoid.
+
+        The bytes equal those of the numpy-scalar loop
+        (``q[s, a] += lr * (r + gamma * q[n].max() - q[s, a])``, frozen
+        in ``tests/reference_learner.py``).  Both run the same IEEE
+        double operations in the same order, so only two things could
+        tell them apart:
+
+        * A signed zero.  On a row without a NaN, ``max`` and numpy's
+          reduction return the same value, except that a tie between
+          ``+0.0`` and ``-0.0`` may come back with either sign.  That
+          sign cannot reach a stored value.  ``r + gamma * (±0)`` is
+          ``r`` unless ``r`` is zero, which leaves a zero target; then
+          ``old + lr * (±0 - old)`` is ``old + lr * -old`` for a
+          nonzero ``old`` and ``+0.0`` for either signed-zero ``old``.
+        * A NaN.  Python's ``max`` skips a NaN that is not first in its
+          row, whereas numpy's propagates one; which NaN's bytes numpy's
+          reduction returns depends on the row's length and the NaN's
+          place, and which operand's bytes a numpy scalar ``+`` of two
+          NaNs keeps depends on how numpy was compiled.  Before the
+          first NaN is stored, no operation has two NaN operands, and a
+          NaN made from non-NaN operands is the platform's default NaN
+          whichever code makes it.  Seed tables and journal rewards are
+          finite, so a NaN can only be stored after an overflow to
+          infinity (``inf - inf``, ``0 * inf``), and a non-finite cell
+          never turns finite again.  The loop watches the values it
+          stores and, from the first NaN on (or from the start, if
+          ``q`` already holds one), takes each row's maximum and does
+          each update's arithmetic on numpy scalars, as the numpy loop
+          did.
+        """
         lr = self._config.learning_rate
         gamma = self._config.discount
+        rows = q.tolist()
+        poisoned = bool(np.isnan(q).any())
         for s, a, r, n in zip(states.tolist(), actions.tolist(),
                               rewards.tolist(), next_states.tolist()):
-            target = r + gamma * float(q[n].max())
-            q[s, a] += lr * (target - q[s, a])
+            row = rows[s]
+            if poisoned:
+                best = float(np.array(rows[n]).max())
+                old = np.float64(row[a])
+            else:
+                best = max(rows[n])
+                old = row[a]
+            value = old + lr * (r + gamma * best - old)
+            row[a] = value
+            if value != value:
+                poisoned = True
+        q[...] = rows
 
     def ingest(self, journal_dir: Union[str, Path]) -> IngestReport:
         """Consume every journal shard under ``journal_dir`` once.

@@ -25,8 +25,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from perfbench.stages import WORKLOADS
 from repro.artifact import write_table
 from repro.control.rl_controller import build_rl_controller
+from repro.cycles import standard_cycle
 from repro.errors import ExperienceError, PersistenceError, ServeError
 from repro.learn import (
     COLUMNS,
@@ -43,13 +45,17 @@ from repro.learn.loop import STATE_NAME
 from repro.powertrain import PowertrainSolver
 from repro.rl.persistence import _fingerprint
 from repro.rl.td_lambda import TDLambdaConfig, TDLambdaLearner
+from repro.safety import SafetySupervisor
 from repro.serve import (
     CanaryConfig,
     FleetConfig,
+    FleetSimulator,
     PolicyRegistry,
     PolicyServer,
 )
+from repro.sim import Simulator, train
 from repro.vehicle import default_vehicle
+from tests.reference_learner import reference_apply
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +67,40 @@ def policy():
     agent.learner.qtable.values[:] = rng.normal(
         size=agent.learner.qtable.values.shape)
     return agent.learner.qtable.values.copy(), _fingerprint(agent)
+
+
+@pytest.fixture(scope="module", params=sorted(WORKLOADS))
+def perfbench_journal(request, tmp_path_factory):
+    """``(table, columns)`` of one perfbench workload's ingest stage.
+
+    The workload's trained table as the fleet serves it, and the
+    ``(state, action, reward, next_state)`` columns of the experience
+    its fleet journals, in ingest order.
+    """
+    workload, seed = WORKLOADS[request.param], 1
+    root = tmp_path_factory.mktemp(f"perfbench-{request.param}")
+    solver = PowertrainSolver(default_vehicle())
+    controller = build_rl_controller(solver, seed=seed)
+    train(Simulator(solver), SafetySupervisor(controller, solver),
+          standard_cycle(workload.cycle).repeat(workload.repeats),
+          episodes=workload.episodes, evaluate_after=False, seed=seed)
+    registry = PolicyRegistry(root / "registry")
+    server = PolicyServer(registry)
+    server.activate(registry.load(registry.publish(controller.agent)))
+    fleet = FleetConfig(vehicles=workload.vehicles, steps=workload.steps,
+                        seed=seed)
+    with ExperienceStream(root / "journals") as stream:
+        FleetSimulator(server, fleet, experience=stream).run()
+    pieces = [read_journal(path).columns
+              for path in sorted((root / "journals").glob("shard-*.jsonl"))]
+    return np.array(server.active_artifact.table), tuple(
+        np.concatenate([piece[name] for piece in pieces])
+        for name in ("state", "action", "reward", "next_state"))
+
+
+def _assert_same_bytes(fast, ref):
+    assert (fast.dtype, fast.shape) == (ref.dtype, ref.shape)
+    assert fast.tobytes() == ref.tobytes(), (fast, ref)
 
 
 def _registry(root, table, fingerprint, versions=1, bump=0.25):
@@ -568,7 +608,75 @@ class TestLearner:
         offline.qtable.values[:] = table
         for state, action, reward, next_state in rows:
             offline.update(state, action, reward, next_state)
-        assert np.array_equal(learner.table, offline.qtable.values)
+        _assert_same_bytes(learner.table, offline.qtable.values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_apply_matches_the_frozen_numpy_loop(self, data):
+        # Byte for byte against the numpy-scalar loop it replaced, over
+        # tables and rewards full of signed zeros and of values near the
+        # double range, so that with a unit step size updates overflow to
+        # infinity and later max reads meet inf and NaN.
+        num_states = data.draw(st.integers(1, 5), label="states")
+        num_actions = data.draw(st.integers(1, 4), label="actions")
+        edgy = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308]) \
+            | st.floats(-1e3, 1e3)
+        table = data.draw(hnp.arrays(np.float64, (num_states, num_actions),
+                                     elements=edgy), label="table")
+        rows = data.draw(st.lists(
+            st.tuples(st.integers(0, num_states - 1),
+                      st.integers(0, num_actions - 1), edgy,
+                      st.integers(0, num_states - 1)),
+            max_size=40), label="records")
+        cut = data.draw(st.integers(0, len(rows)), label="cut")
+        lr = data.draw(st.sampled_from([1.0, 0.5]) | st.floats(1e-3, 1.0),
+                       label="learning_rate")
+        gamma = data.draw(st.sampled_from([0.0, 0.5, 0.999])
+                          | st.floats(0.0, 0.999), label="discount")
+        columns = [np.array([r[i] for r in rows], dtype=dtype) for i, dtype
+                   in enumerate((np.int64, np.int64, np.float64, np.int64))]
+
+        learner = OnlineLearner(self._FP, table, config=OnlineLearnerConfig(
+            learning_rate=lr, discount=gamma))
+        fast, ref = table.copy(), table.copy()
+        # Two calls, so the second may start on a table that already
+        # holds a NaN.
+        learner._apply(fast, *(c[:cut] for c in columns))
+        learner._apply(fast, *(c[cut:] for c in columns))
+        reference_apply(ref, *columns, learning_rate=lr, discount=gamma)
+        _assert_same_bytes(fast, ref)
+
+    @pytest.mark.parametrize("cut", [3, 4])
+    def test_a_nan_behind_a_finite_value_is_the_row_max(self, cut):
+        # Two overflows leave one cell +inf; the next update of that
+        # cell stores inf - inf = NaN after a finite value in its row.
+        # numpy's max propagates the NaN where Python's skips it, so
+        # the last record shows which one the loop follows, whether it
+        # meets the NaN in the call that stored it or in the next one.
+        table = np.zeros((1, 2))
+        columns = (np.array([0, 0, 0, 0]), np.array([1, 1, 1, 0]),
+                   np.array([1.7e308, 1.7e308, 0.0, 1.0]),
+                   np.array([0, 0, 0, 0]))
+        learner = OnlineLearner(self._FP, table, config=OnlineLearnerConfig(
+            learning_rate=1.0, discount=0.9))
+        fast, ref = table.copy(), table.copy()
+        learner._apply(fast, *(c[:cut] for c in columns))
+        learner._apply(fast, *(c[cut:] for c in columns))
+        reference_apply(ref, *columns, learning_rate=1.0, discount=0.9)
+        assert np.isnan(ref).all()
+        _assert_same_bytes(fast, ref)
+
+    def test_apply_matches_the_frozen_loop_on_perfbench_journals(
+            self, perfbench_journal):
+        table, columns = perfbench_journal
+        learner = OnlineLearner({}, table)
+        config = learner.config
+        fast, ref = table.copy(), table.copy()
+        learner._apply(fast, *columns)
+        reference_apply(ref, *columns, learning_rate=config.learning_rate,
+                        discount=config.discount)
+        assert not np.array_equal(fast, table)
+        _assert_same_bytes(fast, ref)
 
     def test_out_of_table_records_are_excluded(self, tmp_path):
         table = self._table(num_states=4, num_actions=2)

@@ -8,11 +8,12 @@ implementation lives in ``tests/reference_solver.py``:
 * :class:`ScalarReferenceSolver` — the same physics one action at a time.
 
 Covered here: randomized (speed, accel, SoC, grade) grids, full episodes
-on every built-in cycle, guarded (:class:`SafetySupervisor`) runs, and
-fault-scenario runs (plant + sensor faults).  Any mismatch in any trace
-field is a regression in the optimised kernel, not an acceptable drift.
-The kernel's rare branches and its inlined road load and mode lookup are
-compared byte for byte, signed zeros and NaN payloads included.
+on every built-in cycle, guarded (:class:`SafetySupervisor`) runs,
+fault-scenario runs (plant + sensor faults), and the kernel's rare
+branches and its inlined road load and mode lookup.  Every field is
+compared in dtype, shape and bytes, signed zeros and NaN payloads
+included; any mismatch is a regression in the optimised kernel, not an
+acceptable drift.
 """
 
 from __future__ import annotations
@@ -54,23 +55,30 @@ EPISODE_FIELDS = (
     "current", "gear", "aux_power", "mode", "feasible", "shortfall")
 
 
+def assert_same_bytes(fast, ref, label):
+    """``fast`` and ``ref`` agree in dtype, shape and every byte."""
+    a, b = np.asarray(fast), np.asarray(ref)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape), (
+        f"{label} is {a.dtype}{a.shape}, the reference {b.dtype}{b.shape}")
+    assert a.tobytes() == b.tobytes(), (
+        f"{label} bytes diverged: {a} vs {b}")
+
+
 def assert_batches_identical(fast, ref):
-    for name in BATCH_FIELDS:
-        a, b = getattr(fast, name), getattr(ref, name)
-        assert np.array_equal(a, b), (
-            f"BatchResult.{name} diverged: {a} vs {b}")
-    for name in BATCH_SCALARS:
-        assert float(getattr(fast, name)) == float(getattr(ref, name)), name
+    for name in BATCH_FIELDS + BATCH_SCALARS:
+        assert_same_bytes(getattr(fast, name), getattr(ref, name),
+                          f"BatchResult.{name}")
 
 
 def assert_episodes_identical(fast, ref):
     for name in EPISODE_FIELDS:
-        a, b = getattr(fast, name), getattr(ref, name)
-        assert np.array_equal(a, b), f"EpisodeResult.{name} diverged"
+        assert_same_bytes(getattr(fast, name), getattr(ref, name),
+                          f"EpisodeResult.{name}")
     if ref.fault_active is None:
         assert fast.fault_active is None
     else:
-        assert np.array_equal(fast.fault_active, ref.fault_active)
+        assert_same_bytes(fast.fault_active, ref.fault_active,
+                          "EpisodeResult.fault_active")
 
 
 def random_state(rng):
@@ -226,17 +234,6 @@ def test_act_batch_matches_scalar_fallback():
     assert isinstance(a, RLController)
 
 
-def assert_batches_byte_identical(fast, ref):
-    for name in BATCH_FIELDS:
-        a = np.ascontiguousarray(getattr(fast, name))
-        b = np.ascontiguousarray(getattr(ref, name))
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (
-            f"BatchResult.{name} bytes diverged: {a} vs {b}")
-    for name in BATCH_SCALARS:
-        assert (np.float64(getattr(fast, name)).tobytes()
-                == np.float64(getattr(ref, name)).tobytes()), name
-
-
 @pytest.fixture
 def rare_branch_calls(monkeypatch):
     """Count the moving kernel's calls into its two rare corrections."""
@@ -269,7 +266,7 @@ class TestRareBranches:
         grid = build_rl_controller(fast, seed=1).agent._workspace
         batch = fast.evaluate_grid(grid, speed, accel, soc, 1.0)
         assert rare_branch_calls["_feed_starved"] == 1
-        assert_batches_byte_identical(batch, ref.evaluate_actions(
+        assert_batches_identical(batch, ref.evaluate_actions(
             speed, accel, soc, grid.currents, grid.gears, grid.aux, 1.0))
 
     @pytest.mark.parametrize("accel", [-6.0, -3.0, -1.5])
@@ -291,7 +288,7 @@ class TestRareBranches:
         grid = fast.workspace(currents, gears, aux)
         batch = fast.evaluate_grid(grid, 5.0, accel, 0.8, 1.0)
         assert rare_branch_calls["_shed_overcharge"] == 1
-        assert_batches_byte_identical(batch, ref.evaluate_actions(
+        assert_batches_identical(batch, ref.evaluate_actions(
             5.0, accel, 0.8, currents, gears, aux, 1.0))
 
 
