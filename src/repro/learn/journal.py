@@ -12,7 +12,10 @@ first bad row, never a batch the learner would silently train on
 :class:`ExperienceStream` is the write half of one shard's journal: a
 bounded buffer that *sheds the oldest rows* when the learner falls
 behind (the fleet never blocks; the loss is counted), flushed to a
-:mod:`repro.journal` file as one atomic ``os.write`` per batch.
+:mod:`repro.journal` file as one atomic ``os.write`` per batch.  It
+checks an offered array by its dtype, not value by value, and writes a
+line column by column, each distinct reward formatted once; the bytes
+are exactly those of ``json.dumps(payload, sort_keys=True)``.
 
 :func:`read_journal` is the read half, under the experience-journal
 policy of ``docs/ROBUSTNESS.md``, "Crash-safe journals": a **torn final
@@ -49,44 +52,75 @@ COLUMNS = ("vehicle_id", "state", "action", "reward", "next_state",
 DEFAULT_BUFFER_LIMIT = 8192
 """Default bound on records (rows) buffered between flushes."""
 
+REWARD_REPR_CACHE = 4096
+"""Bound on the reward texts one :class:`ExperienceStream` caches (one
+line with more distinct rewards is cached whole)."""
+
+_ID_TEXTS = np.array([str(i) for i in range(4096)], dtype=object)
+"""``str(i)`` of every id below 4096: the default fleet's vehicle ids
+and every state, action and version of the default agent."""
+
 
 def _fail(name: str, row: int, problem: str):
     raise ExperienceError(f"experience column {name!r} row {row}: {problem}")
 
 
 def _column(name: str, values: Any, rows: int) -> np.ndarray:
-    """One validated column: a list of ``rows`` ints (reward: finite
-    reals) decoded into an array, or the first bad row named."""
-    if not isinstance(values, list):
+    """One validated column: ``rows`` ints (reward: finite reals) as an
+    ``int64`` (``float64``) array, or the first bad row named.
+
+    ``values`` is a list (a decoded line) or a 1-D array (an offered
+    batch).  An array of an integer dtype (``float64`` for ``reward``)
+    is type-checked by its dtype alone; any other array is checked as
+    its ``tolist()``, so the error names the row a list would.  The
+    range checks are the same for both.
+    """
+    reward = name == "reward"
+    dtype = np.float64 if reward else np.int64
+    if isinstance(values, np.ndarray) and not (
+            values.dtype == np.float64 if reward
+            else values.dtype.kind in "iu"):
+        values = values.tolist()
+    if not isinstance(values, (list, np.ndarray)):
         raise ExperienceError(f"experience column {name!r} must be a list, "
                               f"got {type(values).__name__}")
     if len(values) != rows:
         _fail(name, min(len(values), rows), f"the column has {len(values)} "
               f"rows, column 'vehicle_id' has {rows}")
-    kinds = {int, float} if name == "reward" else {int}
-    if not set(map(type, values)) <= kinds:
-        row = next(i for i, v in enumerate(values) if type(v) not in kinds)
-        _fail(name, row, f"expected {' or '.join(k.__name__ for k in kinds)}"
-              f", got {type(values[row]).__name__} ({values[row]!r})")
-    dtype = np.float64 if name == "reward" else np.int64
-    try:
-        array = np.array(values, dtype=dtype)
-    except OverflowError:
-        for row, value in enumerate(values):
-            try:
-                dtype(value)
-            except OverflowError:
-                _fail(name, row, f"{value} is out of {dtype.__name__} range")
-    if name == "reward":
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.uint64:  # ids >= 2**63 read as negative
+            big = np.flatnonzero(values.view(np.int64) < 0)
+            if len(big):
+                _fail(name, big[0], f"{values[big[0]]} is out of int64 "
+                      f"range")
+        array = values.astype(dtype)
+    else:
+        kinds = {int, float} if reward else {int}
+        if not set(map(type, values)) <= kinds:
+            row = next(i for i, v in enumerate(values)
+                       if type(v) not in kinds)
+            _fail(name, row, f"expected "
+                  f"{' or '.join(k.__name__ for k in kinds)}, got "
+                  f"{type(values[row]).__name__} ({values[row]!r})")
+        try:
+            array = np.array(values, dtype=dtype)
+        except OverflowError:
+            for row, value in enumerate(values):
+                try:
+                    dtype(value)
+                except OverflowError:
+                    _fail(name, row,
+                          f"{value} is out of {dtype.__name__} range")
+    if reward:
         bad = np.flatnonzero(~np.isfinite(array))
         if len(bad):
             _fail(name, bad[0], f"a reward must be finite, got "
-                  f"{values[bad[0]]!r}; it would poison the Q-table")
+                  f"{array[bad[0]].item()!r}; it would poison the Q-table")
         return array
     low = 1 if name == "policy_version" else 0
     bad = np.flatnonzero(array < low)
     if len(bad):
-        _fail(name, bad[0], f"must be >= {low}, got {values[bad[0]]}"
+        _fail(name, bad[0], f"must be >= {low}, got {array[bad[0]]}"
               + (" (fallback decisions are never streamed)" if low else ""))
     return array
 
@@ -108,7 +142,7 @@ def _validated(payload: Mapping[str, Any]) -> Dict[str, np.ndarray]:
         raise ExperienceError(f"experience batch step must be a "
                               f"non-negative int64, got {step!r}")
     ids = payload["vehicle_id"]
-    rows = len(ids) if isinstance(ids, list) else 0
+    rows = len(ids) if isinstance(ids, (list, np.ndarray)) else 0
     columns = {name: _column(name, payload[name], rows) for name in COLUMNS}
     if not rows:
         raise ExperienceError("an experience batch holds at least one row")
@@ -117,14 +151,65 @@ def _validated(payload: Mapping[str, Any]) -> Dict[str, np.ndarray]:
 
 
 def _payload(step: Any, columns: Mapping[str, Any]) -> Dict[str, Any]:
-    """The validated line object of one tick's ``columns``: an array's
-    Python values, a sequence's own (so its rows keep their types)."""
-    payload = {name: columns[name].tolist()
-               if isinstance(columns[name], np.ndarray)
-               else list(columns[name]) for name in COLUMNS}
+    """One tick's validated batch: its columns as ``int64`` and
+    ``float64`` arrays, and its ``step``.  A 1-D array is validated as
+    it is; any other array or sequence as a list, as a decoded line."""
+    payload: Dict[str, Any] = {}
+    for name in COLUMNS:
+        values = columns[name]
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        elif values.ndim != 1:
+            values = values.tolist()
+        payload[name] = values
     payload.update(v=JOURNAL_VERSION, step=np.asarray(step).tolist())
-    _validated(payload)
-    return payload
+    batch = _validated(payload)
+    batch["step"] = payload["step"]
+    return batch
+
+
+def _ids(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist())`` of a validated (so non-negative)
+    id column: the texts of ids below :data:`_ID_TEXTS`' length gathered
+    in one numpy call, larger ids through ``json``."""
+    if values.max() < len(_ID_TEXTS):
+        return "[" + ", ".join(_ID_TEXTS[values].tolist()) + "]"
+    return json.dumps(values.tolist())
+
+
+def _rewards(values: np.ndarray, reprs: Dict[int, str]) -> str:
+    """``json.dumps(values.tolist())`` of a validated reward column,
+    each distinct double's ``float.__repr__`` (the text ``json`` writes)
+    taken from ``reprs``.  The cache is keyed by the double's bit
+    pattern, so ``-0.0`` and ``0.0`` stay apart, and it is emptied
+    before a line whose new texts would take it past
+    :data:`REWARD_REPR_CACHE` entries."""
+    bits = values.view(np.int64).tolist()
+    try:
+        return "[" + ", ".join(map(reprs.__getitem__, bits)) + "]"
+    except KeyError:
+        pass
+    keys = set(bits)
+    missing = keys.difference(reprs)
+    if len(reprs) + len(missing) > REWARD_REPR_CACHE:
+        reprs.clear()
+        missing = keys
+    floats = dict(zip(bits, values.tolist()))
+    reprs.update({key: repr(floats[key]) for key in missing})
+    return "[" + ", ".join(map(reprs.__getitem__, bits)) + "]"
+
+
+def _encode(batch: Mapping[str, Any], reprs: Dict[int, str]) -> str:
+    """The journal line of one validated batch: exactly
+    ``json.dumps(payload, sort_keys=True)`` of its Python values, built
+    column by column with ``json``'s separators and key order."""
+    fields = {name: _ids(batch[name]) for name in COLUMNS
+              if name != "reward"}
+    fields.update(reward=_rewards(batch["reward"], reprs),
+                  step=json.dumps(batch["step"]),
+                  v=json.dumps(JOURNAL_VERSION))
+    return "{" + ", ".join(f"{json.dumps(key)}: {fields[key]}"
+                           for key in sorted(fields)) + "}"
 
 
 def decode_batch(line: str) -> Dict[str, np.ndarray]:
@@ -163,6 +248,7 @@ class ExperienceStream:
         self._limit = int(buffer_limit)
         self._buffer: deque = deque()
         self._rows = 0
+        self._reprs: Dict[int, str] = {}
         self.path = Path(directory) / shard_filename(shard)
         """The journal file this stream appends to."""
         self._journal = journal.JournalWriter(
@@ -192,9 +278,9 @@ class ExperienceStream:
                   policy_versions)
         if all(len(column) == 0 for column in values):
             return 0
-        payload = _payload(step, dict(zip(COLUMNS, values)))
-        rows = len(payload["state"])
-        self._buffer.append(payload)
+        batch = _payload(step, dict(zip(COLUMNS, values)))
+        rows = len(batch["state"])
+        self._buffer.append(batch)
         self._rows += rows
         self.offered += rows
         while self._rows > self._limit:
@@ -202,7 +288,7 @@ class ExperienceStream:
             cut = min(self._rows - self._limit, len(oldest["state"]))
             for name in COLUMNS:
                 oldest[name] = oldest[name][cut:]
-            if not oldest["state"]:
+            if not len(oldest["state"]):
                 self._buffer.popleft()
             self._rows -= cut
             self.shed += cut
@@ -227,7 +313,7 @@ class ExperienceStream:
             self._journal.open()
         before = self.written
         while self._buffer:
-            self._journal.append(json.dumps(self._buffer[0], sort_keys=True))
+            self._journal.append(_encode(self._buffer[0], self._reprs))
             rows = len(self._buffer.popleft()["state"])
             self._rows -= rows
             self.written += rows

@@ -230,8 +230,10 @@ class OnlineLearner:
         decoded first, then transitions are applied in journal order
         (shards in sorted filename order) and the new table, cursors and
         counters are committed together, with the checkpoint when one is
-        configured.  A raising ingest leaves the learner as it was.
-        Idempotent when nothing new was appended.
+        configured.  A raising ingest leaves the learner as it was; that
+        includes one whose updates overflow a Q-value to infinity or
+        NaN, which :meth:`resume` would refuse.  Idempotent when nothing
+        new was appended.
         """
         pieces = {path.name: read_journal(path, self._cursors.get(path.name))
                   for path in sorted(Path(journal_dir).glob("shard-*.jsonl"))}
@@ -249,6 +251,11 @@ class OnlineLearner:
             report.records += int(np.count_nonzero(inside))
             self._apply(q, *(cols[name][inside] for name in (
                 "state", "action", "reward", "next_state")))
+        if not np.isfinite(q).all():
+            s, a = np.argwhere(~np.isfinite(q))[0]
+            raise ExperienceError(
+                f"the journals' rewards overflow Q-value (state {s}, "
+                f"action {a}) to {q[s, a]}; nothing was committed")
         before = dict(vars(self))  # table and cursors are replaced whole
         self._q = q
         self._cursors = {**self._cursors,

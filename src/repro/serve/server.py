@@ -540,8 +540,9 @@ class PolicyServer:
 
     def _check_states(self, states: np.ndarray,
                       artifact: PolicyArtifact) -> None:
-        if states.size and (int(states.min()) < 0
-                            or int(states.max()) >= artifact.num_states):
+        # One reduction: a negative id wraps to a huge unsigned one.
+        if states.size and int(states.view(np.uintp).max()) \
+                >= artifact.num_states:
             raise ServeError(
                 f"state ids must lie in [0, {artifact.num_states}); got "
                 f"range [{int(states.min())}, {int(states.max())}]")

@@ -19,6 +19,8 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.learn import (
     decode_batch,
     read_journal,
 )
+from repro.learn.journal import DEFAULT_BUFFER_LIMIT, REWARD_REPR_CACHE
 from repro.learn.loop import STATE_NAME
 from repro.powertrain import PowertrainSolver
 from repro.rl.persistence import _fingerprint
@@ -55,6 +58,7 @@ from repro.serve import (
 )
 from repro.sim import Simulator, train
 from repro.vehicle import default_vehicle
+from tests.reference_journal import ReferenceStream
 from tests.reference_learner import reference_apply
 
 
@@ -69,13 +73,33 @@ def policy():
     return agent.learner.qtable.values.copy(), _fingerprint(agent)
 
 
+class _FrozenTwin(ExperienceStream):
+    """A stream that also feeds every batch to the frozen writer and
+    collects the lines it would have written, flush for flush."""
+
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.reference = ReferenceStream(DEFAULT_BUFFER_LIMIT)
+        self.frozen_lines = []
+
+    def offer_batch(self, *columns, step):
+        self.reference.offer_batch(*columns, step=step)
+        return super().offer_batch(*columns, step=step)
+
+    def flush(self):
+        self.frozen_lines += self.reference.lines()
+        return super().flush()
+
+
 @pytest.fixture(scope="module", params=sorted(WORKLOADS))
 def perfbench_journal(request, tmp_path_factory):
-    """``(table, columns)`` of one perfbench workload's ingest stage.
+    """One perfbench workload's fleet journal and ingest stage.
 
-    The workload's trained table as the fleet serves it, and the
-    ``(state, action, reward, next_state)`` columns of the experience
-    its fleet journals, in ingest order.
+    ``table`` is the workload's trained table as the fleet serves it,
+    ``columns`` the ``(state, action, reward, next_state)`` columns of
+    the experience its fleet journals, in ingest order, ``written`` the
+    journal's bytes and ``frozen`` the bytes the frozen writer of
+    ``tests/reference_journal.py`` makes of the same batches.
     """
     workload, seed = WORKLOADS[request.param], 1
     root = tmp_path_factory.mktemp(f"perfbench-{request.param}")
@@ -89,13 +113,18 @@ def perfbench_journal(request, tmp_path_factory):
     server.activate(registry.load(registry.publish(controller.agent)))
     fleet = FleetConfig(vehicles=workload.vehicles, steps=workload.steps,
                         seed=seed)
-    with ExperienceStream(root / "journals") as stream:
+    with _FrozenTwin(root / "journals") as stream:
         FleetSimulator(server, fleet, experience=stream).run()
-    pieces = [read_journal(path).columns
-              for path in sorted((root / "journals").glob("shard-*.jsonl"))]
-    return np.array(server.active_artifact.table), tuple(
-        np.concatenate([piece[name] for piece in pieces])
-        for name in ("state", "action", "reward", "next_state"))
+    piece = read_journal(stream.path)
+    written = stream.path.read_bytes()
+    header = written[:written.index(b"\n") + 1]
+    return SimpleNamespace(
+        table=np.array(server.active_artifact.table),
+        columns=tuple(piece.columns[name] for name in (
+            "state", "action", "reward", "next_state")),
+        written=written,
+        frozen=header + "".join(f"{line}\n" for line in
+                                stream.frozen_lines).encode())
 
 
 def _assert_same_bytes(fast, ref):
@@ -462,6 +491,147 @@ class TestJournal:
             ExperienceStream(tmp_path, buffer_limit=0)
 
 
+_REWARDS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320,
+                     2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 1 / 3, -1 / 3, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False))
+"""Signed zeros, subnormals, extremes, repeats and any finite double."""
+
+
+@st.composite
+def _offers(draw):
+    """One tick's offer: ``int64``, ``uint64`` or list id columns, each
+    up to a largest id on either side of the writer's 4096-entry text
+    table, and a ``float64`` or list reward column."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.sampled_from([np.int64, np.uint64, list]))
+    rewards = draw(st.sampled_from([np.float64, list]))
+
+    def column(kind, values):
+        return list(values) if kind is list else np.array(values, kind)
+
+    batch = {}
+    for name in _OFFER:
+        if name == "reward":
+            values = st.lists(_REWARDS, min_size=n, max_size=n)
+            batch[name] = column(rewards, draw(values))
+            continue
+        top = draw(st.sampled_from([1, 9, 4095, 4096, 2 ** 63 - 1]))
+        low = int(name == "policy_version")
+        values = st.lists(st.one_of(st.just(top), st.integers(low, top)),
+                          min_size=n, max_size=n)
+        batch[name] = column(ids, draw(values))
+    return batch
+
+
+def _corrupt(batch, name, kind, row):
+    """``batch`` with column ``name`` made invalid at ``row`` (an array)."""
+    good = np.asarray(batch[name])
+    at = np.arange(len(good)) == row
+    bad = {
+        "bool": lambda: good.astype(bool),
+        "float": lambda: np.where(at, 0.5, good),
+        "object": lambda: np.where(at, "x", good.astype(object)),
+        "short": lambda: good[:row],
+        "2d": lambda: good.reshape(-1, 1),
+        "negative": lambda: np.where(at, -row - 1, good).astype(np.int32),
+        "zero": lambda: np.where(at, 0, good),
+        "huge": lambda: np.where(at, np.uint64(2 ** 63 + row),
+                                 good.astype(np.uint64)),
+        "nan": lambda: np.where(at, np.nan, good),
+        "inf": lambda: np.where(at, -np.inf, good),
+        "float32": lambda: np.where(at, np.inf, good).astype(np.float32),
+    }[kind]()
+    return dict(batch, **{name: bad})
+
+
+_INVALID = ([(name, kind) for name in _INT_COLUMNS
+             for kind in ("bool", "float", "object", "short", "2d",
+                          "negative", "huge")]
+            + [("policy_version", "zero")]
+            + [("reward", kind) for kind in ("bool", "object", "short",
+                                             "nan", "inf", "float32")])
+"""Invalid array columns: ``(column, corruption)`` pairs."""
+
+
+class TestJournalWriter:
+    """The array writer against the frozen list writer of
+    ``tests/reference_journal.py``: the same bytes for any valid batches,
+    the same error for any invalid one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(offers=st.lists(_offers(), min_size=1, max_size=6),
+           flushes=st.lists(st.booleans(), min_size=6, max_size=6),
+           limit=st.integers(1, 24),
+           cache=st.sampled_from([1, 2, 5, REWARD_REPR_CACHE]))
+    def test_flush_matches_the_frozen_writer(self, offers, flushes, limit,
+                                             cache):
+        # Small caches fill and clear within and across lines; a small
+        # buffer sheds cut batches between flushes.
+        with tempfile.TemporaryDirectory() as root, \
+                mock.patch("repro.learn.journal.REWARD_REPR_CACHE", cache):
+            reference = ReferenceStream(limit)
+            frozen = []
+            widest = max(len(batch["state"]) for batch in offers)
+            with ExperienceStream(root, buffer_limit=limit) as stream:
+                for step, (batch, flush) in enumerate(zip(offers, flushes)):
+                    assert _offer(stream, batch, step) \
+                        == _offer(reference, batch, step)
+                    if flush or step == len(offers) - 1:
+                        stream.flush()
+                        frozen += reference.lines()
+                    assert len(stream._reprs) <= max(cache, widest)
+                written = stream.path.read_text().splitlines()[1:]
+            assert written == frozen
+            assert (stream.offered, stream.shed, stream.written) \
+                == (reference.offered, reference.shed, reference.written)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), invalid=st.sampled_from(_INVALID))
+    def test_invalid_arrays_raise_the_frozen_error(self, data, invalid):
+        name, kind = invalid
+        rows = data.draw(st.integers(1, 5))
+        row = data.draw(st.integers(0, rows - 1))
+        batch = _corrupt(_records(rows, seed=rows + row), name, kind, row)
+        reference = ReferenceStream(DEFAULT_BUFFER_LIMIT)
+        with pytest.raises(ExperienceError) as frozen:
+            _offer(reference, batch)
+        with tempfile.TemporaryDirectory() as root, \
+                ExperienceStream(root) as stream:
+            with pytest.raises(ExperienceError) as error:
+                _offer(stream, batch)
+            assert str(error.value) == str(frozen.value)
+            assert stream.offered == stream.buffered == 0
+
+    def test_a_batch_is_kept_as_offered(self, tmp_path):
+        # The fleet reuses its arrays; a buffered batch must not follow.
+        batch = {name: np.array(column) for name, column in _BATCH.items()}
+        with ExperienceStream(tmp_path) as stream:
+            _offer(stream, batch)
+            for column in batch.values():
+                column[0] = column[1]
+            stream.flush()
+        assert _same(read_journal(stream.path), _BATCH)
+
+    def test_an_integer_reward_is_written_as_a_float(self, tmp_path):
+        batch = dict(_BATCH, reward=[3, -1, 2 ** 70])
+        reference = ReferenceStream(DEFAULT_BUFFER_LIMIT)
+        _offer(reference, batch)
+        frozen = reference.lines()[0]
+        path = _write_journal(tmp_path, batch)
+        line = path.read_text().splitlines()[1]
+        assert '"reward": [3, -1, 1180591620717411303424]' in frozen
+        assert '"reward": [3.0, -1.0, 1.1805916207174113e+21]' in line
+        assert decode_batch(line)["reward"].tobytes() \
+            == decode_batch(frozen)["reward"].tobytes()
+
+    def test_fleet_journal_matches_the_frozen_writer(self,
+                                                     perfbench_journal):
+        assert perfbench_journal.written.count(b"\n") > 1
+        assert perfbench_journal.written == perfbench_journal.frozen
+
+
 class TestLearner:
     _FP = {"kind": "test", "seed": 1}
 
@@ -537,6 +707,31 @@ class TestLearner:
         assert np.array_equal(learner.table, table)
         assert learner.cursors == {} and learner.records == 0
         assert learner.ingests == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflow_to_nan_commits_nothing(self, tmp_path):
+        # Finite rewards can still overflow a cell to inf and then NaN,
+        # a table resume() would refuse: the ingest must commit nothing.
+        ckpt = tmp_path / "ckpt.rpa"
+        learner = OnlineLearner(self._FP, np.zeros((4, 2)),
+                                checkpoint_path=ckpt)
+        _write_journal(tmp_path / "j", _records(5, num_states=4,
+                                                num_actions=2))
+        learner.ingest(tmp_path / "j")
+        table, cursors, saved = learner.table, learner.cursors, \
+            ckpt.read_bytes()
+        zeros = np.zeros(60, dtype=np.int64)
+        _write_journal(tmp_path / "j", {
+            "state": zeros, "action": zeros, "reward": np.full(60, 1.7e308),
+            "next_state": zeros, "policy_version": zeros + 1,
+            "vehicle_id": np.arange(60)}, shard=1)
+        with pytest.raises(ExperienceError, match=r"\(state 0, action 0\)"):
+            learner.ingest(tmp_path / "j")
+        _assert_same_bytes(learner.table, table)
+        assert learner.cursors == cursors and ckpt.read_bytes() == saved
+        assert (learner.records, learner.quarantined, learner.excluded,
+                learner.ingests) == (5, 0, 0, 1)
+        _assert_same_bytes(OnlineLearner.resume(ckpt).table, table)
 
     def test_missing_checkpoint_is_experience_error(self, tmp_path):
         with pytest.raises(ExperienceError, match="nothing to resume"):
@@ -668,7 +863,7 @@ class TestLearner:
 
     def test_apply_matches_the_frozen_loop_on_perfbench_journals(
             self, perfbench_journal):
-        table, columns = perfbench_journal
+        table, columns = perfbench_journal.table, perfbench_journal.columns
         learner = OnlineLearner({}, table)
         config = learner.config
         fast, ref = table.copy(), table.copy()
