@@ -5,6 +5,16 @@ speed, battery charge, and the quantised prediction of upcoming demand.
 Each continuous component is binned by a strictly increasing edge list; the
 four bin indices are ravelled into a single integer state id so the
 Q-table can be a dense array.
+
+The vectorised path comes in two halves.  The model is backward-looking
+(Eq. 5-7), so ``p_dem`` and ``v`` follow from the drive cycle alone:
+:meth:`StateDiscretizer.drive_index` ravels their two bins into a *drive
+index*, which a fleet computes once per cycle position and run.
+:meth:`StateDiscretizer.state_of_drive` joins a drive index with the
+charge bin (and the prediction level) -- the only part of a state a
+decision changes.  :meth:`StateDiscretizer.state_of_batch` composes the
+two, and :meth:`StateDiscretizer.state_of` is the scalar golden of all
+three.
 """
 
 from __future__ import annotations
@@ -112,6 +122,43 @@ class StateDiscretizer:
         _, speed_bins, soc_bins, levels = self._shape
         return ((ip * speed_bins + iv) * soc_bins + iq) * levels + il
 
+    def drive_index(self, power_demands: np.ndarray,
+                    speeds: np.ndarray) -> np.ndarray:
+        """Ravelled ``(power, speed)`` bin pair of many observations.
+
+        This is the part of a state id the drive cycle alone fixes:
+        ``state_of_drive(drive_index(p, v), q, l)`` equals
+        ``state_of_batch(p, v, q, l)`` element for element.
+        """
+        ip = np.searchsorted(self._power_edges,
+                             np.asarray(power_demands, dtype=float),
+                             side="right")
+        iv = np.searchsorted(self._speed_edges,
+                             np.asarray(speeds, dtype=float), side="right")
+        return ip * self._shape[1] + iv
+
+    def state_of_drive(self, drives: np.ndarray, socs: np.ndarray,
+                       prediction_levels: np.ndarray = 0) -> np.ndarray:
+        """Join drive indices (:meth:`drive_index`) with the charge bin
+        and prediction level into state ids (C order, as
+        ``np.ravel_multi_index``).
+
+        The fleet's per-tick path: only the charge depends on what the
+        controller decided.  ``drives``, ``socs`` and
+        ``prediction_levels`` broadcast.
+        """
+        _, _, soc_bins, levels = self._shape
+        # soc_bins - 1 interior edges: the bin needs no upper clip.
+        iq = np.searchsorted(self._soc_edges, np.asarray(socs, dtype=float),
+                             side="right")
+        # min(max(.)) is np.clip for integers; np.clip's dispatch costs
+        # more than the whole join on a 0-d level.
+        il = np.minimum(np.maximum(np.asarray(prediction_levels,
+                                              dtype=np.intp), 0),
+                        levels - 1)
+        return (np.asarray(drives, dtype=np.intp) * soc_bins + iq) \
+            * levels + il
+
     def state_of_batch(self, power_demands: np.ndarray, speeds: np.ndarray,
                        socs: np.ndarray,
                        prediction_levels: np.ndarray = 0) -> np.ndarray:
@@ -119,22 +166,11 @@ class StateDiscretizer:
 
         Element-for-element identical to :meth:`state_of` (golden-tested);
         ``prediction_levels`` broadcasts, so a scalar 0 serves the common
-        no-predictor case.  This is the fleet-serving hot path: one call
-        discretises a whole vehicle population per tick.
+        no-predictor case.  It is :meth:`drive_index` joined by
+        :meth:`state_of_drive`.
         """
-        ip = np.searchsorted(self._power_edges,
-                             np.asarray(power_demands, dtype=float),
-                             side="right")
-        iv = np.searchsorted(self._speed_edges,
-                             np.asarray(speeds, dtype=float), side="right")
-        iq = np.clip(np.searchsorted(self._soc_edges,
-                                     np.asarray(socs, dtype=float),
-                                     side="right"),
-                     0, self._shape[2] - 1)
-        il = np.clip(np.asarray(prediction_levels, dtype=np.intp),
-                     0, self._shape[3] - 1)
-        return np.ravel_multi_index(
-            np.broadcast_arrays(ip, iv, iq, il), self._shape)
+        return self.state_of_drive(
+            self.drive_index(power_demands, speeds), socs, prediction_levels)
 
     def unravel(self, state: int) -> Tuple[int, int, int, int]:
         """Recover the per-dimension bin indices of a state id."""

@@ -3,9 +3,12 @@
 A :class:`FleetSimulator` runs a population of lightweight vehicles —
 heterogeneous across drive cycle, phase offset, auxiliary load, initial
 state of charge, and fault scenario (noisy SoC sensing) — against a
-:class:`repro.serve.PolicyServer`.  Each simulated second the whole
-population is discretised in one vectorized pass
-(:meth:`repro.rl.discretize.StateDiscretizer.state_of_batch`), batched
+:class:`repro.serve.PolicyServer`.  The model is backward-looking (paper
+Eq. 5-7), so a vehicle's speed, acceleration and power demand follow
+from its cycle position alone: a run bins them once per position of its
+cycles (:class:`_DriveTable`).  Each simulated second the whole
+population's state ids are then one gather plus the charge bin
+(:meth:`repro.rl.discretize.StateDiscretizer.state_of_drive`), batched
 into decision requests through the server's bounded queue, and stepped
 with a simplified battery model (Coulomb counting, the same sign
 convention as :mod:`repro.vehicle.battery`, plus an auxiliary drain).
@@ -64,6 +67,7 @@ registry.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
@@ -132,8 +136,7 @@ class FleetConfig:
     def __post_init__(self):
         if self.vehicles < 1:
             raise ServeError("a fleet needs at least one vehicle")
-        if self.steps < 1:
-            raise ServeError("a fleet run needs at least one step")
+        _check_steps(self.steps)
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ServeError(f"dt must be finite and positive, got {self.dt}")
         if not self.cycles:
@@ -249,6 +252,55 @@ def _sensor_noise(cfg: FleetConfig, faulty: np.ndarray,
     return noise
 
 
+class _DriveTable:
+    """The drive-fixed half of every vehicle's state, built once per run.
+
+    One entry per position of the run's cycles (concatenated): its
+    successor (wrapping within its own cycle), the acceleration towards
+    it, the power demand from :meth:`VehicleDynamics.power_demand` and
+    the discretiser's drive index.  Memory is O(cycle positions), not
+    O(steps x vehicles); a tick gathers its vehicles' drive indices and
+    joins them with the SoC bin.
+    """
+
+    def __init__(self, speeds_per_cycle, cycle_idx: np.ndarray,
+                 phase: np.ndarray, dynamics: VehicleDynamics,
+                 discretizer: StateDiscretizer, dt: float):
+        lengths = np.array([len(s) for s in speeds_per_cycle])
+        offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        speed = np.concatenate(speeds_per_cycle)
+        successor = np.arange(1, len(speed) + 1)
+        successor[offsets + lengths - 1] = offsets
+        accel = (speed[successor] - speed) / dt
+        p_dem = np.asarray(dynamics.power_demand(speed, accel), dtype=float)
+        self._drive = discretizer.drive_index(p_dem, speed)
+        self._discretizer = discretizer
+        self._base = offsets[cycle_idx]
+        self._length = lengths[cycle_idx]
+        self._phase = phase
+
+    def states(self, t: int, socs: np.ndarray) -> np.ndarray:
+        """State ids of the fleet at tick ``t`` observing ``socs``.
+
+        A noisy ``socs`` needs no clipping to ``[0, 1]`` first: the
+        discretiser's SoC edges lie strictly inside its window, which
+        lies inside ``[0, 1]``, so a reading past either end already
+        falls in the end bin its clipped value would.
+        """
+        pos = self._base + (self._phase + t) % self._length
+        return self._discretizer.state_of_drive(self._drive[pos], socs)
+
+
+def _check_steps(steps) -> int:
+    """``steps`` as an int, or a :class:`ServeError` unless it is an
+    integer >= 1 (``bool`` included among the non-integers)."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ServeError(f"steps must be an integer, got {steps!r}")
+    if steps < 1:
+        raise ServeError(f"a fleet run needs at least one step, got {steps}")
+    return int(steps)
+
+
 class FleetSimulator:
     """Drives a heterogeneous vehicle population against a server."""
 
@@ -300,7 +352,7 @@ class FleetSimulator:
         transitions have no observed successor and are not emitted.
         """
         cfg = self._config
-        steps = cfg.steps if steps is None else int(steps)
+        steps = cfg.steps if steps is None else _check_steps(steps)
         n = cfg.vehicles
         lo = cfg.vehicle_offset
         total = cfg.total_vehicles if cfg.total_vehicles is not None else n
@@ -314,8 +366,6 @@ class FleetSimulator:
         speeds_per_cycle = [standard_cycle(name).speeds
                             for name in cfg.cycles]
         lengths = np.array([len(s) for s in speeds_per_cycle])
-        offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-        flat_speeds = np.concatenate(speeds_per_cycle)
         cycle_all = rng.integers(0, len(cfg.cycles), size=total)
         cycle_idx = cycle_all[window]
         phase = rng.integers(0, lengths[cycle_all])[window]
@@ -326,6 +376,8 @@ class FleetSimulator:
         vehicle_ids = np.arange(lo, lo + n, dtype=np.uint64)
 
         noise = _sensor_noise(cfg, faulty, steps)
+        drive = _DriveTable(speeds_per_cycle, cycle_idx, phase,
+                            self._dynamics, self._discretizer, cfg.dt)
 
         server = self._server
         reference = None
@@ -334,6 +386,8 @@ class FleetSimulator:
         rollout = server.canary
         canary_mask = (rollout.assign_mask(vehicle_ids)
                        if rollout is not None else np.zeros(n, dtype=bool))
+        incumbent_idx = np.flatnonzero(~canary_mask)
+        canary_idx = np.flatnonzero(canary_mask)
 
         # Streaming requires a healthy serving policy: a degraded
         # (fallback) server has no policy_version to attribute records
@@ -358,16 +412,9 @@ class FleetSimulator:
 
         start = time.perf_counter()
         for t in range(steps):
-            pos = (phase + t) % lengths[cycle_idx]
-            nxt = (pos + 1) % lengths[cycle_idx]
-            speed = flat_speeds[offsets[cycle_idx] + pos]
-            accel = (flat_speeds[offsets[cycle_idx] + nxt] - speed) / cfg.dt
-            p_dem = np.asarray(self._dynamics.power_demand(speed, accel),
-                               dtype=float)
             # Faulty vehicles observe a noisy SoC (healthy noise columns
             # are exactly zero, so adding is the same as selecting).
-            obs_soc = np.clip(soc + noise[t], 0.0, 1.0)
-            states = self._discretizer.state_of_batch(p_dem, speed, obs_soc)
+            states = drive.states(t, soc + noise[t])
 
             # The previous tick's transitions are complete now that
             # their successor states are observed; journal them.
@@ -392,7 +439,6 @@ class FleetSimulator:
 
             # Submit the whole tick's requests before pumping once, so
             # the bounded queue sees real depth and deadline pressure.
-            incumbent_idx = np.flatnonzero(~canary_mask)
             pending = {}
             for batch_lo in range(0, len(incumbent_idx), cfg.request_batch):
                 chunk = incumbent_idx[batch_lo:batch_lo + cfg.request_batch]
@@ -411,7 +457,6 @@ class FleetSimulator:
                 served[chunk] = True
                 latencies.append(outcome.latency_s)
 
-            canary_idx = np.flatnonzero(canary_mask)
             if len(canary_idx) and server.canary is not None:
                 actions[canary_idx] = server.canary_decide(states[canary_idx])
                 served[canary_idx] = True
@@ -447,6 +492,7 @@ class FleetSimulator:
                             True, rewards[can], int(np.sum(clamp & can)))
                         if verdict is not None:
                             canary_mask = np.zeros(n, dtype=bool)
+                            incumbent_idx = np.arange(n)
                 if stream is not None:
                     # Degradation wiring: faulty-sensor vehicles (the
                     # DEGRADED analogue) are frozen out of the training

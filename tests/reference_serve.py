@@ -1,6 +1,6 @@
 """Frozen reference implementations of the fleet serving set-up paths.
 
-This module pins the seed semantics of two serving-plane pieces that were
+This module pins the seed semantics of the serving-plane pieces that were
 rewritten for speed:
 
 * :func:`reference_sensor_noise` — the fleet's per-vehicle SoC noise,
@@ -10,13 +10,21 @@ rewritten for speed:
   whose decisions go through the seed ``OrderedDict`` LRU cache (a
   Python loop of ``get``/``move_to_end`` over the unique states, capped
   at 4096 entries), cleared at the seed's three sites: activation,
-  fallback and rollback.
+  fallback and rollback;
+* :func:`reference_tick_states` — the fleet's per-tick drive and
+  discretisation as every tick used to redo it: each vehicle's cycle
+  position and successor, speed, acceleration,
+  ``VehicleDynamics.power_demand``, the clipped noisy SoC and one
+  :func:`reference_state_of_batch` (``np.searchsorted`` per dimension
+  and ``np.ravel_multi_index``).  :class:`ReferenceDriveTable` puts it
+  behind the fleet's per-run drive-table interface, so a whole fleet
+  run can be driven through it.
 
 The equivalence suite (``tests/test_serve_equivalence.py``) drives these
 side by side with the production paths and demands byte-identical noise
-and identical decisions and cache counters.  None of this is used by the
-package.  Do **not** "optimise" this file — its value is that it does not
-change.
+and states, and identical decisions and cache counters.  None of this is
+used by the package.  Do **not** "optimise" this file — its value is that
+it does not change.
 """
 
 from __future__ import annotations
@@ -27,7 +35,9 @@ from typing import List
 import numpy as np
 
 from repro.errors import ServeError
+from repro.rl.discretize import StateDiscretizer
 from repro.serve import FleetConfig, PolicyServer
+from repro.vehicle.dynamics import VehicleDynamics
 
 NOISE_STREAM_KEY = 0x5EED
 """The seed fleet's SeedSequence key of the sensor-noise streams."""
@@ -125,3 +135,56 @@ class ReferenceLRUServer(PolicyServer):
             while len(cache) > self.cache_size:
                 cache.popitem(last=False)
         return uniq_actions[inverse].reshape(states.shape)
+
+
+def reference_state_of_batch(discretizer: StateDiscretizer, power_demands,
+                             speeds, socs, prediction_levels=0) -> np.ndarray:
+    """The seed vectorised discretisation: three ``np.searchsorted`` and
+    one ``np.ravel_multi_index`` over the broadcast bin indices."""
+    shape = discretizer.shape
+    ip = np.searchsorted(discretizer._power_edges,
+                         np.asarray(power_demands, dtype=float),
+                         side="right")
+    iv = np.searchsorted(discretizer._speed_edges,
+                         np.asarray(speeds, dtype=float), side="right")
+    iq = np.clip(np.searchsorted(discretizer._soc_edges,
+                                 np.asarray(socs, dtype=float),
+                                 side="right"),
+                 0, shape[2] - 1)
+    il = np.clip(np.asarray(prediction_levels, dtype=np.intp),
+                 0, shape[3] - 1)
+    return np.ravel_multi_index(np.broadcast_arrays(ip, iv, iq, il), shape)
+
+
+def reference_tick_states(speeds_per_cycle, cycle_idx: np.ndarray,
+                          phase: np.ndarray, dynamics: VehicleDynamics,
+                          discretizer: StateDiscretizer, dt: float, t: int,
+                          socs: np.ndarray) -> np.ndarray:
+    """The seed fleet's state ids at tick ``t``, from scratch.
+
+    ``socs`` is the noisy SoC reading before the seed's clip to
+    ``[0, 1]``.
+    """
+    lengths = np.array([len(s) for s in speeds_per_cycle])
+    offsets = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    flat_speeds = np.concatenate(speeds_per_cycle)
+    pos = (phase + t) % lengths[cycle_idx]
+    nxt = (pos + 1) % lengths[cycle_idx]
+    speed = flat_speeds[offsets[cycle_idx] + pos]
+    accel = (flat_speeds[offsets[cycle_idx] + nxt] - speed) / dt
+    p_dem = np.asarray(dynamics.power_demand(speed, accel), dtype=float)
+    obs_soc = np.clip(socs, 0.0, 1.0)
+    return reference_state_of_batch(discretizer, p_dem, speed, obs_soc)
+
+
+class ReferenceDriveTable:
+    """:func:`reference_tick_states` behind the fleet's drive-table
+    interface (same constructor, ``states(t, socs)``)."""
+
+    def __init__(self, speeds_per_cycle, cycle_idx, phase, dynamics,
+                 discretizer, dt):
+        self._args = (speeds_per_cycle, cycle_idx, phase, dynamics,
+                      discretizer, dt)
+
+    def states(self, t: int, socs: np.ndarray) -> np.ndarray:
+        return reference_tick_states(*self._args, t, socs)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.rl.discretize import StateDiscretizer, uniform_edges
+from tests.reference_serve import reference_state_of_batch
 from tests.reference_step import ReferenceDiscretizer
 
 
@@ -144,3 +145,56 @@ def test_state_of_matches_batch_and_seed_path(obs):
     assert d.state_of(p, v, q, level) == seed
     assert int(d.state_of_batch(np.array([p]), np.array([v]),
                                 np.array([q]), np.array([level]))[0]) == seed
+
+
+def _near(edges):
+    """Each edge and the doubles one ULP either side of it."""
+    return [x for e in edges
+            for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+
+
+@st.composite
+def observation_batches(draw):
+    power = sorted(set(draw(st.lists(st.floats(-5e4, 5e4), min_size=1,
+                                     max_size=5))))
+    speed = sorted(set(draw(st.lists(st.floats(0.0, 40.0), min_size=1,
+                                     max_size=4))))
+    bins = draw(st.integers(1, 9))
+    levels = draw(st.integers(1, 4))
+    d = StateDiscretizer(power_edges=power, speed_edges=speed, soc_min=0.4,
+                         soc_max=0.8, soc_bins=bins, prediction_levels=levels)
+    n = draw(st.integers(0, 30))
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+    def column(edges):
+        return np.array(draw(st.lists(st.one_of(
+            st.sampled_from(_near(edges)), st.sampled_from(special),
+            st.floats()), min_size=n, max_size=n)), dtype=float)
+
+    soc_edges = d._soc_edges.tolist() + [0.4, 0.8]
+    level = draw(st.one_of(
+        st.integers(-3, levels + 3),
+        st.lists(st.integers(-3, levels + 3), min_size=n,
+                 max_size=n).map(np.array)))
+    return d, column(power), column(speed), column(soc_edges), level
+
+
+@given(observation_batches())
+def test_split_batch_matches_state_of(batch):
+    """drive_index joined by state_of_drive == state_of_batch == state_of
+    element for element, and == the seed ``np.ravel_multi_index`` batch
+    in bytes, on edges +-1 ULP, signed zeros, infinities and NaN, with a
+    scalar or per-element prediction level."""
+    d, p, v, q, level = batch
+    drives = d.drive_index(p, v)
+    split = d.state_of_drive(drives, q, level)
+    levels = np.broadcast_to(level, p.shape)
+    assert drives.dtype == np.intp and split.dtype == np.intp
+    assert split.tolist() == [d.state_of(p[i], v[i], q[i], int(levels[i]))
+                              for i in range(len(p))]
+    assert d.state_of_batch(p, v, q, level).tobytes() == split.tobytes()
+    assert reference_state_of_batch(d, p, v, q, level).tobytes() == \
+        split.tobytes()
+    assert drives.tolist() == [d.state_of(p[i], v[i], 0.0) //
+                               (d.shape[2] * d.shape[3])
+                               for i in range(len(p))]

@@ -574,6 +574,28 @@ class TestFleet:
             FleetConfig(vehicles=16, steps=3, fault_fraction=1.0,
                         **{field: value})
 
+    @pytest.mark.parametrize("steps", [0, -3, 2.7, 2.0, True, "5",
+                                       np.float64(3.0)])
+    def test_steps_must_be_an_integer_of_at_least_one(self, policy,
+                                                      tmp_path, steps):
+        table, fingerprint = policy
+        server = PolicyServer(_registry(tmp_path, table, fingerprint))
+        server.activate_latest()
+        fleet = FleetSimulator(server, FleetConfig(vehicles=8, steps=3))
+        with pytest.raises(ServeError, match="step"):
+            fleet.run(steps=steps)
+        with pytest.raises(ServeError, match="step"):
+            FleetConfig(vehicles=8, steps=steps)
+
+    def test_steps_accept_numpy_integers(self, policy, tmp_path):
+        table, fingerprint = policy
+        server = PolicyServer(_registry(tmp_path, table, fingerprint))
+        server.activate_latest()
+        config = FleetConfig(vehicles=8, steps=np.int64(2))
+        fleet = FleetSimulator(server, config, record_trace=True)
+        assert fleet.run().actions.shape == (2, 8)
+        assert fleet.run(steps=np.int32(3)).actions.shape == (3, 8)
+
     def test_state_of_batch_matches_scalar_golden(self):
         disc = StateDiscretizer()
         rng = np.random.default_rng(5)

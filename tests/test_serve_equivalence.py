@@ -1,9 +1,10 @@
 """Golden equivalence of the fleet serving set-up against its seed.
 
-The fleet builds sensor-noise streams only for faulty vehicles, and the
-policy server memoises greedy actions in a dense per-state array.  Both
-must reproduce the seed paths frozen in ``tests/reference_serve.py``
-exactly: the same noise matrix byte for byte, the same decisions, and —
+The fleet builds sensor-noise streams only for faulty vehicles, bins its
+drive once per cycle position and run, and the policy server memoises
+greedy actions in a dense per-state array.  All three must reproduce the
+seed paths frozen in ``tests/reference_serve.py`` exactly: the same
+noise matrix and tick states byte for byte, the same decisions, and —
 while |S| fits the seed's 4096-entry LRU, so the seed never evicted —
 the same cache hit and miss counts.
 """
@@ -16,12 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cycles import standard_cycle
+from repro.cycles.standard import STANDARD_SPECS
 from repro.errors import ServeError
+from repro.learn import ExperienceStream, read_journal
+from repro.rl.discretize import StateDiscretizer, uniform_edges
 from repro.serve import (CanaryConfig, FleetConfig, FleetSimulator,
                          PolicyRegistry, PolicyServer)
 from repro.serve import fleet as fleet_module
-from tests.reference_serve import (ReferenceLRUServer,
-                                   reference_sensor_noise)
+from repro.vehicle import default_vehicle
+from repro.vehicle.dynamics import VehicleDynamics
+from tests.reference_serve import (ReferenceDriveTable, ReferenceLRUServer,
+                                   reference_sensor_noise,
+                                   reference_tick_states)
 
 
 @st.composite
@@ -78,6 +86,184 @@ class TestSensorNoise:
         assert fast.final_soc.tobytes() == seed.final_soc.tobytes()
         assert fast.vehicle_rewards.tobytes() == \
             seed.vehicle_rewards.tobytes()
+
+
+_BUILT_IN_CYCLES = tuple(STANDARD_SPECS)
+_BATTERY = default_vehicle().battery
+
+
+@st.composite
+def drive_cases(draw):
+    """Drive-table inputs: cycles (all built-ins, repeats allowed, and
+    short synthetic traces that need not start or end at standstill, as
+    the built-ins all do), phases weighted to a cycle's first and last
+    position, ``dt`` other than 1, ticks past a cycle's length, and noisy
+    SoC readings on and past the SoC edges (one ULP either side), signed
+    zeros, infinities and NaN."""
+    synthetic = st.lists(st.floats(min_value=0.0, max_value=40.0),
+                         min_size=1, max_size=30).map(np.array)
+    speeds = draw(st.lists(st.one_of(
+        st.sampled_from(_BUILT_IN_CYCLES).map(
+            lambda name: standard_cycle(name).speeds),
+        synthetic), min_size=1, max_size=4))
+    lengths = [len(s) for s in speeds]
+    n = draw(st.integers(min_value=1, max_value=24))
+    cycle_idx = np.array(draw(st.lists(
+        st.integers(min_value=0, max_value=len(speeds) - 1),
+        min_size=n, max_size=n)), dtype=np.int64)
+    phase = np.array([draw(st.one_of(
+        st.just(lengths[c] - 1), st.just(0),
+        st.integers(min_value=0, max_value=lengths[c] - 1)))
+        for c in cycle_idx], dtype=np.int64)
+    dt = draw(st.one_of(st.sampled_from([1.0, 0.5, 2.0, 0.1, 1.0 / 3.0]),
+                        st.floats(min_value=1e-3, max_value=10.0)))
+    soc_bins = draw(st.sampled_from([8, 1, 3]))
+    edges = uniform_edges(_BATTERY.soc_min, _BATTERY.soc_max,
+                          soc_bins).tolist() + [_BATTERY.soc_min,
+                                                _BATTERY.soc_max]
+    near = [x for e in edges
+            for x in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+    reading = st.one_of(
+        st.sampled_from(near),
+        st.sampled_from([0.0, -0.0, 1.0, -0.3, 1.4, np.inf, -np.inf,
+                         np.nan]),
+        st.floats(min_value=-0.5, max_value=1.5))
+    socs = [np.array(draw(st.lists(reading, min_size=n, max_size=n)))
+            for _ in range(draw(st.integers(min_value=1, max_value=5)))]
+    # The first vehicle's wrap tick, then ticks up to three laps of the
+    # longest cycle.
+    wrap = lengths[cycle_idx[0]] - 1 - int(phase[0])
+    ticks = [wrap] + draw(st.lists(
+        st.integers(min_value=0, max_value=3 * max(lengths)),
+        min_size=len(socs) - 1, max_size=len(socs) - 1))
+    return speeds, cycle_idx, phase, dt, soc_bins, list(zip(ticks, socs))
+
+
+@pytest.fixture(scope="module")
+def tick_registry(tmp_path_factory):
+    """One registry holding an incumbent, a regressed candidate and a
+    candidate with the incumbent's greedy actions."""
+    registry = PolicyRegistry(tmp_path_factory.mktemp("tick"))
+    rng = np.random.default_rng(3)
+    fingerprint = {"num_states": 720,
+                   "current_levels": np.linspace(-40.0, 30.0, 15).tolist()}
+    incumbent = rng.normal(size=(720, 15))
+    registry.publish_table(incumbent, fingerprint)
+    registry.publish_table(rng.normal(size=(720, 15)) - 3.0, fingerprint)
+    registry.publish_table(incumbent + 0.25, fingerprint)
+    return registry
+
+
+class TestFleetTick:
+    @settings(max_examples=150, deadline=None)
+    @given(drive_cases())
+    def test_drive_table_matches_the_per_tick_seed(self, case):
+        """The per-run table gives every tick the seed's state bytes."""
+        speeds, cycle_idx, phase, dt, soc_bins, ticks = case
+        dynamics = VehicleDynamics(default_vehicle().body)
+        discretizer = StateDiscretizer(soc_min=_BATTERY.soc_min,
+                                       soc_max=_BATTERY.soc_max,
+                                       soc_bins=soc_bins)
+        args = (speeds, cycle_idx, phase, dynamics, discretizer, dt)
+        table = fleet_module._DriveTable(*args)
+        for t, socs in ticks:
+            got = table.states(t, socs)
+            want = reference_tick_states(*args, t, socs)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), t
+
+    @settings(max_examples=25, deadline=None)
+    @given(total=st.integers(min_value=1, max_value=48),
+           data=st.data(),
+           cycles=st.lists(st.sampled_from(_BUILT_IN_CYCLES), min_size=1,
+                           max_size=3),
+           dt=st.sampled_from([1.0, 0.5, 1.7]),
+           steps=st.one_of(st.integers(min_value=1, max_value=12),
+                           st.integers(min_value=600, max_value=1400)),
+           seed=st.integers(min_value=0, max_value=2**32 - 1),
+           noise=st.sampled_from([0.02, 0.6]))
+    def test_fleet_runs_see_the_seed_tick_states(self, tick_registry, total,
+                                                 data, cycles, dt, steps,
+                                                 seed, noise):
+        """Every tick of a run -- fleet slices, long runs, noise past the
+        SoC window -- sees the states the seed's per-tick path gives."""
+        offset = data.draw(st.integers(min_value=0, max_value=total - 1))
+        vehicles = data.draw(st.integers(min_value=1,
+                                         max_value=min(total - offset, 12)))
+        config = FleetConfig(vehicles=vehicles, vehicle_offset=offset,
+                             total_vehicles=total, steps=steps, dt=dt,
+                             cycles=tuple(cycles), seed=seed,
+                             fault_fraction=0.5, sensor_noise=noise)
+        checked = []
+
+        class CheckedTable(fleet_module._DriveTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.reference = ReferenceDriveTable(*args)
+
+            def states(self, t, socs):
+                got = super().states(t, socs)
+                want = self.reference.states(t, socs)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), t
+                checked.append(t)
+                return got
+
+        server = PolicyServer(tick_registry)
+        server.activate(tick_registry.load(1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fleet_module, "_DriveTable", CheckedTable)
+            FleetSimulator(server, config).run()
+        assert checked == list(range(steps))
+
+    @pytest.mark.parametrize("candidate, verdict", [
+        (None, None), (2, "rollback"), (3, "promote")])
+    def test_fleet_run_matches_the_per_tick_seed(self, tick_registry,
+                                                 tmp_path, monkeypatch,
+                                                 candidate, verdict):
+        """A whole run is unchanged with the seed's per-tick drive swapped
+        in, including a canary that resolves mid-run."""
+        config = FleetConfig(vehicles=64, vehicle_offset=16,
+                             total_vehicles=120, steps=40, dt=0.5, seed=4,
+                             cycles=_BUILT_IN_CYCLES, request_batch=24)
+
+        def run(journals):
+            server = PolicyServer(tick_registry)
+            server.activate(tick_registry.load(1))
+            if candidate is not None:
+                server.begin_canary(version=candidate,
+                                    canary_config=CanaryConfig(
+                                        fraction=0.3, min_samples=32,
+                                        sigmas=2.0, decision_budget=300))
+            stream = ExperienceStream(tmp_path / journals)
+            result = FleetSimulator(server, config, record_trace=True,
+                                    experience=stream).run()
+            stream.close()
+            return result, server, stream.path
+
+        fast, fast_server, fast_journal = run("fast")
+        monkeypatch.setattr(fleet_module, "_DriveTable", ReferenceDriveTable)
+        seed, seed_server, seed_journal = run("seed")
+        assert fast.canary_verdict == seed.canary_verdict == verdict
+        # Nothing is shed, so every vehicle -- the canary cohort too,
+        # before and after the verdict -- is served every tick.
+        assert fast.decisions == seed.decisions == 64 * 40
+        assert fast.actions.tobytes() == seed.actions.tobytes()
+        assert fast.final_soc.tobytes() == seed.final_soc.tobytes()
+        assert fast.vehicle_rewards.tobytes() == \
+            seed.vehicle_rewards.tobytes()
+        assert (fast_server.cache_hits, fast_server.cache_misses) == \
+            (seed_server.cache_hits, seed_server.cache_misses)
+        assert fast_journal.read_bytes() == seed_journal.read_bytes()
+        if verdict is not None:
+            # Mid-run: the first journaled tick mixes both versions, the
+            # last carries only the version the verdict left serving.
+            columns = read_journal(fast_journal).columns
+            steps, versions = columns["step"], columns["policy_version"]
+            first = set(versions[steps == steps.min()].tolist())
+            last = set(versions[steps == steps.max()].tolist())
+            assert first == {1, candidate}
+            assert last == ({1} if verdict == "rollback" else {candidate})
 
 
 _VERSIONS = 3
