@@ -1,16 +1,20 @@
 """The controller protocol the simulator drives.
 
-Any supervisory controller — learning or not — implements three methods:
-``begin_episode`` at departure, ``act`` once per time step, and
-``finish_episode`` at arrival.  ``act`` receives exactly what a real HEV
-supervisory controller can observe (speed, pedal-implied acceleration,
-grade, battery SoC from Coulomb counting) and returns the
-:class:`repro.rl.agent.ExecutedStep` describing what was done.
+Any supervisory controller — learning or not — implements ``act`` once
+per time step; ``begin_episode`` (at departure) and ``finish_episode``
+(at arrival) are no-ops that stateful controllers override.  ``act``
+receives exactly what a real HEV supervisory controller can observe
+(speed, pedal-implied acceleration, grade, battery SoC from Coulomb
+counting) and returns the :class:`repro.rl.agent.ExecutedStep` describing
+what was done, usually built by :meth:`ExecutedStep.of_row` from one row
+of a solver batch.
 """
 
 from __future__ import annotations
 
 import abc
+
+import numpy as np
 
 from repro.rl.agent import ExecutedStep
 
@@ -18,7 +22,6 @@ from repro.rl.agent import ExecutedStep
 class Controller(abc.ABC):
     """Abstract supervisory controller."""
 
-    @abc.abstractmethod
     def begin_episode(self) -> None:
         """Prepare for a new drive (reset episode-scoped state)."""
 
@@ -31,33 +34,14 @@ class Controller(abc.ABC):
         Non-learning controllers ignore ``learn``/``greedy``.
         """
 
-    @abc.abstractmethod
     def finish_episode(self, learn: bool = True) -> None:
         """Drive finished (flush terminal learning updates, if any)."""
 
-    def act_batch(self, speeds, accelerations, socs, dt: float,
-                  grades=None) -> list:
-        """Greedy policy probe over N *independent* observations.
 
-        Unlike :meth:`act`, the observations are not consecutive steps of
-        one drive: each ``(speed, acceleration, soc, grade)`` tuple is a
-        standalone "what would you do here" query, and answering must not
-        mutate controller state (no learning, no exploration advance).
-        Returns one :class:`ExecutedStep` per observation.
-
-        The default implementation falls back to the scalar :meth:`act`
-        with ``learn=False, greedy=True`` — correct for stateless
-        controllers; stateful ones (e.g. the RL agent) override it with a
-        genuinely side-effect-free vectorised path.
-        """
-        if grades is None:
-            grades = [0.0] * len(speeds)
-        if not (len(speeds) == len(accelerations) == len(socs)
-                == len(grades)):
-            raise ValueError(
-                "speeds, accelerations, socs, and grades must be "
-                "index-aligned")
-        return [self.act(float(speeds[i]), float(accelerations[i]),
-                         float(socs[i]), dt, float(grades[i]),
-                         learn=False, greedy=True)
-                for i in range(len(speeds))]
+def gear_order(shift_speeds, num_gears: int, speed: float) -> np.ndarray:
+    """Gears in shift-schedule preference order: the gear ``shift_speeds``
+    schedules at ``speed`` first, then its neighbours by distance (the
+    fallbacks when the scheduled gear cannot carry the demand)."""
+    preferred = min(int(np.searchsorted(shift_speeds, speed)), num_gears - 1)
+    return np.asarray(sorted(range(num_gears),
+                             key=lambda g: abs(g - preferred)), dtype=int)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.control.base import Controller
+from repro.control.base import Controller, gear_order
 from repro.powertrain.solver import PowertrainSolver
 from repro.rl.agent import ExecutedStep
 from repro.rl.reward import RewardConfig, build_reward_function
@@ -60,20 +60,6 @@ class ConventionalController(Controller):
         self.reward = build_reward_function(solver, reward_config)
         self._preferred_aux = solver.auxiliary.utility.argmax(
             solver.auxiliary.max_power)
-        self._gears = np.arange(solver.transmission.num_gears)
-
-    def begin_episode(self) -> None:
-        """Stateless across steps."""
-
-    def finish_episode(self, learn: bool = True) -> None:
-        """No learning state."""
-
-    def _gear_order(self, speed: float) -> np.ndarray:
-        preferred = int(np.searchsorted(self.config.shift_speeds, speed))
-        preferred = min(preferred, len(self._gears) - 1)
-        return np.asarray(
-            sorted(self._gears, key=lambda g: abs(int(g) - preferred)),
-            dtype=int)
 
     def act(self, speed: float, acceleration: float, soc: float, dt: float,
             grade: float = 0.0, learn: bool = True,
@@ -94,36 +80,10 @@ class ConventionalController(Controller):
             current = float(battery.clamp_current(
                 battery.current_for_power(self._preferred_aux, soc)))
 
-        order = self._gear_order(speed)
+        order = gear_order(self.config.shift_speeds,
+                           self.solver.transmission.num_gears, speed)
         batch = self.solver.evaluate_actions(
             speed, acceleration, soc, np.full(len(order), current), order,
             np.full(len(order), self._preferred_aux), dt, grade)
-        feasible = np.nonzero(batch.feasible)[0]
-        if len(feasible):
-            chosen = int(feasible[0])
-            fallback = False
-        else:
-            violation = np.asarray(self.reward.window_violation(
-                batch.soc_next))
-            score = (np.where(batch.meets_demand, 0.0, 1e6)
-                     + violation * 1e3 + batch.shortfall)
-            chosen = int(np.argmin(score))
-            fallback = True
-
-        reward = float(self.reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt,
-            soc_next=batch.soc_next[chosen], soc_prev=soc,
-            shortfall=batch.shortfall[chosen]))
-        paper_reward = float(self.reward.paper_reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt))
-        return ExecutedStep(
-            state=-1, rl_action=-1,
-            current=float(batch.battery_current[chosen]),
-            gear=int(batch.gear[chosen]),
-            aux_power=float(batch.aux_power[chosen]),
-            fuel_rate=float(batch.fuel_rate[chosen]),
-            soc_next=float(batch.soc_next[chosen]),
-            reward=reward, paper_reward=paper_reward,
-            feasible=not fallback, mode=int(batch.mode[chosen]),
-            power_demand=p_dem,
-            shortfall=float(batch.shortfall[chosen]))
+        return ExecutedStep.of_row(batch, batch.first_feasible(), self.reward,
+                                   soc, dt, p_dem)

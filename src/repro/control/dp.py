@@ -76,16 +76,15 @@ class DPSolution:
     initial_soc: float
     """SoC whose deficit the terminal cost charges."""
 
-    def cost_to_go(self, t: int, soc: float) -> float:
-        """Linear interpolation of the value function at (t, soc)."""
-        return float(np.interp(soc, self.soc_grid, self.values[t]))
 
-
-def _action_grid(solver: PowertrainSolver, config: DPConfig):
+def _action_grid(solver: PowertrainSolver, num_currents: int,
+                 num_aux: int):
+    """The (current x gear x aux level) cross product, current-major, as
+    three index-aligned arrays (shared with the ECMS baseline)."""
     i_max = solver.params.battery.max_current
-    currents = np.linspace(-i_max, i_max, config.current_levels)
+    currents = np.linspace(-i_max, i_max, num_currents)
     gears = np.arange(solver.transmission.num_gears)
-    aux_levels = solver.auxiliary.power_levels(config.aux_levels)
+    aux_levels = solver.auxiliary.power_levels(num_aux)
     grid = np.array(np.meshgrid(currents, gears, aux_levels,
                                 indexing="ij")).reshape(3, -1)
     return grid[0], grid[1].astype(int), grid[2]
@@ -99,7 +98,8 @@ def solve_dp(solver: PowertrainSolver, cycle: DriveCycle,
     reward_config = reward_config or RewardConfig()
     battery = solver.params.battery
     reward = build_reward_function(solver, reward_config)
-    currents, gears, aux = _action_grid(solver, config)
+    currents, gears, aux = _action_grid(solver, config.current_levels,
+                                        config.aux_levels)
 
     soc_grid = np.linspace(battery.soc_min, battery.soc_max, config.soc_nodes)
     steps = len(cycle) - 1
@@ -141,23 +141,18 @@ class DPController(Controller):
         self.solution = solution
         self.config = config or DPConfig()
         self.reward = build_reward_function(solver, reward_config)
-        self._currents, self._gears, self._aux = _action_grid(solver,
-                                                              self.config)
+        self._currents, self._gears, self._aux = _action_grid(
+            solver, self.config.current_levels, self.config.aux_levels)
         self._t = 0
 
     def begin_episode(self) -> None:
         """Rewind the rollout to the first cycle step."""
         self._t = 0
 
-    def finish_episode(self, learn: bool = True) -> None:
-        """DP carries no learning state."""
-
     def act(self, speed: float, acceleration: float, soc: float, dt: float,
             grade: float = 0.0, learn: bool = True,
             greedy: bool = False) -> ExecutedStep:
         """Pick the action minimising stage cost plus interpolated cost-to-go."""
-        p_dem = float(self.solver.dynamics.power_demand(speed, acceleration,
-                                                        grade))
         batch = self.solver.evaluate_actions(
             speed, acceleration, soc, self._currents, self._gears, self._aux,
             dt, grade)
@@ -168,29 +163,7 @@ class DPController(Controller):
                            self.solution.values[t_next])
         total = np.where(batch.feasible, stage + future, np.inf)
         chosen = int(np.argmin(total))
-        fallback = not np.isfinite(total[chosen])
-        if fallback:
-            violation = np.asarray(
-                self.reward.window_violation(batch.soc_next))
-            score = (np.where(batch.meets_demand, 0.0, 1e6)
-                     + violation * 1e3 + batch.shortfall)
-            chosen = int(np.argmin(score))
         self._t += 1
-
-        reward = float(self.reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt,
-            soc_next=batch.soc_next[chosen], soc_prev=soc,
-            shortfall=batch.shortfall[chosen]))
-        paper_reward = float(self.reward.paper_reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt))
-        return ExecutedStep(
-            state=-1, rl_action=-1,
-            current=float(batch.battery_current[chosen]),
-            gear=int(batch.gear[chosen]),
-            aux_power=float(batch.aux_power[chosen]),
-            fuel_rate=float(batch.fuel_rate[chosen]),
-            soc_next=float(batch.soc_next[chosen]),
-            reward=reward, paper_reward=paper_reward,
-            feasible=not fallback, mode=int(batch.mode[chosen]),
-            power_demand=p_dem,
-            shortfall=float(batch.shortfall[chosen]))
+        return ExecutedStep.of_row(
+            batch, chosen if np.isfinite(total[chosen]) else None,
+            self.reward, soc, dt, batch.power_demand)

@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.control.base import Controller
+from repro.control.dp import _action_grid
 from repro.powertrain.solver import PowertrainSolver
 from repro.rl.agent import ExecutedStep
 from repro.rl.reward import RewardConfig, build_reward_function
@@ -71,21 +72,8 @@ class ECMSController(Controller):
         self.reward = build_reward_function(solver, self._reward_config)
         self._fuel_energy = solver.engine.fuel_energy_density
 
-        i_max = solver.params.battery.max_current
-        currents = np.linspace(-i_max, i_max, self.config.current_levels)
-        gears = np.arange(solver.transmission.num_gears)
-        aux_levels = solver.auxiliary.power_levels(self.config.aux_levels)
-        grid = np.array(np.meshgrid(currents, gears, aux_levels,
-                                    indexing="ij")).reshape(3, -1)
-        self._grid_currents = grid[0]
-        self._grid_gears = grid[1].astype(int)
-        self._grid_aux = grid[2]
-
-    def begin_episode(self) -> None:
-        """ECMS carries no episode state."""
-
-    def finish_episode(self, learn: bool = True) -> None:
-        """ECMS carries no learning state."""
+        self._grid_currents, self._grid_gears, self._grid_aux = _action_grid(
+            solver, self.config.current_levels, self.config.aux_levels)
 
     def equivalence_factor(self, soc: float) -> float:
         """SoC-feedback-adjusted equivalence factor ``s(soc)``."""
@@ -98,8 +86,6 @@ class ECMSController(Controller):
             grade: float = 0.0, learn: bool = True,
             greedy: bool = False) -> ExecutedStep:
         """Minimise the instantaneous equivalent fuel over the action grid."""
-        p_dem = float(self.solver.dynamics.power_demand(speed, acceleration,
-                                                        grade))
         batch = self.solver.evaluate_actions(
             speed, acceleration, soc, self._grid_currents, self._grid_gears,
             self._grid_aux, dt, grade)
@@ -110,28 +96,6 @@ class ECMSController(Controller):
                 - self._reward_config.aux_weight * utility)
         masked = np.where(batch.feasible, cost, np.inf)
         chosen = int(np.argmin(masked))
-        fallback = not np.isfinite(masked[chosen])
-        if fallback:
-            violation = np.asarray(
-                self.reward.window_violation(batch.soc_next))
-            score = (np.where(batch.meets_demand, 0.0, 1e6)
-                     + violation * 1e3 + batch.shortfall)
-            chosen = int(np.argmin(score))
-
-        reward = float(self.reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt,
-            soc_next=batch.soc_next[chosen], soc_prev=soc,
-            shortfall=batch.shortfall[chosen]))
-        paper_reward = float(self.reward.paper_reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt))
-        return ExecutedStep(
-            state=-1, rl_action=-1,
-            current=float(batch.battery_current[chosen]),
-            gear=int(batch.gear[chosen]),
-            aux_power=float(batch.aux_power[chosen]),
-            fuel_rate=float(batch.fuel_rate[chosen]),
-            soc_next=float(batch.soc_next[chosen]),
-            reward=reward, paper_reward=paper_reward,
-            feasible=not fallback, mode=int(batch.mode[chosen]),
-            power_demand=p_dem,
-            shortfall=float(batch.shortfall[chosen]))
+        return ExecutedStep.of_row(
+            batch, chosen if np.isfinite(masked[chosen]) else None,
+            self.reward, soc, dt, batch.power_demand)

@@ -47,12 +47,6 @@ class RLController(Controller):
         """Delegate to the wrapped agent."""
         self.agent.finish_episode(learn=learn)
 
-    def act_batch(self, speeds, accelerations, socs, dt: float,
-                  grades=None) -> list:
-        """Delegate to the agent's side-effect-free vectorised probe."""
-        return self.agent.act_batch(speeds, accelerations, socs, dt,
-                                    grades=grades)
-
 
 def build_rl_controller(solver: PowertrainSolver, variant: str = "proposed",
                         td_config: Optional[TDLambdaConfig] = None,

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.control.base import Controller
+from repro.control.base import Controller, gear_order
 from repro.powertrain.solver import PowertrainSolver
 from repro.rl.agent import ExecutedStep
 from repro.rl.reward import RewardConfig, build_reward_function
@@ -89,13 +89,6 @@ class RuleBasedController(Controller):
         self.reward = build_reward_function(solver, reward_config)
         self._preferred_aux = solver.auxiliary.utility.argmax(
             solver.auxiliary.max_power)
-        self._gears = np.arange(solver.transmission.num_gears)
-
-    def begin_episode(self) -> None:
-        """The rule set is stateless across steps; nothing to reset."""
-
-    def finish_episode(self, learn: bool = True) -> None:
-        """No learning state to flush."""
 
     # ------------------------------------------------------------- decision ---
 
@@ -127,16 +120,6 @@ class RuleBasedController(Controller):
             return self.solver.auxiliary.min_power
         return self._preferred_aux
 
-    def _gear_order(self, speed: float) -> np.ndarray:
-        """Gears in rule preference order: the speed-schedule gear first,
-        then its neighbours (the fallback when the scheduled gear cannot
-        carry the demand)."""
-        preferred = int(np.searchsorted(self.config.shift_speeds, speed))
-        preferred = min(preferred, len(self._gears) - 1)
-        return np.asarray(
-            sorted(self._gears, key=lambda g: abs(int(g) - preferred)),
-            dtype=int)
-
     def act(self, speed: float, acceleration: float, soc: float, dt: float,
             grade: float = 0.0, learn: bool = True,
             greedy: bool = False) -> ExecutedStep:
@@ -145,7 +128,8 @@ class RuleBasedController(Controller):
                                                         grade))
         current = self._target_current(p_dem, speed, soc)
         aux = self._aux_power(soc)
-        order = self._gear_order(speed)
+        order = gear_order(self.config.shift_speeds,
+                           self.solver.transmission.num_gears, speed)
 
         # Evaluate the rule's current in every gear at once; execute the
         # first feasible gear in sweet-spot order.  If the rule current
@@ -153,39 +137,12 @@ class RuleBasedController(Controller):
         # falling back to the least-bad point.
         candidates = [current, self.config.assist_current,
                       self.solver.battery.params.max_current]
-        chosen = None
-        batch = None
         for cand in candidates:
             batch = self.solver.evaluate_actions(
                 speed, acceleration, soc,
                 np.full(len(order), cand), order,
                 np.full(len(order), aux), dt, grade)
-            feasible = np.nonzero(batch.feasible)[0]
-            if len(feasible):
-                chosen = int(feasible[0])
+            chosen = batch.first_feasible()
+            if chosen is not None:
                 break
-        if chosen is None:
-            violation = np.asarray(
-                self.reward.window_violation(batch.soc_next))
-            score = (np.where(batch.meets_demand, 0.0, 1e6)
-                     + violation * 1e3 + batch.shortfall)
-            chosen = int(np.argmin(score))
-        fallback = not bool(batch.feasible[chosen])
-
-        reward = float(self.reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt,
-            soc_next=batch.soc_next[chosen], soc_prev=soc,
-            shortfall=batch.shortfall[chosen]))
-        paper_reward = float(self.reward.paper_reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt))
-        return ExecutedStep(
-            state=-1, rl_action=-1,
-            current=float(batch.battery_current[chosen]),
-            gear=int(batch.gear[chosen]),
-            aux_power=float(batch.aux_power[chosen]),
-            fuel_rate=float(batch.fuel_rate[chosen]),
-            soc_next=float(batch.soc_next[chosen]),
-            reward=reward, paper_reward=paper_reward,
-            feasible=not fallback, mode=int(batch.mode[chosen]),
-            power_demand=p_dem,
-            shortfall=float(batch.shortfall[chosen]))
+        return ExecutedStep.of_row(batch, chosen, self.reward, soc, dt, p_dem)

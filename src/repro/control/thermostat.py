@@ -64,9 +64,6 @@ class ThermostatController(Controller):
         """Reset the thermostat to the not-charging side of the hysteresis."""
         self._charging = False
 
-    def finish_episode(self, learn: bool = True) -> None:
-        """No learning state."""
-
     def _update_thermostat(self, soc: float) -> None:
         if soc <= self.config.soc_low:
             self._charging = True
@@ -95,32 +92,6 @@ class ThermostatController(Controller):
             speed, acceleration, soc,
             np.full(len(self._gears), current), self._gears,
             np.full(len(self._gears), self._preferred_aux), dt, grade)
-        feasible = np.nonzero(batch.feasible)[0]
-        if len(feasible):
-            chosen = int(feasible[0])  # lowest feasible gear
-            fallback = False
-        else:
-            violation = np.asarray(self.reward.window_violation(
-                batch.soc_next))
-            score = (np.where(batch.meets_demand, 0.0, 1e6)
-                     + violation * 1e3 + batch.shortfall)
-            chosen = int(np.argmin(score))
-            fallback = True
-
-        reward = float(self.reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt,
-            soc_next=batch.soc_next[chosen], soc_prev=soc,
-            shortfall=batch.shortfall[chosen]))
-        paper_reward = float(self.reward.paper_reward(
-            batch.fuel_rate[chosen], batch.aux_power[chosen], dt))
-        return ExecutedStep(
-            state=-1, rl_action=-1,
-            current=float(batch.battery_current[chosen]),
-            gear=int(batch.gear[chosen]),
-            aux_power=float(batch.aux_power[chosen]),
-            fuel_rate=float(batch.fuel_rate[chosen]),
-            soc_next=float(batch.soc_next[chosen]),
-            reward=reward, paper_reward=paper_reward,
-            feasible=not fallback, mode=int(batch.mode[chosen]),
-            power_demand=p_dem,
-            shortfall=float(batch.shortfall[chosen]))
+        # The lowest feasible gear executes.
+        return ExecutedStep.of_row(batch, batch.first_feasible(), self.reward,
+                                   soc, dt, p_dem)

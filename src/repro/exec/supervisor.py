@@ -135,16 +135,6 @@ class SweepResult:
             return 1.0
         return len(self.results) / len(self.planned)
 
-    def describe_coverage(self) -> str:
-        """One-line honest coverage statement."""
-        done = len(self.results)
-        text = f"{done}/{len(self.planned)} tasks completed"
-        if self.resumed:
-            text += f" ({len(self.resumed)} resumed from manifest)"
-        if self.failures:
-            text += f", {len(self.failures)} quarantined"
-        return text
-
 
 class Supervisor:
     """Fault-tolerant executor for independent tasks (see module doc)."""

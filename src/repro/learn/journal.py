@@ -29,6 +29,7 @@ journal rewritten under it with an :class:`~repro.errors.ExperienceError`.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,6 +57,13 @@ REWARD_REPR_CACHE = 4096
 """Bound on the reward texts one :class:`ExperienceStream` caches (one
 line with more distinct rewards is cached whole)."""
 
+VALUE_BOUND = 1e100
+"""Largest magnitude a journaled reward or a learner's seed Q-value may
+have.  With every reward and seed value within this bound B and a
+discount below 1 (at most 1 - 2**-53 in doubles), every TD(0) value
+stays within B / (1 - discount) < 1e116, so no update overflows.
+``abs(x) <= B`` is false for NaN too: one test refuses NaN and +-inf."""
+
 _ID_TEXTS = np.array([str(i) for i in range(4096)], dtype=object)
 """``str(i)`` of every id below 4096: the default fleet's vehicle ids
 and every state, action and version of the default agent."""
@@ -66,7 +74,8 @@ def _fail(name: str, row: int, problem: str):
 
 
 def _column(name: str, values: Any, rows: int) -> np.ndarray:
-    """One validated column: ``rows`` ints (reward: finite reals) as an
+    """One validated column: ``rows`` ints (reward: reals within
+    :data:`VALUE_BOUND` in magnitude) as an
     ``int64`` (``float64``) array, or the first bad row named.
 
     ``values`` is a list (a decoded line) or a 1-D array (an offered
@@ -112,10 +121,13 @@ def _column(name: str, values: Any, rows: int) -> np.ndarray:
                     _fail(name, row,
                           f"{value} is out of {dtype.__name__} range")
     if reward:
-        bad = np.flatnonzero(~np.isfinite(array))
+        bad = np.flatnonzero(~(np.abs(array) <= VALUE_BOUND))
         if len(bad):
-            _fail(name, bad[0], f"a reward must be finite, got "
-                  f"{array[bad[0]].item()!r}; it would poison the Q-table")
+            value = array[bad[0]].item()
+            _fail(name, bad[0], f"a reward must be finite, got {value!r}; "
+                  f"it would poison the Q-table" if not math.isfinite(value)
+                  else f"a reward must lie within +-{VALUE_BOUND:g}, got "
+                  f"{value!r}; it could overflow the Q-table")
         return array
     low = 1 if name == "policy_version" else 0
     bad = np.flatnonzero(array < low)
@@ -187,7 +199,7 @@ def _rewards(values: np.ndarray, reprs: Dict[int, str]) -> str:
     bits = values.view(np.int64).tolist()
     try:
         return "[" + ", ".join(map(reprs.__getitem__, bits)) + "]"
-    except KeyError:
+    except KeyError:  # containment: a new text; the cache fills below
         pass
     keys = set(bits)
     missing = keys.difference(reprs)

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.artifact import read_table, write_table
 from repro.errors import ExperienceError, PersistenceError
-from repro.learn.journal import read_journal
+from repro.learn.journal import VALUE_BOUND, read_journal
 
 CHECKPOINT_FORMAT = "repro-learn-checkpoint"
 """Format name recorded in (and required of) every learner checkpoint."""
@@ -114,16 +114,21 @@ class OnlineLearner:
             raise ExperienceError(
                 f"learner tables are non-empty 2-D (states x actions) "
                 f"arrays; got shape {table.shape}")
-        if not np.all(np.isfinite(table)):
-            raise ExperienceError(
-                "the learner's seed table contains non-finite values; "
-                "refusing to learn from a poisoned starting point")
         if not isinstance(fingerprint, dict):
             raise ExperienceError(
                 "the learner needs the agent fingerprint dict the seed "
                 "table was trained under")
-        self._fingerprint = dict(fingerprint)
         self._config = config or OnlineLearnerConfig()
+        # TD(0) keeps a table within B / (1 - discount), up to rounding,
+        # when every reward is within B, so the tables ingest checkpoints
+        # pass this check on resume.
+        limit = VALUE_BOUND / (1.0 - self._config.discount)
+        if not np.all(np.abs(table) <= limit):
+            raise ExperienceError(
+                f"the learner's seed table contains non-finite values or "
+                f"values beyond +-{limit:g}; refusing to learn from a "
+                f"poisoned starting point")
+        self._fingerprint = dict(fingerprint)
         self._q = table.copy()
         self._cursors: Dict[str, dict] = {}
         self._path = Path(checkpoint_path) if checkpoint_path else None
@@ -177,50 +182,26 @@ class OnlineLearner:
 
         The bytes equal those of the numpy-scalar loop
         (``q[s, a] += lr * (r + gamma * q[n].max() - q[s, a])``, frozen
-        in ``tests/reference_learner.py``).  Both run the same IEEE
-        double operations in the same order, so only two things could
-        tell them apart:
-
-        * A signed zero.  On a row without a NaN, ``max`` and numpy's
-          reduction return the same value, except that a tie between
-          ``+0.0`` and ``-0.0`` may come back with either sign.  That
-          sign cannot reach a stored value.  ``r + gamma * (±0)`` is
-          ``r`` unless ``r`` is zero, which leaves a zero target; then
-          ``old + lr * (±0 - old)`` is ``old + lr * -old`` for a
-          nonzero ``old`` and ``+0.0`` for either signed-zero ``old``.
-        * A NaN.  Python's ``max`` skips a NaN that is not first in its
-          row, whereas numpy's propagates one; which NaN's bytes numpy's
-          reduction returns depends on the row's length and the NaN's
-          place, and which operand's bytes a numpy scalar ``+`` of two
-          NaNs keeps depends on how numpy was compiled.  Before the
-          first NaN is stored, no operation has two NaN operands, and a
-          NaN made from non-NaN operands is the platform's default NaN
-          whichever code makes it.  Seed tables and journal rewards are
-          finite, so a NaN can only be stored after an overflow to
-          infinity (``inf - inf``, ``0 * inf``), and a non-finite cell
-          never turns finite again.  The loop watches the values it
-          stores and, from the first NaN on (or from the start, if
-          ``q`` already holds one), takes each row's maximum and does
-          each update's arithmetic on numpy scalars, as the numpy loop
-          did.
+        in ``tests/reference_learner.py``) wherever its result is finite.
+        Both run the same IEEE double operations in the same order; on a
+        row without a NaN, ``max`` and numpy's reduction return the same
+        value, except that a tie between ``+0.0`` and ``-0.0`` may come
+        back with either sign.  That sign cannot reach a stored value:
+        ``r + gamma * (±0)`` is ``r`` unless ``r`` is zero, which leaves a
+        zero target; then ``old + lr * (±0 - old)`` is ``old + lr * -old``
+        for a nonzero ``old`` and ``+0.0`` for either signed-zero ``old``.
+        A NaN is out of reach: rewards are bounded by
+        :data:`~repro.learn.journal.VALUE_BOUND` and seed tables by the
+        bound TD(0) keeps, so no update overflows.
         """
         lr = self._config.learning_rate
         gamma = self._config.discount
         rows = q.tolist()
-        poisoned = bool(np.isnan(q).any())
         for s, a, r, n in zip(states.tolist(), actions.tolist(),
                               rewards.tolist(), next_states.tolist()):
             row = rows[s]
-            if poisoned:
-                best = float(np.array(rows[n]).max())
-                old = np.float64(row[a])
-            else:
-                best = max(rows[n])
-                old = row[a]
-            value = old + lr * (r + gamma * best - old)
-            row[a] = value
-            if value != value:
-                poisoned = True
+            old = row[a]
+            row[a] = old + lr * (r + gamma * max(rows[n]) - old)
         q[...] = rows
 
     def ingest(self, journal_dir: Union[str, Path]) -> IngestReport:
@@ -230,10 +211,11 @@ class OnlineLearner:
         decoded first, then transitions are applied in journal order
         (shards in sorted filename order) and the new table, cursors and
         counters are committed together, with the checkpoint when one is
-        configured.  A raising ingest leaves the learner as it was; that
-        includes one whose updates overflow a Q-value to infinity or
-        NaN, which :meth:`resume` would refuse.  Idempotent when nothing
-        new was appended.
+        configured.  A raising ingest leaves the learner as it was.  A
+        batch with a reward beyond :data:`~repro.learn.journal.VALUE_BOUND`
+        is quarantined like any corrupt line, so the updates cannot
+        overflow; a non-finite table is still refused uncommitted, as the
+        last line of defence.  Idempotent when nothing new was appended.
         """
         pieces = {path.name: read_journal(path, self._cursors.get(path.name))
                   for path in sorted(Path(journal_dir).glob("shard-*.jsonl"))}

@@ -10,6 +10,7 @@ optimisation of the reduced action space).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -165,3 +166,19 @@ class BatchResult:
             brake_torque=float(self.brake_torque[index]),
             shortfall=float(self.shortfall[index]),
         )
+
+    def first_feasible(self) -> Optional[int]:
+        """Lowest feasible row, or None when no row is feasible."""
+        rows = np.flatnonzero(self.feasible)
+        return int(rows[0]) if len(rows) else None
+
+    def least_bad(self, violation: np.ndarray) -> int:
+        """Row to execute when none is feasible.
+
+        Prefer meeting the traction demand, then the smallest SoC-window
+        excursion ``violation`` (per row, measured against the caller's
+        window), then the smallest torque shortfall.
+        """
+        score = (np.where(self.meets_demand, 0.0, 1e6)
+                 + np.asarray(violation) * 1e3 + self.shortfall)
+        return int(np.argmin(score))

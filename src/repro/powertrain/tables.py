@@ -93,7 +93,7 @@ class PowertrainTables:
         self.engine_min_speed = float(solver._engine_min_speed)
         self.engine_max_speed = float(solver._engine_max_speed)
 
-        # Fuel-map constants for the parametric engine.  Substituted engine
+        # Fuel-map constants for the parametric engine.  Other engine
         # models (e.g. TabulatedEngine) keep their own fuel methods and the
         # kernel falls back to calling them, so these are only derived — and
         # only trusted — when the active engine is the stock class.

@@ -33,7 +33,8 @@ from repro.prediction.base import Predictor
 from repro.prediction.quantize import PredictionQuantizer
 from repro.rl.discretize import StateDiscretizer
 from repro.rl.exploration import EpsilonGreedy
-from repro.rl.reward import RewardConfig, build_reward_function
+from repro.rl.reward import (RewardConfig, RewardFunction,
+                              build_reward_function)
 from repro.rl.td_lambda import TDLambdaConfig, TDLambdaLearner
 
 
@@ -112,9 +113,39 @@ class ExecutedStep:
     power_demand: float
     """Driver propulsion power demand of the step, W."""
 
-    shortfall: float = 0.0
+    shortfall: float
     """Torque the executed point failed to deliver, N·m (0 when demand
-    was met; defaults for controllers predating the shortfall trace)."""
+    was met)."""
+
+    @classmethod
+    def of_row(cls, batch: BatchResult, row: Optional[int],
+               reward: RewardFunction, soc: float, dt: float,
+               power_demand: float, state: int = -1,
+               rl_action: int = -1) -> "ExecutedStep":
+        """The step that executes ``row`` of ``batch`` from charge ``soc``,
+        scored by ``reward`` (learning and paper reward).
+
+        ``row=None`` means no row is feasible: the batch's least-bad row
+        in the reward's SoC window executes.  Controllers without an RL
+        state keep the ``-1`` defaults of ``state`` and ``rl_action``.
+        """
+        if row is None:
+            row = batch.least_bad(reward.window_violation(batch.soc_next))
+        fuel_rate = batch.fuel_rate[row]
+        aux_power = batch.aux_power[row]
+        soc_next = batch.soc_next[row]
+        shortfall = batch.shortfall[row]
+        return cls(
+            state=state, rl_action=rl_action,
+            current=float(batch.battery_current[row]),
+            gear=int(batch.gear[row]), aux_power=float(aux_power),
+            fuel_rate=float(fuel_rate), soc_next=float(soc_next),
+            reward=float(reward(fuel_rate, aux_power, dt, soc_next=soc_next,
+                                soc_prev=soc, shortfall=shortfall)),
+            paper_reward=float(reward.paper_reward(fuel_rate, aux_power,
+                                                   dt)),
+            feasible=bool(batch.feasible[row]), mode=int(batch.mode[row]),
+            power_demand=float(power_demand), shortfall=float(shortfall))
 
 
 class JointControlAgent:
@@ -293,51 +324,6 @@ class JointControlAgent:
         self._last_soc = step.soc_next
         return step
 
-    def act_batch(self, speeds, accelerations, socs, dt: float,
-                  grades=None) -> list:
-        """Greedy policy probe over N independent observations.
-
-        Answers "what would the trained policy do in each of these
-        situations" without mutating any agent state: no TD update, no
-        pending transition, no predictor/exploration advance (the
-        prediction level is read from the predictor's current state).
-        Each observation still gets the full vectorised grid evaluation
-        through the shared workspace and the same scoring as :meth:`act`.
-        Returns one :class:`ExecutedStep` per observation.
-        """
-        speeds = np.asarray(speeds, dtype=float)
-        accelerations = np.asarray(accelerations, dtype=float)
-        socs = np.asarray(socs, dtype=float)
-        if grades is None:
-            grades = np.zeros(len(speeds))
-        else:
-            grades = np.asarray(grades, dtype=float)
-        if not (len(speeds) == len(accelerations) == len(socs)
-                == len(grades)):
-            raise ValueError(
-                "speeds, accelerations, socs, and grades must be "
-                "index-aligned")
-        level = 0
-        if self.predictor is not None:
-            level = self.quantizer(self.predictor.predict())
-
-        steps = []
-        for speed, accel, soc, grade in zip(speeds.tolist(),
-                                            accelerations.tolist(),
-                                            socs.tolist(), grades.tolist()):
-            batch = self.solver.evaluate_grid(
-                self._workspace, speed, accel, soc, dt, grade)
-            p_dem = batch.power_demand
-            state = self.discretizer.state_of(p_dem, speed, soc, level)
-            rewards, feasible_group, best_primitive, _ = self._score(
-                batch, soc, dt)
-            rl_action = self.exploration.select(
-                self.learner.qtable.row(state), feasible_group, greedy=True)
-            steps.append(self._executed(batch, rewards, state, rl_action,
-                                        feasible_group, best_primitive,
-                                        p_dem, dt))
-        return steps
-
     # -------------------------------------------------------- monitor hooks ---
 
     def drop_pending(self) -> None:
@@ -398,8 +384,8 @@ class JointControlAgent:
         """The step the chosen RL action executes: its best feasible
         primitive, or the least-bad fallback when it has none."""
         fallback = not feasible_group[rl_action]
-        prim = (self._fallback_primitive(batch) if fallback
-                else int(best_primitive[rl_action]))
+        prim = (batch.least_bad(self.reward.window_violation(batch.soc_next))
+                if fallback else int(best_primitive[rl_action]))
         fuel_rate = float(batch.fuel_rate[prim])
         aux_power = float(batch.aux_power[prim])
         return ExecutedStep(
@@ -413,15 +399,3 @@ class JointControlAgent:
                 aux_term=self._paper_aux_terms[prim]),
             feasible=not fallback, mode=int(batch.mode[prim]),
             power_demand=p_dem, shortfall=float(batch.shortfall[prim]))
-
-    def _fallback_primitive(self, batch: BatchResult) -> int:
-        """Least-bad primitive when no action is fully feasible.
-
-        Prefer meeting the traction demand, then the smallest SoC-window
-        excursion, then the smallest torque shortfall.
-        """
-        violation = self.reward.window_violation(batch.soc_next)
-        score = (np.where(batch.meets_demand, 0.0, 1e6)
-                 + np.asarray(violation) * 1e3
-                 + batch.shortfall)
-        return int(np.argmin(score))

@@ -2,8 +2,7 @@
 graceful controller degradation (NOMINAL -> DEGRADED -> LIMP_HOME -> HALT).
 """
 
-from repro.safety.envelope import (EnvelopeLimits, FeasibilityEnvelope,
-                                   Substitute)
+from repro.safety.envelope import EnvelopeLimits, FeasibilityEnvelope
 from repro.safety.events import (GuardEvent, ModeTransition, SafetyLog,
                                  SafetyReport)
 from repro.safety.monitors import (InfeasibilityMonitor, Monitor,
@@ -30,6 +29,5 @@ __all__ = [
     "SafetySupervisor",
     "SoCWindowMonitor",
     "StepContext",
-    "Substitute",
     "SupervisorConfig",
 ]

@@ -26,6 +26,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.powertrain.operating_point import BatchResult
 from repro.powertrain.solver import PowertrainSolver, _WINDOW_SLACK
 
 _TOL = 1e-6
@@ -56,38 +57,8 @@ class EnvelopeLimits:
     """Upper admissible post-step SoC (window plus solver slack)."""
 
 
-@dataclass(frozen=True)
-class Substitute:
-    """A fully resolved replacement action (one solver batch row)."""
-
-    current: float
-    """Executed battery current, A."""
-
-    gear: int
-    """Executed 0-based gear index."""
-
-    aux_power: float
-    """Executed auxiliary draw, W."""
-
-    fuel_rate: float
-    """Fuel mass-flow of the substituted step, g/s."""
-
-    soc_next: float
-    """Post-step state of charge under the substitute (fraction)."""
-
-    shortfall: float
-    """Undelivered shaft torque, N*m."""
-
-    feasible: bool
-    """Whether the substitute is fully feasible (False when even the
-    fallback ladder could only minimise the violation)."""
-
-    mode: int
-    """Operating-mode classification of the substituted point."""
-
-
 class FeasibilityEnvelope:
-    """Validates executed steps and substitutes nearest-feasible actions."""
+    """Validates executed steps and finds nearest-feasible substitutes."""
 
     def __init__(self, solver: PowertrainSolver):
         self._solver = solver
@@ -180,16 +151,19 @@ class FeasibilityEnvelope:
 
     def resolve(self, speed: float, acceleration: float, soc: float,
                 dt: float, grade: float, current: float, gear: int,
-                aux_power: float, derate: float = 1.0) -> Substitute:
-        """Nearest-feasible substitute for a rejected action.
+                aux_power: float, derate: float = 1.0
+                ) -> Tuple[BatchResult, int]:
+        """Nearest-feasible substitute for a rejected action, as the
+        solver batch of candidates and the row to execute.
 
         Clamps the action into the (derated) envelope box, then evaluates a
         small ladder of fallback currents stepping from the clamped intent
         toward zero and gentle charging — the direction that relieves both
         discharge-side window violations and pack-limit violations.  The
         executed point is the feasible candidate closest to the intent, or
-        failing that the candidate with the smallest SoC-window excursion
-        and torque shortfall.
+        failing that the batch's least-bad row
+        (:meth:`~repro.powertrain.operating_point.BatchResult.least_bad`)
+        measured against the slackened window.
         """
         c, g, a = self.clamp(current, gear, aux_power, derate)
         lim = self.limits()
@@ -200,21 +174,9 @@ class FeasibilityEnvelope:
             speed, acceleration, soc, ladder,
             np.full(len(ladder), g, dtype=int),
             np.full(len(ladder), a, dtype=float), dt, grade)
-        feasible = np.nonzero(batch.feasible)[0]
-        if len(feasible):
-            # Among feasible candidates, stay closest to the intent.
-            idx = int(feasible[np.argmin(np.abs(ladder[feasible] - c))])
-        else:
-            score = (np.asarray(self.window_violation(batch.soc_next)) * 1e3
-                     + np.where(batch.meets_demand, 0.0, 1e6)
-                     + batch.shortfall)
-            idx = int(np.argmin(score))
-        return Substitute(
-            current=float(batch.battery_current[idx]),
-            gear=int(batch.gear[idx]),
-            aux_power=float(batch.aux_power[idx]),
-            fuel_rate=float(batch.fuel_rate[idx]),
-            soc_next=float(batch.soc_next[idx]),
-            shortfall=float(batch.shortfall[idx]),
-            feasible=bool(batch.feasible[idx]),
-            mode=int(batch.mode[idx]))
+        feasible = np.flatnonzero(batch.feasible)
+        if not len(feasible):
+            return batch, batch.least_bad(
+                self.window_violation(batch.soc_next))
+        # Among feasible candidates, stay closest to the intent.
+        return batch, int(feasible[np.argmin(np.abs(ladder[feasible] - c))])

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.safety.state_machine import AlarmLevel
+from repro.stats import Welford
 
 Vote = Tuple[AlarmLevel, str]
 _OK: Vote = (AlarmLevel.OK, "")
@@ -190,9 +191,7 @@ class RewardCollapseMonitor(Monitor):
 
     def reset(self) -> None:
         """Clear the lagged baseline statistics and the recent window."""
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
+        self._baseline = Welford()
         # The recent window, oldest first: filled, then shifted down one
         # slot per step, so its sum runs over the same values in the same
         # order every step (numpy's pairwise sum depends on the order).
@@ -216,22 +215,20 @@ class RewardCollapseMonitor(Monitor):
             oldest = float(recent[0])
             recent[:-1] = recent[1:]
             recent[-1] = r
-            self._count += 1
-            delta = oldest - self._mean
-            self._mean += delta / self._count
-            self._m2 += delta * (oldest - self._mean)
-        if self._count < self.min_history:
+            self._baseline.update(oldest)
+        baseline = self._baseline
+        if baseline.count < self.min_history:
             return _OK
-        std = math.sqrt(self._m2 / (self._count - 1))
+        std = baseline.std
         if std <= 0.0:
             return _OK
         recent_mean = self._recent_mean()
-        deficit = (self._mean - recent_mean) / std
+        deficit = (baseline.mean - recent_mean) / std
         if deficit > self.sigmas:
             return (AlarmLevel.WARN,
                     f"reward collapsed: recent mean {recent_mean:.3g} is "
                     f"{deficit:.1f} sigma below the episode baseline "
-                    f"{self._mean:.3g}")
+                    f"{baseline.mean:.3g}")
         return _OK
 
     def _recent_mean(self) -> float:

@@ -297,32 +297,21 @@ class SafetySupervisor(Controller):
         if not violations:
             return step, intervened, True
 
-        substitute = self.envelope.resolve(
+        batch, row = self.envelope.resolve(
             speed, acceleration, soc, dt, grade, step.current, step.gear,
             step.aux_power, derate)
-        reward = float(self._reward(
-            substitute.fuel_rate, substitute.aux_power, dt,
-            soc_next=substitute.soc_next, soc_prev=soc,
-            shortfall=substitute.shortfall))
-        paper_reward = float(self._reward.paper_reward(
-            substitute.fuel_rate, substitute.aux_power, dt))
+        mediated = ExecutedStep.of_row(
+            batch, row, self._reward, soc, dt, step.power_demand,
+            state=step.state, rl_action=step.rl_action)
         self._record_guard(GuardEvent(
             step=self._step, time=self._time, kind=violations[0][0],
             detail="; ".join(d for _, d in violations),
             action_before={"current": float(step.current),
                            "gear": int(step.gear),
                            "aux_power": float(step.aux_power)},
-            action_after={"current": substitute.current,
-                          "gear": substitute.gear,
-                          "aux_power": substitute.aux_power}))
-        mediated = ExecutedStep(
-            state=step.state, rl_action=step.rl_action,
-            current=substitute.current, gear=substitute.gear,
-            aux_power=substitute.aux_power, fuel_rate=substitute.fuel_rate,
-            soc_next=substitute.soc_next, reward=reward,
-            paper_reward=paper_reward, feasible=substitute.feasible,
-            mode=substitute.mode, power_demand=step.power_demand,
-            shortfall=substitute.shortfall)
+            action_after={"current": mediated.current,
+                          "gear": mediated.gear,
+                          "aux_power": mediated.aux_power}))
         return mediated, True, False
 
     # ------------------------------------------------------------ monitoring ---

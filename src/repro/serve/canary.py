@@ -25,13 +25,13 @@ across the rollout, and uncorrelated between rollouts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ServeError
+from repro.stats import Welford
 
 
 @dataclass(frozen=True)
@@ -71,41 +71,6 @@ class CanaryConfig:
                 f"smaller than min_samples ({self.min_samples})")
         if self.intervention_margin < 0:
             raise ServeError("intervention_margin cannot be negative")
-
-
-class Welford:
-    """Running mean/variance (Welford), batch-updatable.
-
-    The accumulator behind both canary groups and the promotion
-    watchdog's incumbent baseline
-    (:class:`repro.learn.promotion.RegressionWatchdog`).
-    """
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def update_batch(self, values: np.ndarray) -> None:
-        """Fold a batch of samples into the running moments."""
-        values = np.asarray(values, dtype=float)
-        n = int(values.size)
-        if n == 0:
-            return
-        batch_mean = float(values.mean())
-        batch_m2 = float(((values - batch_mean) ** 2).sum())
-        delta = batch_mean - self.mean
-        total = self.count + n
-        self.mean += delta * n / total
-        self._m2 += batch_m2 + delta * delta * self.count * n / total
-        self.count = total
-
-    @property
-    def std(self) -> float:
-        """Sample standard deviation (0 before two samples)."""
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self._m2 / (self.count - 1))
 
 
 def _assignment_hash(ids: np.ndarray, salt: int) -> np.ndarray:

@@ -12,12 +12,14 @@ the guarded 1 Hz training step *outside* the ``evaluate_grid`` kernel
 * :class:`ReferenceReward` — the joint reward recomputing the auxiliary
   utility on every call;
 * :class:`ReferenceEpsilonGreedy` — the seed action selection;
-* :class:`ReferenceAgent` — the seed ``act`` / ``act_batch`` (road load
-  computed outside the kernel, 0-d numpy paper reward) wired to all of
-  the above;
+* :class:`ReferenceAgent` — the seed ``act`` (road load computed outside
+  the kernel, 0-d numpy paper reward) wired to all of the above;
 * :class:`ReferenceSupervisor` — the safety supervisor with the seed
-  envelope check (limits rebuilt every step, ``np.isfinite`` on scalars)
-  and the seed reward-collapse monitor (a deque averaged by ``np.mean``).
+  envelope check (limits rebuilt every step, ``np.isfinite`` on scalars),
+  the seed reward-collapse monitor (a deque averaged by ``np.mean``), and
+  the substitution path as it was before steps were built from batch
+  rows: ``resolve`` returning a :class:`Substitute` of Python floats and
+  ``_mediate`` scoring it.
 
 :func:`reference_agent` and :class:`ReferenceSupervisor` build the
 frozen stack with the same seeds and configuration as the production
@@ -30,6 +32,7 @@ this file — its value is that it does not change.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
@@ -46,6 +49,7 @@ from repro.rl.exploration import EpsilonGreedy
 from repro.rl.reward import RewardFunction
 from repro.rl.td_lambda import TDLambdaLearner
 from repro.safety.envelope import _TOL, EnvelopeLimits, FeasibilityEnvelope
+from repro.safety.events import GuardEvent
 from repro.safety.monitors import (_OK, RewardCollapseMonitor, StepContext,
                                    Vote)
 from repro.safety.state_machine import AlarmLevel
@@ -203,7 +207,7 @@ class ReferenceEpsilonGreedy(EpsilonGreedy):
 
 
 class ReferenceAgent(JointControlAgent):
-    """Seed ``act`` / ``act_batch`` over the frozen layers above."""
+    """Seed ``act`` over the frozen layers above."""
 
     def __init__(self, solver, td_config=None, reward_config=None,
                  action_config: Optional[ActionSpaceConfig] = None,
@@ -286,60 +290,6 @@ class ReferenceAgent(JointControlAgent):
             feasible=not fallback, mode=int(batch.mode[prim]),
             power_demand=p_dem, shortfall=float(batch.shortfall[prim]))
 
-    def act_batch(self, speeds, accelerations, socs, dt: float,
-                  grades=None) -> list:
-        speeds = np.asarray(speeds, dtype=float)
-        accelerations = np.asarray(accelerations, dtype=float)
-        socs = np.asarray(socs, dtype=float)
-        if grades is None:
-            grades = np.zeros(len(speeds))
-        else:
-            grades = np.asarray(grades, dtype=float)
-        level = 0
-        if self.predictor is not None:
-            level = self.quantizer(self.predictor.predict())
-
-        steps = []
-        for i in range(len(speeds)):
-            speed = float(speeds[i])
-            accel = float(accelerations[i])
-            soc = float(socs[i])
-            grade = float(grades[i])
-            p_dem = float(self.solver.dynamics.power_demand(speed, accel,
-                                                            grade))
-            state = self.discretizer.state_of(p_dem, speed, soc, level)
-            batch = self.solver.evaluate_grid(
-                self._workspace, speed, accel, soc, dt, grade)
-            rewards = np.asarray(self.reward(
-                batch.fuel_rate, batch.aux_power, dt,
-                soc_next=batch.soc_next, soc_prev=soc,
-                shortfall=batch.shortfall), dtype=float)
-            feasible_group, best_primitive = self._reduce(batch, rewards)
-            masked = np.where(feasible_group,
-                              self.learner.qtable.row(state), -np.inf)
-            if np.any(feasible_group):
-                rl_action = int(np.argmax(masked))
-                prim = int(best_primitive[rl_action])
-                fallback = False
-            else:
-                rl_action = int(np.argmax(self.learner.qtable.row(state)))
-                prim = self._fallback_primitive(batch)
-                fallback = True
-            steps.append(ExecutedStep(
-                state=state, rl_action=rl_action,
-                current=float(batch.battery_current[prim]),
-                gear=int(batch.gear[prim]),
-                aux_power=float(batch.aux_power[prim]),
-                fuel_rate=float(batch.fuel_rate[prim]),
-                soc_next=float(batch.soc_next[prim]),
-                reward=float(rewards[prim]),
-                paper_reward=float(self.reward.paper_reward(
-                    batch.fuel_rate[prim], batch.aux_power[prim], dt)),
-                feasible=not fallback, mode=int(batch.mode[prim]),
-                power_demand=p_dem,
-                shortfall=float(batch.shortfall[prim])))
-        return steps
-
     def q_health(self) -> Tuple[bool, float]:
         values = self.learner.qtable.values
         finite = bool(np.all(np.isfinite(values)))
@@ -413,6 +363,56 @@ class ReferenceEnvelope(FeasibilityEnvelope):
         return violations
 
 
+    def window_violation(self, soc_next):
+        lim = self.limits()
+        soc_next = np.asarray(soc_next, dtype=float)
+        return np.maximum(0.0, np.maximum(lim.soc_lo - soc_next,
+                                          soc_next - lim.soc_hi))
+
+    def resolve(self, speed, acceleration, soc, dt, grade, current, gear,
+                aux_power, derate=1.0) -> "Substitute":
+        c, g, a = self.clamp(current, gear, aux_power, derate)
+        lim = self.limits()
+        i_max = lim.max_current * float(np.clip(derate, 0.0, 1.0))
+        ladder = np.unique(np.asarray(
+            [c, 0.5 * c, 0.0, -0.25 * i_max, -0.5 * i_max], dtype=float))
+        batch = self._solver.evaluate_actions(
+            speed, acceleration, soc, ladder,
+            np.full(len(ladder), g, dtype=int),
+            np.full(len(ladder), a, dtype=float), dt, grade)
+        feasible = np.nonzero(batch.feasible)[0]
+        if len(feasible):
+            idx = int(feasible[np.argmin(np.abs(ladder[feasible] - c))])
+        else:
+            score = (np.asarray(self.window_violation(batch.soc_next)) * 1e3
+                     + np.where(batch.meets_demand, 0.0, 1e6)
+                     + batch.shortfall)
+            idx = int(np.argmin(score))
+        return Substitute(
+            current=float(batch.battery_current[idx]),
+            gear=int(batch.gear[idx]),
+            aux_power=float(batch.aux_power[idx]),
+            fuel_rate=float(batch.fuel_rate[idx]),
+            soc_next=float(batch.soc_next[idx]),
+            shortfall=float(batch.shortfall[idx]),
+            feasible=bool(batch.feasible[idx]),
+            mode=int(batch.mode[idx]))
+
+
+@dataclass(frozen=True)
+class Substitute:
+    """Seed replacement action: one solver batch row as Python scalars."""
+
+    current: float
+    gear: int
+    aux_power: float
+    fuel_rate: float
+    soc_next: float
+    shortfall: float
+    feasible: bool
+    mode: int
+
+
 class ReferenceCollapseMonitor(RewardCollapseMonitor):
     """Seed reward-collapse monitor (deque window, ``np.mean``)."""
 
@@ -449,7 +449,8 @@ class ReferenceCollapseMonitor(RewardCollapseMonitor):
 
 
 class ReferenceSupervisor(SafetySupervisor):
-    """The safety supervisor over the seed envelope and collapse monitor."""
+    """The safety supervisor over the seed envelope, collapse monitor and
+    substitution path."""
 
     def __init__(self, controller, solver, config=None):
         super().__init__(controller, solver, config=config)
@@ -458,6 +459,48 @@ class ReferenceSupervisor(SafetySupervisor):
             ReferenceCollapseMonitor(m.window, m.sigmas, m.min_history)
             if isinstance(m, RewardCollapseMonitor) else m
             for m in self._monitors]
+
+    def _mediate(self, step, speed, acceleration, soc, dt, grade, derate,
+                 intervened):
+        violations = self.envelope.check(step.current, step.gear,
+                                         step.aux_power, step.soc_next)
+        if derate < 1.0 and not violations:
+            i_max = self.envelope.limits().max_current * derate
+            if abs(step.current) > i_max + _TOL:
+                violations = [(
+                    "degraded_clamp",
+                    f"|{step.current:.1f} A| exceeds the DEGRADED derate "
+                    f"bound {i_max:.1f} A")]
+        if not violations:
+            return step, intervened, True
+
+        substitute = self.envelope.resolve(
+            speed, acceleration, soc, dt, grade, step.current, step.gear,
+            step.aux_power, derate)
+        reward = float(self._reward(
+            substitute.fuel_rate, substitute.aux_power, dt,
+            soc_next=substitute.soc_next, soc_prev=soc,
+            shortfall=substitute.shortfall))
+        paper_reward = float(self._reward.paper_reward(
+            substitute.fuel_rate, substitute.aux_power, dt))
+        self._record_guard(GuardEvent(
+            step=self._step, time=self._time, kind=violations[0][0],
+            detail="; ".join(d for _, d in violations),
+            action_before={"current": float(step.current),
+                           "gear": int(step.gear),
+                           "aux_power": float(step.aux_power)},
+            action_after={"current": substitute.current,
+                          "gear": substitute.gear,
+                          "aux_power": substitute.aux_power}))
+        mediated = ExecutedStep(
+            state=step.state, rl_action=step.rl_action,
+            current=substitute.current, gear=substitute.gear,
+            aux_power=substitute.aux_power, fuel_rate=substitute.fuel_rate,
+            soc_next=substitute.soc_next, reward=reward,
+            paper_reward=paper_reward, feasible=substitute.feasible,
+            mode=substitute.mode, power_demand=step.power_demand,
+            shortfall=substitute.shortfall)
+        return mediated, True, False
 
 
 def reference_agent(solver, algorithm: str = "td_lambda",

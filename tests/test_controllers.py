@@ -13,6 +13,7 @@ from repro.control import (
     build_rl_controller,
     solve_dp,
 )
+from repro.control.base import gear_order
 from repro.cycles import CycleSpec, synthesize
 from repro.powertrain import PowertrainSolver
 from repro.sim import Simulator, evaluate
@@ -73,9 +74,10 @@ class TestRuleBasedDecisions:
         assert rb._aux_power(0.6) == pytest.approx(600.0)
 
     def test_gear_schedule_monotone(self, solver):
-        rb = RuleBasedController(solver)
-        preferred = [int(rb._gear_order(v)[0]) for v in (2.0, 6.0, 10.0,
-                                                         16.0, 25.0)]
+        shift_speeds = RuleBasedController(solver).config.shift_speeds
+        gears = solver.transmission.num_gears
+        preferred = [int(gear_order(shift_speeds, gears, v)[0])
+                     for v in (2.0, 6.0, 10.0, 16.0, 25.0)]
         assert preferred == sorted(preferred)
 
     def test_full_episode_runs(self, solver, short_cycle):

@@ -328,7 +328,7 @@ class _NaNController(Controller):
         return ExecutedStep(state=0, rl_action=0, current=current, gear=0,
                             aux_power=100.0, fuel_rate=0.0, soc_next=soc,
                             reward=0.0, paper_reward=0.0, feasible=True,
-                            mode=0, power_demand=0.0)
+                            mode=0, power_demand=0.0, shortfall=0.0)
 
     def finish_episode(self, learn=True) -> None:
         pass

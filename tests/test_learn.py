@@ -43,7 +43,8 @@ from repro.learn import (
     decode_batch,
     read_journal,
 )
-from repro.learn.journal import DEFAULT_BUFFER_LIMIT, REWARD_REPR_CACHE
+from repro.learn.journal import (DEFAULT_BUFFER_LIMIT, REWARD_REPR_CACHE,
+                                 VALUE_BOUND)
 from repro.learn.loop import STATE_NAME
 from repro.powertrain import PowertrainSolver
 from repro.rl.persistence import _fingerprint
@@ -221,7 +222,7 @@ class TestRecordCodec:
         assert columns["step"].tolist() == [11, 11, 11]
 
     def test_rewards_round_trip_bit_exactly(self, tmp_path):
-        rewards = np.array([-0.0, 5e-324, 0.1, -1e308, 1 / 3])
+        rewards = np.array([-0.0, 5e-324, 0.1, -VALUE_BOUND, 1 / 3])
         batch = {name: np.resize(col, 5) for name, col in _BATCH.items()}
         path = _write_journal(tmp_path, dict(batch, reward=rewards))
         decoded = read_journal(path).columns["reward"]
@@ -254,7 +255,7 @@ class TestRecordCodec:
         ("state", -1), ("action", 1.5), ("next_state", True),
         ("policy_version", 0), ("vehicle_id", "x"), ("step", -3),
         ("reward", float("nan")), ("reward", float("inf")),
-        ("reward", "much"),
+        ("reward", 1.7e308), ("reward", -1e101), ("reward", "much"),
     ])
     def test_invalid_fields_are_structured(self, tmp_path, field, value):
         # Offering validates the whole batch; the bad row is named and
@@ -278,6 +279,8 @@ _BAD_INTS = st.one_of(
 _BAD_REWARDS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf]), st.booleans(),
     st.none(), st.text(max_size=3), st.integers(min_value=10 ** 309),
+    st.floats(min_value=VALUE_BOUND, exclude_min=True),
+    st.floats(max_value=-VALUE_BOUND, exclude_max=True),
     st.lists(st.floats(), max_size=2))
 
 
@@ -332,10 +335,11 @@ class TestRecordCodecFuzz:
             columns = decode_batch(_mutated(field, row, value))
         except ExperienceError:
             return
-        # The only acceptable non-error: a finite float reward, decoded
-        # to the same value; everything else would be silent garbage.
+        # The only acceptable non-error: a float reward within the bound,
+        # decoded to the same value; everything else would be silent
+        # garbage.
         assert field == "reward" and isinstance(value, float)
-        assert math.isfinite(value) and columns["reward"][row] == value
+        assert abs(value) <= VALUE_BOUND and columns["reward"][row] == value
 
     @settings(max_examples=120, deadline=None)
     @given(column=st.sampled_from(_INT_COLUMNS), row=st.integers(0, 2),
@@ -360,9 +364,10 @@ class TestRecordCodecFuzz:
     @settings(max_examples=60, deadline=None)
     @given(row=st.integers(0, 2),
            value=st.one_of(st.integers(-2 ** 70, 2 ** 70),
-                           st.floats(allow_nan=False,
-                                     allow_infinity=False)))
+                           st.floats(-VALUE_BOUND, VALUE_BOUND)))
     def test_any_finite_real_reward_decodes_exactly(self, row, value):
+        # Any real within the bound the learner's updates stay finite
+        # under (beyond it, test_bad_reward_names_its_row).
         decoded = decode_batch(_mutated("reward", row, value))["reward"]
         assert decoded[row] == float(value)
         assert math.copysign(1.0, decoded[row]) \
@@ -493,10 +498,11 @@ class TestJournal:
 
 _REWARDS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-320,
-                     2.2250738585072014e-308, 1e308, -1e308,
-                     1.7976931348623157e308, 1 / 3, -1 / 3, 0.1]),
-    st.floats(allow_nan=False, allow_infinity=False))
-"""Signed zeros, subnormals, extremes, repeats and any finite double."""
+                     2.2250738585072014e-308, VALUE_BOUND, -VALUE_BOUND,
+                     1e99, 1 / 3, -1 / 3, 0.1]),
+    st.floats(-VALUE_BOUND, VALUE_BOUND))
+"""Signed zeros, subnormals, the bound, repeats and any double within
+it."""
 
 
 @st.composite
@@ -708,10 +714,11 @@ class TestLearner:
         assert learner.cursors == {} and learner.records == 0
         assert learner.ingests == 0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_an_overflow_to_nan_commits_nothing(self, tmp_path):
-        # Finite rewards can still overflow a cell to inf and then NaN,
-        # a table resume() would refuse: the ingest must commit nothing.
+    def test_an_overflow_to_nan_commits_nothing(self, tmp_path,
+                                                monkeypatch):
+        # Bounded rewards and seed values keep every update finite; an
+        # update that still stored a NaN would leave a table resume()
+        # refuses, so the ingest must commit nothing.
         ckpt = tmp_path / "ckpt.rpa"
         learner = OnlineLearner(self._FP, np.zeros((4, 2)),
                                 checkpoint_path=ckpt)
@@ -720,11 +727,13 @@ class TestLearner:
         learner.ingest(tmp_path / "j")
         table, cursors, saved = learner.table, learner.cursors, \
             ckpt.read_bytes()
-        zeros = np.zeros(60, dtype=np.int64)
-        _write_journal(tmp_path / "j", {
-            "state": zeros, "action": zeros, "reward": np.full(60, 1.7e308),
-            "next_state": zeros, "policy_version": zeros + 1,
-            "vehicle_id": np.arange(60)}, shard=1)
+        _write_journal(tmp_path / "j", _records(3, num_states=4,
+                                                num_actions=2), shard=1)
+
+        def overflowing(q, *columns):
+            q[0, 0] = np.nan
+
+        monkeypatch.setattr(learner, "_apply", overflowing)
         with pytest.raises(ExperienceError, match=r"\(state 0, action 0\)"):
             learner.ingest(tmp_path / "j")
         _assert_same_bytes(learner.table, table)
@@ -732,6 +741,41 @@ class TestLearner:
         assert (learner.records, learner.quarantined, learner.excluded,
                 learner.ingests) == (5, 0, 0, 1)
         _assert_same_bytes(OnlineLearner.resume(ckpt).table, table)
+
+    def test_rewards_beyond_the_bound_are_quarantined(self, tmp_path):
+        # A batch whose rewards could overflow the table costs only that
+        # batch; the learner applies the rest and stays finite.
+        zeros = np.zeros(60, dtype=np.int64)
+        huge = {"state": zeros, "action": zeros,
+                "reward": np.full(60, 1.7e308), "next_state": zeros,
+                "policy_version": zeros + 1, "vehicle_id": np.arange(60)}
+        sound = _records(5, num_states=4, num_actions=2)
+        with mock.patch("repro.learn.journal.VALUE_BOUND", math.inf):
+            _write_journal(tmp_path / "j", _join(huge, sound),
+                           sizes=[60, 5])
+        learner = OnlineLearner(self._FP, np.zeros((4, 2)))
+        report = learner.ingest(tmp_path / "j")
+        assert (report.records, report.quarantined) == (5, 1)
+        reference = OnlineLearner(self._FP, np.zeros((4, 2)))
+        _write_journal(tmp_path / "ref", sound)
+        reference.ingest(tmp_path / "ref")
+        _assert_same_bytes(learner.table, reference.table)
+
+    def test_a_table_grown_past_the_reward_bound_resumes(self, tmp_path):
+        # Rewards at the bound drive a cell towards B / (1 - discount),
+        # past B itself; the checkpoint must still resume.
+        ckpt = tmp_path / "ckpt.rpa"
+        learner = OnlineLearner(self._FP, np.zeros((4, 2)),
+                                checkpoint_path=ckpt)
+        zeros = np.zeros(60, dtype=np.int64)
+        _write_journal(tmp_path / "j", {
+            "state": zeros, "action": zeros,
+            "reward": np.full(60, VALUE_BOUND), "next_state": zeros,
+            "policy_version": zeros + 1, "vehicle_id": np.arange(60)})
+        learner.ingest(tmp_path / "j")
+        assert VALUE_BOUND < learner.table.max() <= VALUE_BOUND / (
+            1.0 - learner.config.discount)
+        _assert_same_bytes(OnlineLearner.resume(ckpt).table, learner.table)
 
     def test_missing_checkpoint_is_experience_error(self, tmp_path):
         with pytest.raises(ExperienceError, match="nothing to resume"):
@@ -811,7 +855,9 @@ class TestLearner:
         # Byte for byte against the numpy-scalar loop it replaced, over
         # tables and rewards full of signed zeros and of values near the
         # double range, so that with a unit step size updates overflow to
-        # infinity and later max reads meet inf and NaN.
+        # infinity and later max reads meet inf and NaN.  Where the frozen
+        # loop ends finite the bytes match; where it does not, both
+        # tables are non-finite, so an ingest commits neither.
         num_states = data.draw(st.integers(1, 5), label="states")
         num_actions = data.draw(st.integers(1, 4), label="actions")
         edgy = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.7e308, -1.7e308]) \
@@ -831,35 +877,19 @@ class TestLearner:
         columns = [np.array([r[i] for r in rows], dtype=dtype) for i, dtype
                    in enumerate((np.int64, np.int64, np.float64, np.int64))]
 
-        learner = OnlineLearner(self._FP, table, config=OnlineLearnerConfig(
-            learning_rate=lr, discount=gamma))
+        learner = OnlineLearner(self._FP, np.zeros_like(table),
+                                config=OnlineLearnerConfig(
+                                    learning_rate=lr, discount=gamma))
         fast, ref = table.copy(), table.copy()
         # Two calls, so the second may start on a table that already
-        # holds a NaN.
+        # holds an infinity or a NaN.
         learner._apply(fast, *(c[:cut] for c in columns))
         learner._apply(fast, *(c[cut:] for c in columns))
         reference_apply(ref, *columns, learning_rate=lr, discount=gamma)
-        _assert_same_bytes(fast, ref)
-
-    @pytest.mark.parametrize("cut", [3, 4])
-    def test_a_nan_behind_a_finite_value_is_the_row_max(self, cut):
-        # Two overflows leave one cell +inf; the next update of that
-        # cell stores inf - inf = NaN after a finite value in its row.
-        # numpy's max propagates the NaN where Python's skips it, so
-        # the last record shows which one the loop follows, whether it
-        # meets the NaN in the call that stored it or in the next one.
-        table = np.zeros((1, 2))
-        columns = (np.array([0, 0, 0, 0]), np.array([1, 1, 1, 0]),
-                   np.array([1.7e308, 1.7e308, 0.0, 1.0]),
-                   np.array([0, 0, 0, 0]))
-        learner = OnlineLearner(self._FP, table, config=OnlineLearnerConfig(
-            learning_rate=1.0, discount=0.9))
-        fast, ref = table.copy(), table.copy()
-        learner._apply(fast, *(c[:cut] for c in columns))
-        learner._apply(fast, *(c[cut:] for c in columns))
-        reference_apply(ref, *columns, learning_rate=1.0, discount=0.9)
-        assert np.isnan(ref).all()
-        _assert_same_bytes(fast, ref)
+        if np.isfinite(ref).all():
+            _assert_same_bytes(fast, ref)
+        else:
+            assert not np.isfinite(fast).all()
 
     def test_apply_matches_the_frozen_loop_on_perfbench_journals(
             self, perfbench_journal):
@@ -887,6 +917,9 @@ class TestLearner:
         table = self._table()
         table[0, 0] = np.nan
         with pytest.raises(ExperienceError, match="non-finite"):
+            OnlineLearner(self._FP, table)
+        table[0, 0] = 1.7e308  # finite, but updates could overflow it
+        with pytest.raises(ExperienceError, match="beyond"):
             OnlineLearner(self._FP, table)
 
     def test_invalid_configs_are_structured(self):

@@ -82,7 +82,8 @@ def _step(current=0.0, gear=0, aux_power=None, soc_next=0.60, feasible=True,
     return ExecutedStep(state=0, rl_action=0, current=current, gear=gear,
                         aux_power=aux_power, fuel_rate=0.5,
                         soc_next=soc_next, reward=-1.0, paper_reward=-1.0,
-                        feasible=feasible, mode=0, power_demand=5000.0)
+                        feasible=feasible, mode=0, power_demand=5000.0,
+                        shortfall=0.0)
 
 
 class TestHealthStateMachine:
@@ -203,7 +204,8 @@ class TestMonitors:
         for i, r in enumerate(rewards):
             ctx = _ctx(step=i, reward=r)
             assert fast.observe(ctx) == seed.observe(ctx)
-            assert (fast._count, fast._mean, fast._m2) == (
+            baseline = fast._baseline
+            assert (baseline.count, baseline.mean, baseline._m2) == (
                 seed._count, seed._mean, seed._m2)
             if len(seed._recent) == window:
                 assert fast._recent_mean() == float(np.mean(seed._recent))
@@ -267,11 +269,12 @@ class TestEnvelope:
     def test_resolve_returns_in_envelope_substitute(self, solver):
         envelope = FeasibilityEnvelope(solver)
         lim = envelope.limits()
-        sub = envelope.resolve(speed=10.0, acceleration=0.0, soc=0.60,
-                               dt=1.0, grade=0.0, current=1e5, gear=2,
-                               aux_power=solver.auxiliary.min_power)
-        assert abs(sub.current) <= lim.max_current + 1e-6
-        assert np.isfinite(sub.fuel_rate) and np.isfinite(sub.soc_next)
+        batch, row = envelope.resolve(
+            speed=10.0, acceleration=0.0, soc=0.60, dt=1.0, grade=0.0,
+            current=1e5, gear=2, aux_power=solver.auxiliary.min_power)
+        assert abs(batch.battery_current[row]) <= lim.max_current + 1e-6
+        assert np.isfinite(batch.fuel_rate[row])
+        assert np.isfinite(batch.soc_next[row])
 
     def test_limits_track_live_solver_mutation(self, solver):
         import dataclasses
@@ -357,16 +360,16 @@ class TestSupervisorUnit:
         supervisor = SafetySupervisor(scripted, solver)
         supervisor.begin_episode()
         returned = supervisor.act(speed, acceleration, 0.60, 1.0)
-        substitute = supervisor.envelope.resolve(
+        batch, row = supervisor.envelope.resolve(
             speed, acceleration, 0.60, 1.0, 0.0, 1e4, 0,
             solver.auxiliary.min_power)
-        assert substitute.shortfall > 100.0
-        assert returned.shortfall == substitute.shortfall
-        assert returned.current == substitute.current
+        assert batch.shortfall[row] > 100.0
+        assert returned.shortfall == batch.shortfall[row]
+        assert returned.current == batch.battery_current[row]
         reward = supervisor._reward(
-            substitute.fuel_rate, substitute.aux_power, 1.0,
-            soc_next=substitute.soc_next, soc_prev=0.60,
-            shortfall=substitute.shortfall)
+            batch.fuel_rate[row], batch.aux_power[row], 1.0,
+            soc_next=batch.soc_next[row], soc_prev=0.60,
+            shortfall=batch.shortfall[row])
         assert returned.reward == float(reward)
 
     def test_sustained_infeasibility_escalates_to_limp_home(self, solver):

@@ -2,13 +2,15 @@
 
 Each smoke drives a whole subsystem through one realistic scenario and
 checks the invariants a user would notice if it broke.  They also run with
-the tier-1 suite; CI runs them on their own with ``python -m pytest -m
-smoke -q``.
+the tier-1 suite; CI runs them once, in their own step (``python -m pytest
+-m smoke -q``), and deselects them from its tier-1 step.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -249,6 +251,55 @@ def test_online_loop_streams_ingests_and_promotes(tmp_path, tiny_agent):
     assert promotion is not None, "round 2 ran no guarded promotion"
     assert promotion.outcome in ("promoted", "noop", "aborted"), (
         f"a healthy candidate came out {promotion.outcome!r}")
+
+
+@pytest.mark.smoke
+def test_online_loop_learns_past_an_overflowing_shard(tmp_path, tiny_agent):
+    """A journal shard whose rewards would overflow costs only its batch.
+
+    Before the loop starts, a second shard holds one batch of 60 rewards
+    of 1.7e308, all on one state-action pair (its writer skipped the
+    reward bound; applied, they overflow that Q-value to NaN), and one
+    sound batch.  The loop must quarantine the first, apply the second,
+    and keep learning from its fleet, again after a resume: no round
+    re-reads the bad batch, and the table stays finite.
+    """
+    registry = PolicyRegistry(tmp_path / "registry")
+    registry.publish(tiny_agent)
+    num_states, num_actions = tiny_agent.learner.qtable.values.shape
+    rng = np.random.default_rng(11)
+    zeros = np.zeros(60, dtype=int)
+    sound = 20
+    with mock.patch("repro.learn.journal.VALUE_BOUND", math.inf), \
+            ExperienceStream(tmp_path / "loop" / "journals",
+                             shard=1) as stream:
+        stream.offer_batch(zeros, zeros, np.full(60, 1.7e308), zeros,
+                           zeros + 1, np.arange(60), step=0)
+        stream.offer_batch(rng.integers(num_states, size=sound),
+                           rng.integers(num_actions, size=sound),
+                           rng.normal(size=sound),
+                           rng.integers(num_states, size=sound),
+                           np.ones(sound, dtype=int), np.arange(sound),
+                           step=1)
+        stream.flush()
+
+    config = FleetConfig(vehicles=32, steps=10, seed=3)
+    with OnlineLearningLoop(registry, tmp_path / "loop", fleet_config=config,
+                            promote_every=2) as loop:
+        first = loop.run(2).rounds
+    with OnlineLearningLoop(registry, tmp_path / "loop", fleet_config=config,
+                            promote_every=2, resume=True) as loop:
+        resumed = loop.run(1).rounds
+        table = loop.learner.table
+    rounds = first + resumed
+    assert [r.quarantined for r in rounds] == [1, 0, 0], (
+        f"the overflowing batch was quarantined "
+        f"{[r.quarantined for r in rounds]} times per round, not once")
+    assert [r.records_ingested - r.records_streamed for r in rounds] \
+        == [sound, 0, 0], "the sound batch or fleet records went missing"
+    assert all(r.records_streamed for r in rounds), \
+        "a round after the overflowing shard streamed nothing"
+    assert np.isfinite(table).all(), "the learner's table went non-finite"
 
 
 def _burst(rng, directory, count, start, num_states, num_actions):

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.control.rl_controller import RLController, build_rl_controller
+from repro.control.rl_controller import build_rl_controller
 from repro.cycles import STANDARD_SPECS, standard_cycle
 from repro.faults.harness import FaultHarness
 from repro.faults.scenarios import builtin_scenarios
@@ -211,27 +211,6 @@ def test_fault_scenario_episode_matches(scenario_name):
     fast = _episode(PowertrainSolver, cycle, faults=schedule)
     ref = _episode(ReferencePowertrainSolver, cycle, faults=schedule)
     assert_episodes_identical(fast, ref)
-
-
-def test_act_batch_matches_scalar_fallback():
-    """The agent's vectorised probe == the base-class scalar fallback."""
-    from repro.control.base import Controller
-
-    def build():
-        solver = PowertrainSolver(default_vehicle())
-        return build_rl_controller(solver, variant="no_prediction", seed=9)
-
-    a, b = build(), build()
-    rng = np.random.default_rng(13)
-    speeds = rng.uniform(0.0, 30.0, 12)
-    accels = rng.uniform(-2.0, 2.0, 12)
-    socs = rng.uniform(0.42, 0.78, 12)
-    a.begin_episode()
-    b.begin_episode()
-    batched = a.act_batch(speeds, accels, socs, 1.0)
-    scalar = Controller.act_batch(b, speeds, accels, socs, 1.0)
-    assert batched == scalar
-    assert isinstance(a, RLController)
 
 
 @pytest.fixture
