@@ -21,11 +21,11 @@ The package implements the paper's full stack from scratch:
 Quickstart::
 
     from repro import quick_agent
-    from repro.cycles import udds
+    from repro.cycles import standard_cycle
     from repro.sim import train
 
     controller, simulator = quick_agent()
-    run = train(simulator, controller, udds(), episodes=20)
+    run = train(simulator, controller, standard_cycle("UDDS"), episodes=20)
     print(run.evaluation.summary())
 """
 

@@ -6,18 +6,11 @@ from repro.analysis.metrics import (
     reward_gap_percent,
 )
 from repro.analysis.reporting import render_figure_series, render_table
-from repro.analysis.ascii_plot import line_chart, soc_strip, sparkline
-from repro.analysis.convergence import analyze as analyze_convergence
-from repro.analysis.export import load_result_dict, result_to_dict, save_result
+from repro.analysis.ascii_plot import soc_strip, sparkline
 
 __all__ = [
-    "result_to_dict",
-    "save_result",
-    "load_result_dict",
     "sparkline",
-    "line_chart",
     "soc_strip",
-    "analyze_convergence",
     "improvement_percent",
     "normalized_fuel",
     "reward_gap_percent",

@@ -1,8 +1,8 @@
-"""Terminal plotting: sparklines and line charts without matplotlib.
+"""Terminal plotting: sparklines without matplotlib.
 
 The library is deliberately dependency-light; these helpers render SoC
 trajectories, learning curves, and speed traces as Unicode block-character
-plots for the CLI and the examples.
+sparklines for the CLI and the examples.
 """
 
 from __future__ import annotations
@@ -35,37 +35,6 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
         return _SPARK_LEVELS[3] * len(arr)
     idx = ((arr - lo) / (hi - lo) * (len(_SPARK_LEVELS) - 1)).round()
     return "".join(_SPARK_LEVELS[int(i)] for i in idx)
-
-
-def line_chart(values: Sequence[float], width: int = 64, height: int = 10,
-               title: str = "", y_format: str = "{:8.2f}") -> str:
-    """Multi-line chart with a y-axis, rendered with asterisks.
-
-    Good enough to see a learning curve's shape in a CI log.
-    """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size < 2:
-        raise ValueError("need at least two points to chart")
-    if width < 8 or height < 3:
-        raise ValueError("chart too small")
-    if arr.size > width:
-        edges = np.linspace(0, arr.size, width + 1).astype(int)
-        arr = np.asarray([arr[a:b].mean() for a, b in
-                          zip(edges[:-1], edges[1:])])
-    lo, hi = float(arr.min()), float(arr.max())
-    span = hi - lo if hi > lo else 1.0
-    rows = []
-    grid = np.full((height, len(arr)), " ", dtype="<U1")
-    levels = ((arr - lo) / span * (height - 1)).round().astype(int)
-    for col, level in enumerate(levels):
-        grid[height - 1 - level, col] = "*"
-    for r in range(height):
-        value = hi - (r / (height - 1)) * span
-        label = y_format.format(value)
-        rows.append(f"{label} |" + "".join(grid[r]))
-    rows.append(" " * len(label) + " +" + "-" * len(arr))
-    header = [title] if title else []
-    return "\n".join(header + rows)
 
 
 def soc_strip(soc_values: Sequence[float], soc_min: float = 0.40,

@@ -55,16 +55,6 @@ class EnergyAccount:
         return float(min(self.battery_charge_energy / self.braking_energy,
                          1.0))
 
-    @property
-    def tank_to_wheel_efficiency(self) -> float:
-        """Propulsion work divided by fuel energy (plus net battery draw)."""
-        net_battery = max(
-            self.battery_discharge_energy - self.battery_charge_energy, 0.0)
-        denom = self.fuel_energy + net_battery
-        if denom <= 0.0:
-            return 0.0
-        return float(self.positive_wheel_work / denom)
-
 
 def energy_account(result: EpisodeResult) -> EnergyAccount:
     """Compute the :class:`EnergyAccount` of one episode."""
@@ -94,85 +84,6 @@ def mode_share(result: EpisodeResult) -> Dict[str, float]:
     """Operating-mode share by name (fractions summing to 1)."""
     return {OperatingMode(mode).name: fraction
             for mode, fraction in result.mode_fractions().items()}
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """A labelled 1-D histogram."""
-
-    edges: np.ndarray
-    """Bin edges (length = counts + 1)."""
-
-    counts: np.ndarray
-    """Occupancy per bin."""
-
-    @property
-    def fractions(self) -> np.ndarray:
-        """Counts normalised to fractions (zeros if empty)."""
-        total = self.counts.sum()
-        if total == 0:
-            return np.zeros_like(self.counts, dtype=float)
-        return self.counts / total
-
-
-def gear_histogram(result: EpisodeResult, num_gears: int) -> Histogram:
-    """Occupancy of each gear over the moving part of the drive."""
-    moving = np.asarray(result.speeds) > 0.1
-    counts, edges = np.histogram(np.asarray(result.gear)[moving],
-                                 bins=np.arange(num_gears + 1) - 0.5)
-    return Histogram(edges=edges, counts=counts)
-
-
-def current_histogram(result: EpisodeResult, bins: int = 12,
-                      max_current: float = 80.0) -> Histogram:
-    """Occupancy of battery-current bins over the drive."""
-    counts, edges = np.histogram(
-        np.asarray(result.current),
-        bins=np.linspace(-max_current, max_current, bins + 1))
-    return Histogram(edges=edges, counts=counts)
-
-
-def soc_statistics(result: EpisodeResult) -> Dict[str, float]:
-    """SoC trajectory statistics: extremes, swing, charge throughput.
-
-    ``throughput_fraction`` is the total |charge moved| over the trip in
-    units of pack capacity — the quantity battery-aging models integrate.
-    """
-    soc = np.asarray(result.soc, dtype=float)
-    current = np.asarray(result.current, dtype=float)
-    throughput = float(np.sum(np.abs(current)) * result.dt
-                       / result.battery_capacity)
-    return {
-        "min": float(np.min(soc)),
-        "max": float(np.max(soc)),
-        "mean": float(np.mean(soc)),
-        "swing": float(np.max(soc) - np.min(soc)),
-        "final": float(soc[-1]),
-        "throughput_fraction": throughput,
-    }
-
-
-def driveability(result: EpisodeResult) -> Dict[str, float]:
-    """Driveability statistics: how busy the supervisory control is.
-
-    Production calibrations penalise frequent gear shifts, engine restarts,
-    and mode chatter; these counts (per kilometre) let users compare
-    controllers on comfort, not just economy.
-    """
-    km = max(result.distance / 1000.0, 1e-9)
-    gear = np.asarray(result.gear)
-    mode = np.asarray(result.mode)
-    fuel = np.asarray(result.fuel_rate)
-    moving = np.asarray(result.speeds) > 0.1
-    shifts = int(np.sum((np.diff(gear) != 0) & moving[1:]))
-    mode_switches = int(np.sum(np.diff(mode) != 0))
-    on = fuel > 1e-9
-    starts = int(np.sum((~on[:-1]) & on[1:]))
-    return {
-        "gear_shifts_per_km": shifts / km,
-        "mode_switches_per_km": mode_switches / km,
-        "engine_starts_per_km": starts / km,
-    }
 
 
 def engine_duty(result: EpisodeResult) -> Dict[str, float]:

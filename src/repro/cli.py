@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eleven subcommands cover the everyday workflows:
+Ten subcommands cover the everyday workflows:
 
 * ``cycles``   — list the built-in drive cycles with their statistics, or
   export one to CSV.
@@ -9,7 +9,10 @@ Eleven subcommands cover the everyday workflows:
 * ``evaluate`` — drive a cycle under a chosen controller (optionally a
   saved policy, optionally with an injected fault scenario, optionally
   behind the runtime safety supervisor via ``--guard``) and print the
-  result summary plus energy accounting.
+  result summary plus energy accounting.  ``--guard`` adds the
+  supervisor's full journal: guard events, mode transitions, and time in
+  each mode; a run the supervisor halts prints the journal up to the halt
+  and exits 2.
 * ``compare``  — train the RL controller and print the proposed-vs-baseline
   table for one cycle.
 * ``faults``   — list the built-in fault scenarios for degraded-mode runs.
@@ -19,8 +22,6 @@ Eleven subcommands cover the everyday workflows:
   append-only ``--manifest``, ``--resume`` to skip finished work
   after a kill, and ``--guard`` to drive every run behind the safety
   supervisor (adds intervention/mode columns).
-* ``guard-report`` — drive one guarded episode and print the supervisor's
-  full journal: guard events, mode transitions, and time in each mode.
 * ``telemetry`` — ``telemetry report PATH`` summarises a telemetry event
   file (or a sweep manifest's task latency) written by a previous run.
 * ``chaos``    — run a deterministic infrastructure-fault campaign
@@ -47,8 +48,8 @@ code 2 instead of a traceback.
 Result tables go to **stdout**; progress/diagnostic chatter goes through
 stdlib :mod:`logging` on **stderr**, controlled by the global
 ``--log-level`` / ``-v`` flags (default INFO) — so piping a command into
-a file captures clean results.  ``train``/``evaluate``/``guard-report``/
-``sweep`` accept ``--telemetry PATH`` to stream structured events,
+a file captures clean results.  ``train``/``evaluate``/``sweep``/
+``serve``/``learn`` accept ``--telemetry PATH`` to stream structured events,
 spans, and metrics into a JSONL file (see ``docs/OBSERVABILITY.md``);
 WARNING+ log records are bridged into the same file.
 """
@@ -78,7 +79,6 @@ from repro.faults import FaultHarness, builtin_scenarios, get_scenario
 from repro.powertrain import PowertrainSolver
 from repro.rl.persistence import load_policy, save_policy
 from repro.sim import Simulator, evaluate, evaluate_stationary, run_robustness, train
-from repro.sim.callbacks import ProgressPrinter
 from repro.vehicle import default_vehicle
 
 _BASELINES = {
@@ -183,26 +183,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--guard", action="store_true",
                         help="wrap the controller in the runtime safety "
                              "supervisor (envelope guarding + graceful "
-                             "degradation to the rule-based fallback)")
+                             "degradation to the rule-based fallback) and "
+                             "print its safety journal")
     p_eval.add_argument("--telemetry", metavar="PATH",
                         help="stream structured events/spans/metrics to "
                              "this JSONL file (must not already exist)")
-
-    p_guard = sub.add_parser(
-        "guard-report",
-        help="drive one guarded episode and print the safety journal")
-    p_guard.add_argument("--cycle", default="UDDS")
-    p_guard.add_argument("--repeats", type=int, default=1)
-    p_guard.add_argument("--controller", default="rl",
-                         choices=sorted(_BASELINES) + ["rl"])
-    p_guard.add_argument("--policy", metavar="STEM",
-                         help="saved policy stem (for --controller rl)")
-    p_guard.add_argument("--seed", type=int, default=42)
-    p_guard.add_argument("--faults", metavar="SCENARIO",
-                         help="inject a fault scenario (name or JSON path)")
-    p_guard.add_argument("--telemetry", metavar="PATH",
-                         help="stream structured events/spans/metrics to "
-                              "this JSONL file (must not already exist)")
 
     p_faults = sub.add_parser("faults", help="fault-injection scenarios")
     p_faults.add_argument("action", choices=["list"],
@@ -368,6 +353,16 @@ def _cmd_cycles(args) -> int:
     return 0
 
 
+def _progress_printer(every: int):
+    """A :func:`train` callback printing one line every ``every`` episodes."""
+    def _print_progress(episode: int, result) -> None:
+        if (episode + 1) % every == 0:
+            print(f"episode {episode + 1:4d}: reward {result.total_reward:9.2f}"
+                  f"  fuel {result.total_fuel:7.1f} g"
+                  f"  SoC -> {result.final_soc:.3f}")
+    return _print_progress
+
+
 def _cmd_train(args) -> int:
     solver = PowertrainSolver(default_vehicle())
     controller = build_rl_controller(solver, variant=args.variant,
@@ -378,7 +373,7 @@ def _cmd_train(args) -> int:
         _LOG.info("training %s on %s for %d episodes", args.variant, cycle,
                   args.episodes)
         run = train(simulator, controller, cycle, episodes=args.episodes,
-                    callback=ProgressPrinter(every=10), seed=args.seed)
+                    callback=_progress_printer(10), seed=args.seed)
     if len(run.episodes) >= 2:
         print("learning curve (reward/episode): "
               + sparkline(run.learning_curve))
@@ -390,7 +385,7 @@ def _cmd_train(args) -> int:
 
 
 def _build_eval_controller(solver, args):
-    """The ``evaluate``/``guard-report`` controller from shared flags."""
+    """The ``evaluate`` controller from its flags."""
     if args.controller == "rl":
         controller = build_rl_controller(solver, seed=args.seed)
         if args.policy:
@@ -400,17 +395,6 @@ def _build_eval_controller(solver, args):
                   "it drives a fresh Q-table", file=sys.stderr)
         return controller
     return _BASELINES[args.controller](solver)
-
-
-def _print_guard_summary(report) -> None:
-    """Condensed supervisor summary after a guarded evaluation."""
-    in_mode = ", ".join(f"{name}={steps}"
-                        for name, steps in report.time_in_mode().items()
-                        if steps)
-    print(f"  guard: {report.interventions} intervention(s) "
-          f"({report.intervention_rate:.1%}), "
-          f"{len(report.transitions)} transition(s), "
-          f"final mode {report.final_mode} [{in_mode}]")
 
 
 def _cmd_evaluate(args) -> int:
@@ -429,10 +413,17 @@ def _cmd_evaluate(args) -> int:
             harness = FaultHarness(solver, scenario.schedule, seed=args.seed)
             _LOG.info("injecting fault scenario '%s': %s", scenario.name,
                       scenario.description)
-        result = evaluate(simulator, controller, cycle, faults=harness)
+        try:
+            result = evaluate(simulator, controller, cycle, faults=harness)
+        except SafetyHaltError as exc:
+            # A halt is a legitimate guarded outcome: print the journal up
+            # to the halt; main() reports the error and exits 2.
+            if exc.report is not None:
+                print(exc.report.render())
+            raise
     print(result.summary())
     if result.safety is not None:
-        _print_guard_summary(result.safety)
+        print(result.safety.render())
     if harness is not None:
         battery = solver.params.battery
         print(f"  degraded mode: {result.faulted_steps} faulted steps, "
@@ -448,36 +439,6 @@ def _cmd_evaluate(args) -> int:
     print("  mode share    " + ", ".join(
         f"{name}={frac:.0%}" for name, frac in sorted(
             mode_share(result).items())))
-    return 0
-
-
-def _cmd_guard_report(args) -> int:
-    solver = PowertrainSolver(default_vehicle())
-    cycle = standard_cycle(args.cycle).repeat(args.repeats)
-    with _telemetry_session(args.telemetry) as telemetry:
-        simulator = Simulator(solver, telemetry=telemetry)
-        controller = _build_eval_controller(solver, args)
-        from repro.safety import SafetySupervisor
-        supervisor = SafetySupervisor(controller, solver,
-                                      telemetry=telemetry)
-        harness = None
-        if args.faults is not None:
-            scenario = get_scenario(args.faults)
-            harness = FaultHarness(solver, scenario.schedule, seed=args.seed)
-            _LOG.info("injecting fault scenario '%s': %s", scenario.name,
-                      scenario.description)
-        try:
-            result = evaluate(simulator, controller=supervisor, cycle=cycle,
-                              faults=harness)
-        except SafetyHaltError as exc:
-            # A halt is a legitimate guarded outcome: print the journal up
-            # to the halt, then report the structured error.
-            if exc.report is not None:
-                print(exc.report.render())
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    print(result.summary())
-    print(result.safety.render())
     return 0
 
 
@@ -614,6 +575,19 @@ def _seeded_registry(args):
     return registry
 
 
+def _print_fleet_summary(header: str, fleet) -> None:
+    """A fleet run's summary: ``header``, then its aggregates from the
+    ``fleet`` mapping (a sharded aggregate or a ``FleetResult``'s fields)."""
+    print(header)
+    print(f"  decisions      {fleet['decisions']:12d} "
+          f"({fleet['decisions_per_sec']:,.0f}/s)")
+    print(f"  vehicles/min   {fleet['vehicles_per_min']:12,.0f}")
+    print(f"  shed requests  {fleet['shed_requests']:12d}")
+    print(f"  limp decisions {fleet['limp_decisions']:12d}")
+    print(f"  interventions  {fleet['interventions']:12d}")
+    print(f"  mean reward    {fleet['mean_reward']:12.4f}")
+
+
 def _cmd_serve(args) -> int:
     from repro.serve import (
         CanaryConfig,
@@ -630,16 +604,10 @@ def _cmd_serve(args) -> int:
     if args.shards > 1:
         aggregate = run_fleet_sharded(registry.root, config,
                                       shards=args.shards, jobs=args.jobs)
-        print(f"fleet: {aggregate['vehicles']} vehicles across "
-              f"{aggregate['shards']} shard(s), "
-              f"{aggregate['failures']} failure(s)")
-        print(f"  decisions      {aggregate['decisions']:12d} "
-              f"({aggregate['decisions_per_sec']:,.0f}/s)")
-        print(f"  vehicles/min   {aggregate['vehicles_per_min']:12,.0f}")
-        print(f"  shed requests  {aggregate['shed_requests']:12d}")
-        print(f"  limp decisions {aggregate['limp_decisions']:12d}")
-        print(f"  interventions  {aggregate['interventions']:12d}")
-        print(f"  mean reward    {aggregate['mean_reward']:12.4f}")
+        _print_fleet_summary(
+            f"fleet: {aggregate['vehicles']} vehicles across "
+            f"{aggregate['shards']} shard(s), "
+            f"{aggregate['failures']} failure(s)", aggregate)
         return 0
 
     with _telemetry_session(args.telemetry) as telemetry:
@@ -667,15 +635,9 @@ def _cmd_serve(args) -> int:
             print(f"canary: v{args.canary} on "
                   f"{args.canary_fraction:.0%} of the fleet")
         result = FleetSimulator(server, config).run()
-        print(f"fleet: {result.vehicles} vehicles x {result.steps} steps "
-              f"in {result.elapsed_s:.2f}s")
-        print(f"  decisions      {result.decisions:12d} "
-              f"({result.decisions_per_sec:,.0f}/s)")
-        print(f"  vehicles/min   {result.vehicles_per_min:12,.0f}")
-        print(f"  shed requests  {result.shed_requests:12d}")
-        print(f"  limp decisions {result.limp_decisions:12d}")
-        print(f"  interventions  {result.interventions:12d}")
-        print(f"  mean reward    {result.mean_reward:12.4f}")
+        _print_fleet_summary(
+            f"fleet: {result.vehicles} vehicles x {result.steps} steps "
+            f"in {result.elapsed_s:.2f}s", vars(result))
         if result.canary_verdict is not None:
             print(f"  canary verdict: {result.canary_verdict}")
             if result.rollback is not None:
@@ -761,7 +723,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "compare": _cmd_compare,
         "faults": _cmd_faults,
         "sweep": _cmd_sweep,
-        "guard-report": _cmd_guard_report,
         "telemetry": _cmd_telemetry,
         "chaos": _cmd_chaos,
         "serve": _cmd_serve,

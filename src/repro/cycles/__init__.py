@@ -5,24 +5,14 @@ cycles (OSCAR, MODEM).  The original data files are not redistributable
 here, so :mod:`repro.cycles.standard` synthesises each cycle from its
 published summary statistics (duration, distance, mean/max speed, stop
 count) with a deterministic micro-trip generator; :mod:`repro.cycles.io`
-loads real traces from CSV when they are available.
+exports a cycle as CSV.
 """
 
 from repro.cycles.cycle import DriveCycle
 from repro.cycles.stats import CycleStats, compute_stats
 from repro.cycles.synthesis import CycleSpec, synthesize
-from repro.cycles.standard import (
-    STANDARD_SPECS,
-    hwfet,
-    modem,
-    nycc,
-    oscar,
-    sc03,
-    standard_cycle,
-    udds,
-    us06,
-)
-from repro.cycles.io import load_csv, save_csv
+from repro.cycles.standard import STANDARD_SPECS, standard_cycle
+from repro.cycles.io import save_csv
 from repro.cycles.grade import net_zero_terrain, rolling_hills
 from repro.cycles.markov import fit_chain, generate_trip
 
@@ -38,13 +28,5 @@ __all__ = [
     "synthesize",
     "STANDARD_SPECS",
     "standard_cycle",
-    "udds",
-    "hwfet",
-    "sc03",
-    "us06",
-    "nycc",
-    "oscar",
-    "modem",
-    "load_csv",
     "save_csv",
 ]

@@ -22,6 +22,8 @@ class DriveCycle:
         speeds = np.asarray(speeds, dtype=float)
         if speeds.ndim != 1 or len(speeds) < 2:
             raise CycleError("a drive cycle needs a 1-D trace of >= 2 samples")
+        if not np.all(np.isfinite(speeds)):
+            raise CycleError("speeds must be finite")
         if np.any(speeds < 0):
             raise CycleError("speeds cannot be negative")
         if dt <= 0:
@@ -32,6 +34,8 @@ class DriveCycle:
             grades = np.asarray(grades, dtype=float)
             if grades.shape != speeds.shape:
                 raise CycleError("grade trace must match the speed trace shape")
+            if not np.all(np.isfinite(grades)):
+                raise CycleError("grades must be finite")
         self.name = name
         self.dt = float(dt)
         self.speeds = speeds
@@ -111,16 +115,6 @@ class DriveCycle:
         return DriveCycle(f"{self.name}[{start}:{stop}]",
                           self.speeds[start:stop], self.dt,
                           self.grades[start:stop])
-
-    def scaled(self, factor: float) -> "DriveCycle":
-        """Return a copy with every speed multiplied by ``factor``.
-
-        Useful for intensity sweeps; accelerations scale by the same factor.
-        """
-        if factor < 0:
-            raise CycleError("scale factor cannot be negative")
-        return DriveCycle(f"{self.name}*{factor:g}", self.speeds * factor,
-                          self.dt, self.grades)
 
     def __repr__(self) -> str:
         return (f"DriveCycle({self.name!r}, {len(self)} samples, "

@@ -1,10 +1,8 @@
-"""CSV input/output for drive cycles.
+"""CSV export for drive cycles.
 
-Real regulatory traces (when available) come as two-column CSV files of
-``time_s, speed`` — speed in m/s by default, with an optional third
-``grade_rad`` column.  These helpers round-trip :class:`DriveCycle`
-instances through that format so users can swap the synthetic cycles for
-measured data without touching any other code.
+:func:`save_csv` writes a :class:`DriveCycle` as a ``time_s, speed_ms,
+grade_rad`` CSV file (``repro cycles --export``), the shape measured
+traces usually come in.
 """
 
 from __future__ import annotations
@@ -13,88 +11,7 @@ import csv
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
 from repro.cycles.cycle import DriveCycle
-from repro.errors import ConfigurationError
-from repro.units import kmh_to_ms, mph_to_ms
-
-_UNIT_CONVERTERS = {
-    "ms": lambda v: v,
-    "m/s": lambda v: v,
-    "kmh": kmh_to_ms,
-    "km/h": kmh_to_ms,
-    "mph": mph_to_ms,
-}
-
-
-def load_csv(path: Union[str, Path], name: str = "",
-             speed_unit: str = "ms") -> DriveCycle:
-    """Load a cycle from a ``time, speed[, grade]`` CSV file.
-
-    The time column must be uniformly sampled; a header row is skipped
-    automatically if present.  ``speed_unit`` selects the conversion applied
-    to the speed column (``"ms"``, ``"kmh"``, or ``"mph"``).
-
-    Malformed data — an unparseable field, a NaN or negative speed, a
-    timestamp that does not increase — raises a structured
-    :class:`repro.errors.ConfigurationError` naming the offending file row,
-    so a bad trace fails at load time instead of poisoning a simulation
-    hours later.
-    """
-    path = Path(path)
-    if speed_unit not in _UNIT_CONVERTERS:
-        raise ConfigurationError(f"unsupported speed unit {speed_unit!r}")
-    convert = _UNIT_CONVERTERS[speed_unit]
-
-    times, speeds, grades = [], [], []
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row or not row[0].strip():
-                continue
-            try:
-                t = float(row[0])
-            except ValueError:
-                if not times:
-                    continue  # header row
-                raise ConfigurationError(
-                    f"{path}:{lineno}: unparseable time value {row[0]!r}")
-            if len(row) < 2:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: row has no speed column")
-            try:
-                v = convert(float(row[1]))
-                g = float(row[2]) if len(row) > 2 else 0.0
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: unparseable value ({exc})") from exc
-            if not np.isfinite(t) or not np.isfinite(g):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: non-finite time or grade "
-                    f"(t={row[0]}, grade={row[2] if len(row) > 2 else 0})")
-            if not np.isfinite(v):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: speed is not finite ({row[1]})")
-            if v < 0:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: speed is negative ({row[1]})")
-            if times and t <= times[-1]:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: timestamp {t} does not increase "
-                    f"(previous sample is at {times[-1]})")
-            times.append(t)
-            speeds.append(v)
-            grades.append(g)
-
-    if len(times) < 2:
-        raise ConfigurationError(f"{path} holds fewer than two samples")
-    times_arr = np.asarray(times)
-    dts = np.diff(times_arr)
-    dt = float(dts[0])
-    if dt <= 0 or not np.allclose(dts, dt, rtol=1e-6, atol=1e-9):
-        raise ConfigurationError(f"{path} is not uniformly sampled")
-    return DriveCycle(name or path.stem, np.asarray(speeds), dt,
-                      np.asarray(grades))
 
 
 def save_csv(cycle: DriveCycle, path: Union[str, Path]) -> None:

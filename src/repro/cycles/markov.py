@@ -35,11 +35,6 @@ class ChainModel:
     max_speed: float
     """Cap on generated speeds, m/s."""
 
-    @property
-    def num_speed_bins(self) -> int:
-        """Number of speed bins."""
-        return len(self.speed_edges) + 1
-
 
 def fit_chain(cycle: DriveCycle, speed_bins: int = 8,
               smoothing: float = 0.2) -> ChainModel:

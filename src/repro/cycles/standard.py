@@ -1,7 +1,7 @@
 """Standard regulatory and project drive cycles (synthesised).
 
-Each factory returns a deterministic synthetic cycle matched to the
-published summary statistics of the named cycle:
+:func:`standard_cycle` returns a deterministic synthetic cycle matched to
+the published summary statistics of the named cycle:
 
 * **UDDS** — EPA Urban Dynamometer Driving Schedule: 1369 s, ~12.07 km,
   mean 31.5 km/h, max 91.2 km/h, 17 stops.
@@ -94,38 +94,3 @@ def standard_cycle(name: str) -> DriveCycle:
     speeds, grades = traces
     return DriveCycle(STANDARD_SPECS[key].name, speeds, dt=1.0,
                       grades=grades)
-
-
-def udds() -> DriveCycle:
-    """EPA Urban Dynamometer Driving Schedule."""
-    return standard_cycle("UDDS")
-
-
-def hwfet() -> DriveCycle:
-    """EPA Highway Fuel Economy Test."""
-    return standard_cycle("HWFET")
-
-
-def sc03() -> DriveCycle:
-    """EPA SC03 air-conditioning cycle."""
-    return standard_cycle("SC03")
-
-
-def us06() -> DriveCycle:
-    """EPA US06 aggressive cycle."""
-    return standard_cycle("US06")
-
-
-def nycc() -> DriveCycle:
-    """New York City Cycle."""
-    return standard_cycle("NYCC")
-
-
-def oscar() -> DriveCycle:
-    """E.U. OSCAR project urban cycle (synthetic stand-in, see module doc)."""
-    return standard_cycle("OSCAR")
-
-
-def modem() -> DriveCycle:
-    """E.U. MODEM project urban cycle (synthetic stand-in, see module doc)."""
-    return standard_cycle("MODEM")

@@ -28,7 +28,6 @@ from repro.exec.manifest import (
     SweepManifest,
     decode_payload,
     encode_payload,
-    register_payload_type,
 )
 from repro.exec.supervisor import BackoffPolicy, Supervisor, SweepResult
 
@@ -39,7 +38,6 @@ __all__ = [
     "SweepManifest",
     "encode_payload",
     "decode_payload",
-    "register_payload_type",
     "BackoffPolicy",
     "Supervisor",
     "SweepResult",

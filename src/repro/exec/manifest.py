@@ -43,8 +43,7 @@ small allow-list of repro dataclasses round-trip exactly (floats via
 * ``{"__dataclass__": "module:Class", "fields": {...}}``
 
 Decoding instantiates only classes on the allow-list
-(:data:`PAYLOAD_TYPES`, extensible via :func:`register_payload_type`) —
-a manifest is data, not code.
+(:data:`PAYLOAD_TYPES`) — a manifest is data, not code.
 """
 
 from __future__ import annotations
@@ -76,16 +75,6 @@ PAYLOAD_TYPES = {
 """``module:Class`` names the payload decoder may instantiate."""
 
 
-def register_payload_type(cls: type) -> type:
-    """Allow ``cls`` (a dataclass) in manifest payloads; returns ``cls``
-    so it can be used as a decorator."""
-    if not dataclasses.is_dataclass(cls):
-        raise ManifestError(
-            f"payload types must be dataclasses; got {cls!r}")
-    PAYLOAD_TYPES.add(f"{cls.__module__}:{cls.__qualname__}")
-    return cls
-
-
 def encode_payload(value: Any) -> Any:
     """Encode a task result into JSON-serialisable form (see module doc)."""
     if value is None or isinstance(value, (bool, int, str)):
@@ -113,8 +102,7 @@ def encode_payload(value: Any) -> Any:
         name = f"{type(value).__module__}:{type(value).__qualname__}"
         if name not in PAYLOAD_TYPES:
             raise ManifestError(
-                f"payload type {name} is not registered "
-                "(register_payload_type)")
+                f"payload type {name} is not in PAYLOAD_TYPES")
         fields = {f.name: encode_payload(getattr(value, f.name))
                   for f in dataclasses.fields(value)}
         return {"__dataclass__": name, "fields": fields}

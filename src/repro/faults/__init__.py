@@ -39,7 +39,6 @@ from repro.faults.scenarios import (
     builtin_scenarios,
     get_scenario,
     load_scenario,
-    save_scenario,
 )
 
 __all__ = [
@@ -58,5 +57,4 @@ __all__ = [
     "builtin_scenarios",
     "get_scenario",
     "load_scenario",
-    "save_scenario",
 ]

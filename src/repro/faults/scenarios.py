@@ -125,13 +125,6 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def save_scenario(scenario: Scenario, path: Union[str, Path]) -> None:
-    """Write a scenario to a JSON file (the :func:`load_scenario` format)."""
-    with open(path, "w") as f:
-        json.dump(scenario.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def builtin_scenarios() -> Dict[str, Scenario]:
     """The built-in degradation studies, keyed by name.
 

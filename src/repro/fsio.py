@@ -81,11 +81,6 @@ class FilesystemShim:
 _SHIM: Optional[FilesystemShim] = None
 
 
-def current_shim() -> Optional[FilesystemShim]:
-    """The installed shim, or None (the production state)."""
-    return _SHIM
-
-
 def install_shim(shim: FilesystemShim) -> None:
     """Install ``shim`` as the process-wide write interceptor."""
     global _SHIM

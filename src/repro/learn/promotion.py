@@ -224,13 +224,13 @@ class PromotionPipeline:
         begin = time.monotonic()
 
         rounds = 0
-        verdict: Optional[str] = None
         while rounds < self._max_rounds and server.canary is not None:
-            result = FleetSimulator(server, self._fleet_config).run(
+            FleetSimulator(server, self._fleet_config).run(
                 steps=self._round_steps)
             rounds += 1
-            if result.canary_verdict is not None:
-                verdict = result.canary_verdict
+        # The rollout itself holds the verdict, whichever group's batch
+        # decided it.
+        verdict = rollout.verdict
         if server.canary is not None:
             # The rollout starved (e.g. a cohort that never decides);
             # abort so an undecidable canary cannot pin the server.

@@ -25,8 +25,3 @@ class Predictor(abc.ABC):
     @abc.abstractmethod
     def reset(self) -> None:
         """Forget all history (start of a new driving episode)."""
-
-    def observe_and_predict(self, measurement: float) -> float:
-        """Convenience: update with ``measurement`` then return the prediction."""
-        self.update(measurement)
-        return self.predict()

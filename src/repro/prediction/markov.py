@@ -59,8 +59,3 @@ class MarkovPredictor(Predictor):
         driving environment, so only the position is episode-specific.
         """
         self._last_bin = self._initial_bin
-
-    def forget(self) -> None:
-        """Drop all learned transition statistics (full re-initialisation)."""
-        self._counts.fill(self._prior_count)
-        self._last_bin = self._initial_bin

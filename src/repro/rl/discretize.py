@@ -171,7 +171,3 @@ class StateDiscretizer:
         """
         return self.state_of_drive(
             self.drive_index(power_demands, speeds), socs, prediction_levels)
-
-    def unravel(self, state: int) -> Tuple[int, int, int, int]:
-        """Recover the per-dimension bin indices of a state id."""
-        return tuple(int(i) for i in np.unravel_index(state, self._shape))

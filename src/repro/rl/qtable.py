@@ -54,20 +54,6 @@ class QTable:
         """``max_a Q(s, a)`` (Algorithm 1 line 5 bootstrap target)."""
         return float(self._values[state].max())
 
-    def best_action(self, state: int,
-                    feasible: Optional[np.ndarray] = None) -> int:
-        """Greedy action for ``state``, optionally restricted to a mask.
-
-        With a feasibility mask, infeasible actions are excluded; if the mask
-        is all-false, the unrestricted argmax is returned (the caller's
-        fallback logic then decides what to execute).
-        """
-        q = self._values[state]
-        if feasible is not None and np.any(feasible):
-            masked = np.where(feasible, q, -np.inf)
-            return int(np.argmax(masked))
-        return int(np.argmax(q))
-
     def visited_fraction(self) -> float:
         """Fraction of table cells that have moved away from their init value.
 

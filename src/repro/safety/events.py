@@ -120,7 +120,7 @@ class SafetyReport:
         return self.interventions / self.steps if self.steps > 0 else 0.0
 
     def render(self) -> str:
-        """Human-readable journal (the ``repro guard-report`` body)."""
+        """Human-readable journal (what ``repro evaluate --guard`` prints)."""
         lines = [
             f"safety report: {self.steps} steps mediated, "
             f"{self.interventions} intervention(s) "

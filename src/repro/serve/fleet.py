@@ -482,17 +482,21 @@ class FleetSimulator:
                 vehicle_reward[srv] += rewards[srv]
                 reward_count += int(served.sum())
                 if server.canary is not None:
+                    # The rollout re-evaluates after either group's
+                    # batch, so a verdict can land on the incumbent's.
                     inc = served & ~canary_mask
                     can = served & canary_mask
                     if np.any(inc):
-                        server.observe(False, rewards[inc],
-                                       int(np.sum(clamp & inc)))
+                        verdict = server.observe(
+                            False, rewards[inc], int(np.sum(clamp & inc)))
                     if np.any(can) and server.canary is not None:
                         verdict = server.observe(
                             True, rewards[can], int(np.sum(clamp & can)))
-                        if verdict is not None:
-                            canary_mask = np.zeros(n, dtype=bool)
-                            incumbent_idx = np.arange(n)
+                    if verdict is not None:
+                        # Decided: every vehicle returns to the server's
+                        # active policy.
+                        canary_mask = np.zeros(n, dtype=bool)
+                        incumbent_idx = np.arange(n)
                 if stream is not None:
                     # Degradation wiring: faulty-sensor vehicles (the
                     # DEGRADED analogue) are frozen out of the training

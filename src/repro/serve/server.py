@@ -218,11 +218,6 @@ class PolicyServer:
         """The in-flight canary rollout, if any."""
         return self._canary
 
-    @property
-    def queue_depth(self) -> int:
-        """Requests currently waiting in the bounded queue."""
-        return len(self._queue)
-
     # -- activation & degradation ladder -----------------------------------
 
     def _activate(self, artifact: PolicyArtifact, reason: str) -> None:

@@ -10,7 +10,7 @@ from repro.sim.buffers import EpisodeBuffers
 from repro.sim.results import EpisodeResult
 from repro.sim.simulator import Simulator
 from repro.sim.training import TrainingRun, evaluate, evaluate_stationary, train
-from repro.sim.batch import BatchResult, Summary, compare_batches, run_batch
+from repro.sim.batch import BatchResult, Summary, run_batch
 from repro.sim.robustness import (
     RobustnessReport,
     RobustnessRow,
@@ -28,7 +28,6 @@ __all__ = [
     "BatchResult",
     "Summary",
     "run_batch",
-    "compare_batches",
     "RobustnessReport",
     "RobustnessRow",
     "run_robustness",

@@ -176,13 +176,3 @@ def run_batch(controller_factory: Callable[[PowertrainSolver, int],
             batch.evaluations.append(sweep.results[task.key])
     return batch
 
-
-def compare_batches(a: BatchResult, b: BatchResult,
-                    metric: str = "corrected_mpg") -> float:
-    """Mean difference ``a - b`` of one summarised metric."""
-    sa = a.summarize()
-    sb = b.summarize()
-    if metric not in sa:
-        raise ConfigurationError(f"unknown metric {metric!r}; "
-                                 f"available: {sorted(sa)}")
-    return sa[metric].mean - sb[metric].mean

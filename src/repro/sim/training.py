@@ -7,8 +7,7 @@ plot convergence (reward versus episode).
 
 Every episode streams through the simulator's reusable struct-of-arrays
 buffers (:mod:`repro.sim.buffers`); the stored :class:`EpisodeResult`
-objects own independent copies, and :meth:`TrainingRun.curves` exposes
-the whole run as index-aligned arrays for machine-readable reporting.
+objects own independent copies.
 """
 
 from __future__ import annotations
@@ -26,15 +25,6 @@ from repro.sim.results import EpisodeResult
 from repro.sim.simulator import Simulator
 
 
-class StopTraining(Exception):
-    """Raised by a :func:`train` callback to end training cleanly.
-
-    The episode whose callback raised stays in :attr:`TrainingRun.episodes`
-    and is checkpointed if ``checkpoint_every`` makes it due; the greedy
-    evaluation still runs.  Any other exception from a callback propagates.
-    """
-
-
 @dataclass
 class TrainingRun:
     """Outcome of a training session."""
@@ -50,33 +40,6 @@ class TrainingRun:
         """Cumulative learning reward per training episode."""
         return [e.total_reward for e in self.episodes]
 
-    @property
-    def paper_reward_curve(self) -> List[float]:
-        """Cumulative unpenalised reward per training episode."""
-        return [e.total_paper_reward for e in self.episodes]
-
-    def curves(self) -> dict:
-        """Per-episode training trajectory as struct-of-arrays.
-
-        One float64 array per figure of merit (``reward``,
-        ``paper_reward``, ``fuel_g``, ``final_soc``, ``fallback_steps``),
-        index-aligned with :attr:`episodes` — the machine-readable form
-        the benches emit.
-        """
-        n = len(self.episodes)
-        return {
-            "reward": np.fromiter(
-                (e.total_reward for e in self.episodes), float, count=n),
-            "paper_reward": np.fromiter(
-                (e.total_paper_reward for e in self.episodes), float,
-                count=n),
-            "fuel_g": np.fromiter(
-                (e.total_fuel for e in self.episodes), float, count=n),
-            "final_soc": np.fromiter(
-                (e.final_soc for e in self.episodes), float, count=n),
-            "fallback_steps": np.fromiter(
-                (e.fallback_steps for e in self.episodes), float, count=n),
-        }
 
 
 def _checkpoint_agent(controller: Controller):
@@ -110,12 +73,7 @@ def train(simulator: Simulator, controller: Controller, cycle: DriveCycle,
     repeatable single-start training.
 
     ``callback(episode_index, result)`` runs after each episode (progress
-    reporting, best-policy saving, ...; chain several with
-    :class:`repro.sim.callbacks.CallbackList`).  A callback that raises
-    :class:`StopTraining` ends the loop cleanly: that episode stays in
-    ``episodes``, its checkpoint is written if due, the evaluation below
-    still runs, and the run is bit-identical to an uninterrupted one with
-    that many episodes.  Any other exception from the callback propagates.
+    reporting, for one); an exception from it propagates.
     When ``evaluate_after`` is set, a final greedy non-learning drive from
     the nominal ``initial_soc`` is recorded in ``evaluation``.
 
@@ -175,18 +133,12 @@ def train(simulator: Simulator, controller: Controller, cycle: DriveCycle,
                     "training_episode", episode=ep,
                     total_reward=float(result.total_reward),
                     final_soc=float(result.final_soc))
-            stop = False
             if callback is not None:
-                try:
-                    callback(ep, result)
-                except StopTraining:
-                    stop = True
+                callback(ep, result)
             if (checkpoint_path is not None
                     and (ep + 1) % checkpoint_every == 0):
                 save_checkpoint(agent, checkpoint_path, episode=ep + 1,
                                 train_rng=rng)
-            if stop:
-                break
         if evaluate_after:
             run.evaluation = evaluate(simulator, controller, cycle,
                                       initial_soc=initial_soc)

@@ -38,7 +38,6 @@ from repro.telemetry.events import (
     SCHEMA_VERSION,
     EventSink,
     read_events,
-    register_event_type,
     validate_event,
 )
 from repro.telemetry.logging_bridge import (
@@ -52,7 +51,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     exponential_buckets,
-    linear_buckets,
 )
 from repro.telemetry.report import (
     summarize,
@@ -73,7 +71,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "EventSink",
     "read_events",
-    "register_event_type",
     "validate_event",
     "TelemetryLogHandler",
     "attach_logging_bridge",
@@ -83,7 +80,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "exponential_buckets",
-    "linear_buckets",
     "summarize",
     "summarize_events",
     "summarize_manifest",

@@ -88,21 +88,6 @@ EVENT_SCHEMAS: Dict[str, Dict[str, Any]] = {
 """Required typed fields per event type (extra fields are allowed)."""
 
 
-def register_event_type(name: str, **fields: Any) -> None:
-    """Declare a new event type with its required typed fields.
-
-    Extension point for downstream instrumentation; re-registering an
-    existing type with a different shape raises."""
-    if not name:
-        raise TelemetryError("event types need a non-empty name")
-    existing = EVENT_SCHEMAS.get(name)
-    if existing is not None and existing != fields:
-        raise TelemetryError(
-            f"event type {name!r} is already registered with a different "
-            "schema")
-    EVENT_SCHEMAS[name] = dict(fields)
-
-
 def _type_name(expected: Any) -> str:
     if expected is _NUMBER or expected == _NUMBER:
         return "number"

@@ -28,13 +28,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.errors import TelemetryError
 
 
-def linear_buckets(start: float, width: float, count: int) -> Tuple[float, ...]:
-    """``count`` ascending bucket upper bounds: start, start+width, ..."""
-    if width <= 0 or count < 1:
-        raise TelemetryError("linear buckets need width > 0 and count >= 1")
-    return tuple(start + i * width for i in range(count))
-
-
 def exponential_buckets(start: float, factor: float,
                         count: int) -> Tuple[float, ...]:
     """``count`` ascending bucket upper bounds: start, start*factor, ..."""

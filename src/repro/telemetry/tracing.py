@@ -207,8 +207,3 @@ class Tracer:
             yield span
         finally:
             self.end(span)
-
-    @property
-    def depth(self) -> int:
-        """Open stacked spans."""
-        return len(self._stack)

@@ -45,21 +45,6 @@ def ms_to_kmh(speed_ms: float) -> float:
     return speed_ms * 3.6
 
 
-def mph_to_ms(speed_mph: float) -> float:
-    """Convert a speed from miles/h to m/s."""
-    return speed_mph * MILE_IN_METERS / 3600.0
-
-
-def ms_to_mph(speed_ms: float) -> float:
-    """Convert a speed from m/s to miles/h."""
-    return speed_ms * 3600.0 / MILE_IN_METERS
-
-
-def rpm_to_rads(speed_rpm: float) -> float:
-    """Convert a rotational speed from rev/min to rad/s."""
-    return speed_rpm * 2.0 * math.pi / 60.0
-
-
 def rads_to_rpm(speed_rads: float) -> float:
     """Convert a rotational speed from rad/s to rev/min."""
     return speed_rads * 60.0 / (2.0 * math.pi)
@@ -84,11 +69,3 @@ def mpg(distance_m: float, fuel_g: float) -> float:
     if fuel_g <= 0.0:
         return math.inf
     return meters_to_miles(distance_m) / grams_to_gallons(fuel_g)
-
-
-def liters_per_100km(distance_m: float, fuel_g: float) -> float:
-    """European fuel-economy figure: liters of gasoline per 100 km."""
-    if distance_m <= 0.0:
-        raise ValueError("distance must be positive")
-    liters = fuel_g / (GASOLINE_DENSITY * 1000.0)
-    return liters / (distance_m / 100_000.0)

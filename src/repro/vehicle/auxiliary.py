@@ -64,12 +64,6 @@ class UtilityFunction:
                 "power cap below the safety-critical auxiliary floor")
         return float(np.clip(p.preferred_power, p.min_power, hi))
 
-    def marginal(self, power: ArrayLike) -> ArrayLike:
-        """Derivative df/dp, utility per watt — used by the ECMS baseline."""
-        p = self._params
-        power = np.asarray(power, dtype=float)
-        return -2.0 * (power - p.preferred_power) / p.utility_width ** 2
-
 
 @dataclass(frozen=True)
 class AuxiliaryLoad:

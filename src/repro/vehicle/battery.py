@@ -120,18 +120,6 @@ class Battery:
         chg_current = (voc - np.sqrt(chg)) / (2.0 * p.charge_resistance)
         return np.where(power >= 0.0, disc_current, chg_current)
 
-    def max_discharge_power(self, soc: ArrayLike) -> ArrayLike:
-        """Largest bus power the pack can source at this SoC, W.
-
-        The lesser of the resistive-limit power ``V_oc^2 / 4R`` and the power
-        at the current limit ``I_max``.
-        """
-        voc = np.asarray(self.open_circuit_voltage(soc), dtype=float)
-        p = self._params
-        resistive = voc ** 2 / (4.0 * p.discharge_resistance)
-        at_imax = voc * p.max_current - p.discharge_resistance * p.max_current ** 2
-        return np.minimum(resistive, at_imax)
-
     # --- Coulomb counting --------------------------------------------------------
 
     def step(self, state: BatteryState, current: float, dt: float) -> BatteryState:

@@ -94,14 +94,3 @@ class VehicleDynamics:
         """
         speed = np.asarray(speed, dtype=float)
         return self.tractive_force(speed, acceleration, grade) * speed
-
-    def coastdown_deceleration(self, speed: ArrayLike,
-                               grade: ArrayLike = 0.0) -> ArrayLike:
-        """Deceleration when coasting with zero tractive force, m/s^2.
-
-        Solves Eq. 5 for ``a`` with ``F_TR = 0``; useful for sanity checks and
-        for synthesising physically plausible drive cycles.
-        """
-        load = self.road_load(speed, 0.0, grade)
-        resistive = load.grade + load.rolling + load.aerodynamic
-        return -resistive / self._params.mass

@@ -64,19 +64,6 @@ class Engine:
         in_band = (speed >= p.min_speed) & (speed <= p.max_speed)
         return np.where(in_band, np.maximum(torque, 0.0), 0.0)
 
-    def is_feasible(self, torque: ArrayLike, speed: ArrayLike) -> ArrayLike:
-        """True where (T, omega) satisfies the Eq. 2 constraints.
-
-        An ICE cannot be back-driven in this model, so negative torque is
-        infeasible; the engine-off point (0, 0) is always feasible.
-        """
-        torque = np.asarray(torque, dtype=float)
-        speed = np.asarray(speed, dtype=float)
-        off = (np.abs(torque) < 1e-12) & (np.abs(speed) < 1e-12)
-        in_band = (speed >= self._params.min_speed) & (speed <= self._params.max_speed)
-        ok = (torque >= 0.0) & (torque <= self.max_torque(speed)) & in_band
-        return ok | off
-
     # --- efficiency and fuel --------------------------------------------------
 
     def efficiency(self, torque: ArrayLike, speed: ArrayLike) -> ArrayLike:
@@ -117,13 +104,3 @@ class Engine:
         load_fuel = power / (eta * p.fuel_energy_density)
         idle_fuel = p.idle_fuel_rate * (speed / p.max_speed + 0.5)
         return np.where(running, load_fuel + idle_fuel, 0.0)
-
-    def best_operating_torque(self, speed: ArrayLike) -> ArrayLike:
-        """Torque that maximises efficiency at a given speed, N*m.
-
-        Used by the rule-based baseline, which tries to hold the engine near
-        its efficiency sweet spot and load-level with the EM.
-        """
-        p = self._params
-        t_max = self.max_torque(speed)
-        return np.clip(p.optimal_torque_fraction * t_max, 0.0, t_max)

@@ -154,9 +154,9 @@ class TabulatedEngine:
     """Engine model backed by an :class:`EngineMap`.
 
     Implements the same interface as :class:`repro.vehicle.engine.Engine`
-    (``max_torque``, ``efficiency``, ``fuel_rate``, ``is_feasible``,
-    ``best_operating_torque`` and a ``params``-like speed band) so it can be
-    substituted into :class:`repro.powertrain.solver.PowertrainSolver`.
+    (``max_torque``, ``efficiency``, ``fuel_rate`` and a ``params``-like
+    speed band) so it can be substituted into
+    :class:`repro.powertrain.solver.PowertrainSolver`.
     """
 
     def __init__(self, engine_map: EngineMap):
@@ -186,15 +186,6 @@ class TabulatedEngine:
         """WOT torque limit at a speed, N*m."""
         return self._map.max_torque_at(speed)
 
-    def is_feasible(self, torque: ArrayLike, speed: ArrayLike) -> ArrayLike:
-        """True where (T, omega) is inside the gridded envelope."""
-        torque = np.asarray(torque, dtype=float)
-        speed = np.asarray(speed, dtype=float)
-        off = (np.abs(torque) < 1e-12) & (np.abs(speed) < 1e-12)
-        in_band = (speed >= self.min_speed) & (speed <= self.max_speed)
-        ok = (torque >= 0.0) & (torque <= self.max_torque(speed)) & in_band
-        return ok | off
-
     def fuel_rate(self, torque: ArrayLike, speed: ArrayLike) -> ArrayLike:
         """Interpolated fuel mass-flow, g/s; zero when the engine is off."""
         torque = np.asarray(torque, dtype=float)
@@ -213,18 +204,3 @@ class TabulatedEngine:
         with np.errstate(divide="ignore", invalid="ignore"):
             eta = power / (rate * self._map.fuel_energy_density)
         return np.where(rate > 1e-12, np.minimum(eta, 0.6), 0.0)
-
-    def best_operating_torque(self, speed: ArrayLike) -> ArrayLike:
-        """Torque with the highest implied efficiency at each speed."""
-        speed = np.atleast_1d(np.asarray(speed, dtype=float))
-        torques = self._map.torque_grid
-        best = np.zeros_like(speed)
-        for i, s in enumerate(speed):
-            limit = float(self.max_torque(s))
-            candidates = torques[torques <= limit]
-            if len(candidates) == 0:
-                continue
-            eta = np.asarray(self.efficiency(candidates,
-                                             np.full(len(candidates), s)))
-            best[i] = candidates[int(np.argmax(eta))]
-        return best if best.size > 1 else float(best[0])

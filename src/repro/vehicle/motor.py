@@ -49,21 +49,6 @@ class Motor:
                           np.minimum(p.max_torque, hyperbola))
         return np.where((speed >= 0) & (speed <= p.max_speed), torque, 0.0)
 
-    def min_torque(self, speed: ArrayLike) -> ArrayLike:
-        """Generating torque limit ``T_min(omega)`` in N*m (Eq. 4, negative).
-
-        Symmetric to the motoring envelope.
-        """
-        return -self.max_torque(speed)
-
-    def is_feasible(self, torque: ArrayLike, speed: ArrayLike) -> ArrayLike:
-        """True where (T, omega) lies inside the Eq. 4 envelope."""
-        torque = np.asarray(torque, dtype=float)
-        speed = np.asarray(speed, dtype=float)
-        upper = self.max_torque(speed)
-        in_speed = (speed >= 0.0) & (speed <= self._params.max_speed)
-        return in_speed & (torque <= upper + 1e-9) & (torque >= -upper - 1e-9)
-
     # --- efficiency and power -------------------------------------------------
 
     def _efficiency_given_limit(self, torque: ArrayLike, speed: ArrayLike,

@@ -106,20 +106,3 @@ class Transmission:
         return s / (p.reduction_ratio * eta)
 
     # --- gear selection helpers ---------------------------------------------------
-
-    def feasible_gears(self, wheel_speed: float, engine_min_speed: float,
-                       engine_max_speed: float, motor_max_speed: float,
-                       engine_needed: bool = True) -> np.ndarray:
-        """0-based indices of gears whose speed mapping respects component limits.
-
-        A gear is feasible when the EM stays below its maximum speed and,
-        if ``engine_needed``, the crankshaft speed lands inside the engine's
-        admissible band.  At standstill no gear couples the engine, so the
-        result is empty when ``engine_needed`` and all gears otherwise.
-        """
-        eng = self._ratios * wheel_speed
-        mot = eng * self._params.reduction_ratio
-        ok = mot <= motor_max_speed
-        if engine_needed:
-            ok &= (eng >= engine_min_speed) & (eng <= engine_max_speed)
-        return np.nonzero(ok)[0]

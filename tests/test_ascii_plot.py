@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.ascii_plot import line_chart, soc_strip, sparkline
+from repro.analysis.ascii_plot import soc_strip, sparkline
 
 
 class TestSparkline:
@@ -35,32 +35,6 @@ class TestSparkline:
         vals[150:156] = 10.0
         s = sparkline(vals, width=50)
         assert any(c in "▅▆▇█" for c in s)
-
-
-class TestLineChart:
-    def test_contains_title_and_axis(self):
-        chart = line_chart([1.0, 2.0, 3.0, 2.0], title="curve")
-        assert chart.startswith("curve")
-        assert "|" in chart
-        assert "*" in chart
-
-    def test_row_count(self):
-        chart = line_chart(list(range(20)), height=7)
-        # title-less: height rows plus the x-axis line.
-        assert len(chart.splitlines()) == 8
-
-    def test_peak_on_top_row(self):
-        chart = line_chart([0.0, 0.0, 10.0, 0.0], height=5)
-        top = chart.splitlines()[0]
-        assert "*" in top
-
-    def test_rejects_single_point(self):
-        with pytest.raises(ValueError):
-            line_chart([1.0])
-
-    def test_rejects_tiny_dimensions(self):
-        with pytest.raises(ValueError):
-            line_chart([1.0, 2.0], width=2)
 
 
 class TestSocStrip:

@@ -67,11 +67,6 @@ class TestUtilityFunction:
         with pytest.raises(ValueError):
             utility.argmax(10.0)
 
-    def test_marginal_sign(self, utility, params):
-        assert float(utility.marginal(params.preferred_power - 100)) > 0
-        assert float(utility.marginal(params.preferred_power + 100)) < 0
-        assert float(utility.marginal(params.preferred_power)) == pytest.approx(0.0)
-
 
 class TestAuxiliaryLoad:
     def test_rejects_negative_power(self):

@@ -5,9 +5,8 @@ import pytest
 from repro.control import RuleBasedController
 from repro.control.rl_controller import build_rl_controller
 from repro.cycles import CycleSpec, synthesize
-from repro.errors import ConfigurationError
 from repro.powertrain import PowertrainSolver
-from repro.sim import BatchResult, Summary, compare_batches, run_batch
+from repro.sim import BatchResult, Summary, run_batch
 from repro.sim.results import EpisodeResult
 from repro.vehicle import default_vehicle
 
@@ -122,18 +121,10 @@ class TestRunBatch:
         assert all(isinstance(e, EpisodeResult) for e in batch.evaluations)
 
 
-class TestCompareBatches:
-    def test_identical_batches_zero_diff(self, cycle):
+class TestDeterminism:
+    def test_identical_batches_identical_summaries(self, cycle):
         make = lambda: run_batch(
             lambda solver, seed: RuleBasedController(solver),
             lambda: PowertrainSolver(default_vehicle()),
             cycle, seeds=[0], episodes=1)
-        assert compare_batches(make(), make()) == pytest.approx(0.0)
-
-    def test_unknown_metric_raises_structured(self, cycle):
-        batch = run_batch(
-            lambda solver, seed: RuleBasedController(solver),
-            lambda: PowertrainSolver(default_vehicle()),
-            cycle, seeds=[0], episodes=1)
-        with pytest.raises(ConfigurationError, match="unknown metric"):
-            compare_batches(batch, batch, metric="nope")
+        assert make().summarize() == make().summarize()

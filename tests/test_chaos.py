@@ -59,7 +59,7 @@ class TestFsioInertness:
     """With no shim installed every wrapper is the raw os call."""
 
     def test_no_shim_is_the_default(self):
-        assert fsio.current_shim() is None
+        assert fsio._SHIM is None
 
     def test_file_write_matches_direct_write(self, tmp_path):
         via_fsio, direct = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -116,7 +116,7 @@ class TestShimInstallation:
         with fsio.shimmed(fsio.FilesystemShim()):
             with pytest.raises(ChaosError, match="already installed"):
                 fsio.install_shim(fsio.FilesystemShim())
-        assert fsio.current_shim() is None
+        assert fsio._SHIM is None
 
     def test_non_shim_rejected(self):
         with pytest.raises(ChaosError, match="subclass"):
@@ -126,7 +126,7 @@ class TestShimInstallation:
         with pytest.raises(RuntimeError):
             with fsio.shimmed(fsio.FilesystemShim()):
                 raise RuntimeError("boom")
-        assert fsio.current_shim() is None
+        assert fsio._SHIM is None
 
 
 class TestEnospcShim:

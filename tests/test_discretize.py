@@ -55,7 +55,7 @@ class TestStateDiscretizer:
     def test_unravel_roundtrip(self):
         d = StateDiscretizer()
         s = d.state_of(5000.0, 12.0, 0.55, 1)
-        idx = d.unravel(s)
+        idx = np.unravel_index(s, d.shape)
         assert d.state_of(5000.0, 12.0, 0.55, 1) == int(
             np.ravel_multi_index(idx, d.shape))
 

@@ -40,14 +40,14 @@ class TestDoubleQLearner:
         state = 0
         for _ in range(12_000):
             action = (int(rng.integers(0, 2)) if rng.random() < 0.3
-                      else learner.qtable.best_action(state))
+                      else int(np.argmax(learner.qtable.values[state])))
             next_state = state if action == 0 else 1 - state
             reward = 1.0 if next_state == 1 else 0.0
             learner.update(state, action, reward, next_state)
             state = next_state
         assert learner.qtable.values[1, 0] == pytest.approx(2.0, abs=0.2)
-        assert learner.qtable.best_action(0) == 1
-        assert learner.qtable.best_action(1) == 0
+        assert int(np.argmax(learner.qtable.values[0])) == 1
+        assert int(np.argmax(learner.qtable.values[1])) == 0
 
     def test_reduces_maximisation_bias(self):
         """Classic double-Q demonstration: from state 0 the 'trap' action

@@ -86,22 +86,6 @@ class TestWheelQuantities:
         assert dyn.power_demand(15.0, -2.0) < 0.0
 
 
-class TestCoastdown:
-    def test_coastdown_decelerates_on_flat(self, dyn):
-        assert dyn.coastdown_deceleration(20.0) < 0.0
-
-    def test_coastdown_magnitude_grows_with_speed(self, dyn):
-        assert abs(dyn.coastdown_deceleration(30.0)) > abs(
-            dyn.coastdown_deceleration(10.0))
-
-    def test_coastdown_is_zero_force_solution(self, dyn):
-        a = float(dyn.coastdown_deceleration(20.0))
-        assert dyn.tractive_force(20.0, a) == pytest.approx(0.0, abs=1e-9)
-
-    def test_steep_downhill_accelerates(self, dyn):
-        assert dyn.coastdown_deceleration(5.0, -math.radians(10.0)) > 0.0
-
-
 class TestProperties:
     @given(st.floats(min_value=0.0, max_value=50.0),
            st.floats(min_value=-3.0, max_value=3.0))

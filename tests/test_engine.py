@@ -44,26 +44,6 @@ class TestTorqueEnvelope:
         assert t_peak > t_hi
 
 
-class TestFeasibility:
-    def test_engine_off_point_feasible(self, engine):
-        assert bool(engine.is_feasible(0.0, 0.0))
-
-    def test_negative_torque_infeasible(self, engine):
-        assert not bool(engine.is_feasible(-10.0, 200.0))
-
-    def test_above_envelope_infeasible(self, engine):
-        p = engine.params
-        t_max = float(engine.max_torque(200.0))
-        assert not bool(engine.is_feasible(t_max + 1.0, 200.0))
-
-    def test_interior_point_feasible(self, engine):
-        assert bool(engine.is_feasible(40.0, 200.0))
-
-    def test_below_idle_speed_infeasible(self, engine):
-        p = engine.params
-        assert not bool(engine.is_feasible(20.0, p.min_speed / 2.0))
-
-
 class TestEfficiency:
     def test_peak_at_sweet_spot(self, engine):
         p = engine.params
@@ -129,18 +109,3 @@ class TestFuelRate:
         # 0.7-1.0 g/s (i.e. 35-40 MPG territory for a compact car).
         rate = float(engine.fuel_rate(40.0, 250.0))
         assert 0.4 < rate < 1.5
-
-
-class TestBestOperatingTorque:
-    def test_within_envelope(self, engine):
-        p = engine.params
-        speeds = np.linspace(p.min_speed, p.max_speed, 20)
-        best = np.asarray(engine.best_operating_torque(speeds))
-        assert np.all(best <= np.asarray(engine.max_torque(speeds)) + 1e-9)
-        assert np.all(best >= 0.0)
-
-    def test_near_efficiency_peak(self, engine):
-        p = engine.params
-        best = float(engine.best_operating_torque(p.optimal_speed))
-        eta_best = float(engine.efficiency(best, p.optimal_speed))
-        assert eta_best >= 0.95 * p.peak_efficiency

@@ -10,6 +10,8 @@ afterwards, the numerical watchdog must trip loudly on non-finite values,
 and a killed-and-resumed training run must replay bit-identically.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,6 @@ from repro.faults import (
     builtin_scenarios,
     get_scenario,
     load_scenario,
-    save_scenario,
 )
 from repro.powertrain import PowertrainSolver
 from repro.rl.agent import ExecutedStep
@@ -362,7 +363,7 @@ class TestScenarioIO:
     def test_json_round_trip(self, tmp_path):
         scenario = get_scenario("limp_home")
         path = tmp_path / "scenario.json"
-        save_scenario(scenario, path)
+        path.write_text(json.dumps(scenario.to_dict()))
         loaded = load_scenario(path)
         assert loaded.to_dict() == scenario.to_dict()
 

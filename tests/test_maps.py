@@ -101,8 +101,6 @@ class TestTabulatedEngine:
             float(engine.fuel_rate(t, s)), rel=0.05)
         assert float(tab.max_torque(s)) == pytest.approx(
             float(engine.max_torque(s)), rel=0.02)
-        assert bool(tab.is_feasible(t, s))
-        assert not bool(tab.is_feasible(-5.0, s))
 
     def test_fuel_zero_when_off(self, engine_map):
         tab = TabulatedEngine(engine_map)
@@ -112,13 +110,6 @@ class TestTabulatedEngine:
         tab = TabulatedEngine(engine_map)
         eta = float(tab.efficiency(60.0, 250.0))
         assert 0.1 < eta < 0.45
-
-    def test_best_operating_torque_efficient(self, engine_map):
-        tab = TabulatedEngine(engine_map)
-        best = float(tab.best_operating_torque(250.0))
-        eta_best = float(tab.efficiency(best, 250.0))
-        eta_low = float(tab.efficiency(5.0, 250.0))
-        assert eta_best > eta_low
 
     def test_drop_in_solver_substitution(self, engine_map):
         # The tabulated engine must slot into the powertrain solver and

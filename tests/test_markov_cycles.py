@@ -15,7 +15,7 @@ def model():
 
 class TestFitChain:
     def test_counts_shape(self, model):
-        assert model.transition_counts.shape[0] == model.num_speed_bins
+        assert model.transition_counts.shape[0] == len(model.speed_edges) + 1
 
     def test_rejects_few_bins(self):
         with pytest.raises(ValueError):

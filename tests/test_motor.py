@@ -28,18 +28,6 @@ class TestEnvelope:
     def test_zero_beyond_max_speed(self, motor):
         assert float(motor.max_torque(motor.params.max_speed + 1.0)) == 0.0
 
-    def test_generating_envelope_symmetric(self, motor):
-        speed = 300.0
-        assert float(motor.min_torque(speed)) == pytest.approx(
-            -float(motor.max_torque(speed)))
-
-    def test_feasibility_both_quadrants(self, motor):
-        assert bool(motor.is_feasible(50.0, 300.0))
-        assert bool(motor.is_feasible(-50.0, 300.0))
-        t_lim = float(motor.max_torque(300.0))
-        assert not bool(motor.is_feasible(t_lim + 1.0, 300.0))
-        assert not bool(motor.is_feasible(-t_lim - 1.0, 300.0))
-
 
 class TestEfficiency:
     def test_bounded(self, motor):

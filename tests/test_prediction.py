@@ -46,10 +46,6 @@ class TestExponentialPredictor:
         p.reset()
         assert p.predict() == 7.0
 
-    def test_observe_and_predict(self):
-        p = ExponentialPredictor(learning_rate=0.5, initial=0.0)
-        assert p.observe_and_predict(10.0) == pytest.approx(5.0)
-
     @given(st.floats(min_value=0.01, max_value=1.0),
            st.lists(st.floats(min_value=-1e5, max_value=1e5), min_size=1,
                     max_size=50))
@@ -90,14 +86,6 @@ class TestMarkovPredictor:
         p.update(0.0)
         # Transitions survived the reset.
         assert p.predict() != 0.0 or before != 0.0
-
-    def test_forget_clears_statistics(self):
-        p = MarkovPredictor(num_bins=4, prior_count=0.5)
-        for v in [0.0, 10_000.0] * 20:
-            p.update(v)
-        p.forget()
-        # With uniform counts the prediction is the mean of bin centres.
-        assert p.predict() == pytest.approx(0.0, abs=1.0)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):

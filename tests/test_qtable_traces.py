@@ -29,22 +29,10 @@ class TestQTable:
         q = QTable(4, 4, rng=rng)
         assert len(np.unique(q.values)) > 1
 
-    def test_best_value_and_action(self):
+    def test_best_value(self):
         q = QTable(2, 3)
         q.values[0] = [1.0, 5.0, 3.0]
         assert q.best_value(0) == 5.0
-        assert q.best_action(0) == 1
-
-    def test_best_action_respects_mask(self):
-        q = QTable(1, 3)
-        q.values[0] = [1.0, 5.0, 3.0]
-        mask = np.array([True, False, True])
-        assert q.best_action(0, mask) == 2
-
-    def test_best_action_empty_mask_falls_back(self):
-        q = QTable(1, 3)
-        q.values[0] = [1.0, 5.0, 3.0]
-        assert q.best_action(0, np.zeros(3, dtype=bool)) == 1
 
     def test_row_is_view(self):
         q = QTable(2, 2)

@@ -24,6 +24,7 @@ from repro.artifact import (MAGIC, _aligned, _header_digest, read_table,
                             write_table)
 from repro.control.rl_controller import build_rl_controller
 from repro.errors import CheckpointError, PersistenceError, ServeError
+from repro.learn import PromotionPipeline
 from repro.powertrain import PowertrainSolver
 from repro.rl.discretize import StateDiscretizer
 from repro.rl.persistence import _fingerprint
@@ -533,6 +534,56 @@ class TestCanary:
             server.begin_canary(version=3)
 
 
+class TestCanaryVerdictOnIncumbentBatch:
+    """The rollout re-evaluates after either group's batch, so a rollback
+    can land on the incumbent's.  That verdict must reach the fleet (the
+    canary cohort goes back to the incumbent) and the promotion pipeline
+    (which must report the rollback, not a promotion)."""
+
+    CANARY = CanaryConfig(fraction=0.5, min_samples=2, sigmas=0.5,
+                          decision_budget=100_000, intervention_margin=1.0)
+
+    @staticmethod
+    def _server(policy, tmp_path, seed):
+        table, fingerprint = policy
+        rng = np.random.default_rng(seed)
+        incumbent = rng.normal(size=table.shape)
+        registry = PolicyRegistry(tmp_path / "registry")
+        registry.publish_table(incumbent, fingerprint)
+        registry.publish_table(incumbent + rng.normal(size=table.shape),
+                               fingerprint)
+        server = PolicyServer(registry)
+        server.activate(registry.load(1))
+        return registry, server
+
+    @pytest.mark.parametrize("seed", [18, 21, 42, 46])
+    def test_fleet_reports_the_verdict_and_serves_everyone(
+            self, policy, tmp_path, seed):
+        _, server = self._server(policy, tmp_path, seed)
+        server.begin_canary(version=2, canary_config=self.CANARY)
+        config = FleetConfig(vehicles=64, steps=10, seed=seed)
+        result = FleetSimulator(server, config).run()
+        assert server.rollbacks == 1 and server.canary is None
+        assert result.canary_verdict == "rollback"
+        assert result.rollback is not None
+        assert result.decisions == 64 * 10
+        assert result.limp_decisions == 0
+
+    @pytest.mark.parametrize("seed", [18, 21, 42, 46])
+    def test_promotion_reports_the_rollback(self, policy, tmp_path, seed):
+        registry, server = self._server(policy, tmp_path, seed)
+        pipeline = PromotionPipeline(
+            server, registry,
+            fleet_config=FleetConfig(vehicles=64, steps=10, seed=seed),
+            canary_config=self.CANARY)
+        runs = pipeline.watchdog.runs
+        report = pipeline.promote(2)
+        assert report.outcome == "rolled_back"
+        assert report.incumbent_intact
+        assert server.active_version == 1
+        assert pipeline.watchdog.runs == runs
+
+
 class TestBoundedQueue:
     def test_admission_beyond_limit_is_shed(self, policy, tmp_path):
         table, fingerprint = policy
@@ -542,10 +593,10 @@ class TestBoundedQueue:
         states = np.arange(4)
         assert server.submit(states) and server.submit(states)
         assert not server.submit(states)
-        assert server.shed_count == 1 and server.queue_depth == 2
+        assert server.shed_count == 1
         outcomes = server.pump()
         assert [o.shed for o in outcomes] == [False, False]
-        assert server.queue_depth == 0
+        assert server.pump() == []
 
     def test_expired_deadlines_are_shed_at_pump(self, policy, tmp_path):
         table, fingerprint = policy

@@ -118,7 +118,6 @@ class TestTraining:
         assert len(run.episodes) == 3
         assert run.evaluation is not None
         assert len(run.learning_curve) == 3
-        assert len(run.paper_reward_curve) == 3
 
     def test_callback_invoked(self, solver, short_cycle):
         sim = Simulator(solver)

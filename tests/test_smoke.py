@@ -19,7 +19,7 @@ from repro import default_vehicle
 from repro.chaos import FAULT_KINDS, ChaosPlan, run_campaign
 from repro.control import RuleBasedController
 from repro.control.rl_controller import build_rl_controller
-from repro.cycles import DriveCycle, udds
+from repro.cycles import DriveCycle, standard_cycle
 from repro.exec import Supervisor, SweepManifest, Task
 from repro.faults.models import AuxLoadSpike, EnginePowerLoss, MotorDerating
 from repro.faults.scenarios import Scenario
@@ -84,7 +84,7 @@ def test_guard_limps_home_through_a_severe_fault():
     simulator = Simulator(solver)
     supervisor = SafetySupervisor(RuleBasedController(solver), solver,
                                   config=HAIR_TRIGGER)
-    result = evaluate(simulator, supervisor, udds(),
+    result = evaluate(simulator, supervisor, standard_cycle("UDDS"),
                       faults=severe_scenario().schedule)
 
     report = result.safety
@@ -124,7 +124,7 @@ def test_telemetry_records_a_guarded_faulted_drive(tmp_path):
         supervisor = SafetySupervisor(RuleBasedController(solver), solver,
                                       config=HAIR_TRIGGER,
                                       telemetry=telemetry)
-        result = evaluate(simulator, supervisor, udds(),
+        result = evaluate(simulator, supervisor, standard_cycle("UDDS"),
                           faults=severe_scenario().schedule)
         executor = Supervisor(retries=0, telemetry=telemetry)
         sweep = executor.run([

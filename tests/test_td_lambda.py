@@ -108,7 +108,7 @@ class TestConvergence:
             if rng.random() < 0.3:
                 action = int(rng.integers(0, 2))
             else:
-                action = learner.qtable.best_action(state)
+                action = int(np.argmax(learner.qtable.values[state]))
             next_state = state if action == 0 else 1 - state
             reward = 1.0 if next_state == 1 else 0.0
             learner.update(state, action, reward, next_state)
@@ -120,8 +120,8 @@ class TestConvergence:
         # Staying in 0 is worse: Q*(0, stay) = 0 + 0.5 * 2 = 1.
         assert learner.qtable.values[0, 0] == pytest.approx(1.0, abs=0.2)
         # Greedy policy is optimal.
-        assert learner.qtable.best_action(0) == 1
-        assert learner.qtable.best_action(1) == 0
+        assert int(np.argmax(learner.qtable.values[0])) == 1
+        assert int(np.argmax(learner.qtable.values[1])) == 0
 
     def test_lambda_speeds_up_learning(self):
         """On a delayed-reward chain, TD(lambda>0) must propagate credit

@@ -25,7 +25,6 @@ from repro.exec import Supervisor, SweepManifest, Task, TaskFailure
 from repro.powertrain import PowertrainSolver
 from repro.safety import SafetySupervisor
 from repro.sim import Simulator, evaluate, train
-from repro.sim.callbacks import EarlyStopping
 from repro.telemetry import (
     Counter,
     EventSink,
@@ -38,9 +37,7 @@ from repro.telemetry import (
     attach_logging_bridge,
     detach_logging_bridge,
     exponential_buckets,
-    linear_buckets,
     read_events,
-    register_event_type,
     summarize,
     summarize_events,
     summarize_manifest,
@@ -65,15 +62,10 @@ def solver():
 
 
 class TestBuckets:
-    def test_linear(self):
-        assert linear_buckets(1.0, 0.5, 3) == (1.0, 1.5, 2.0)
-
     def test_exponential(self):
         assert exponential_buckets(1.0, 2.0, 3) == (1.0, 2.0, 4.0)
 
     def test_invalid(self):
-        with pytest.raises(TelemetryError):
-            linear_buckets(0.0, 0.0, 3)
         with pytest.raises(TelemetryError):
             exponential_buckets(0.0, 2.0, 3)
 
@@ -103,7 +95,7 @@ class TestHistogram:
         width = 0.5
         rng = np.random.default_rng(0)
         data = rng.uniform(0.0, 10.0, size=500)
-        hist = Histogram("h", linear_buckets(width, width, 20))
+        hist = Histogram("h", tuple(width + i * width for i in range(20)))
         for v in data:
             hist.observe(v)
         for q in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
@@ -111,7 +103,7 @@ class TestHistogram:
             assert abs(hist.quantile(q) - expected) <= width + 1e-9
 
     def test_extremes_are_exact(self):
-        hist = Histogram("h", linear_buckets(1.0, 1.0, 5))
+        hist = Histogram("h", (1.0, 2.0, 3.0, 4.0, 5.0))
         for v in (0.3, 2.2, 7.7):
             hist.observe(v)
         assert hist.quantile(0.0) == 0.3
@@ -208,7 +200,7 @@ class TestTracing:
         tracer = Tracer()
         a = tracer.start("a", detached=True)
         b = tracer.start("b", detached=True)
-        assert tracer.depth == 0
+        assert tracer.current_context() is None
         tracer.end(a)  # out of start order: fine for detached spans
         tracer.end(b)
 
@@ -357,17 +349,6 @@ class TestEventSink:
         with pytest.raises(TelemetryError, match="missing required field"):
             read_events(path)
 
-    def test_register_event_type(self, tmp_path):
-        register_event_type("custom_probe", value=(int, float))
-        try:
-            with EventSink(tmp_path / "e.jsonl") as sink:
-                sink.emit("custom_probe", value=1.5)
-            with pytest.raises(TelemetryError):
-                register_event_type("custom_probe", other=str)
-        finally:
-            from repro.telemetry.events import EVENT_SCHEMAS
-            EVENT_SCHEMAS.pop("custom_probe", None)
-
     def test_validate_event_rejects_wrong_version(self):
         with pytest.raises(TelemetryError, match="schema version"):
             validate_event({"type": "log", "v": 99, "seq": 0, "wall": 0.0,
@@ -495,22 +476,6 @@ class TestSimulatorInstrumentation:
                     if r["type"] == "training_episode"]) == 3
         # 3 training episodes + the greedy evaluation
         assert len([r for r in records if r["type"] == "episode"]) == 4
-
-    def test_stopped_training_span_ends_ok(self, cycle, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with Telemetry(path) as tel:
-            solver = PowertrainSolver(default_vehicle())
-            simulator = Simulator(solver, telemetry=tel)
-            train(simulator, build_rl_controller(solver, seed=5), cycle,
-                  episodes=10,
-                  callback=EarlyStopping(patience=2, min_delta=1e9))
-        records = read_events(path)
-        (span,) = [r for r in records
-                   if r["type"] == "span" and r["name"] == "train.run"]
-        assert span["attributes"]["trained"] == 3
-        assert span["attributes"]["outcome"] == "ok"
-        assert len([r for r in records
-                    if r["type"] == "training_episode"]) == 3
 
 
 class _BoomController(Controller):

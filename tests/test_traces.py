@@ -1,16 +1,12 @@
 """Tests of the trace analytics in :mod:`repro.analysis.traces`."""
 
-import numpy as np
 import pytest
 
 from repro.analysis.traces import (
     EnergyAccount,
-    current_histogram,
     energy_account,
     engine_duty,
-    gear_histogram,
     mode_share,
-    soc_statistics,
 )
 from repro.control import RuleBasedController
 from repro.cycles import CycleSpec, synthesize
@@ -50,23 +46,11 @@ class TestEnergyAccount:
         acc = energy_account(result)
         assert acc.regen_fraction > 0.05
 
-    def test_tank_to_wheel_efficiency_physical(self, result):
-        acc = energy_account(result)
-        # Must be positive but cannot beat the engine's peak efficiency by
-        # much (battery round trips only lose energy).
-        assert 0.02 < acc.tank_to_wheel_efficiency < 0.45
-
     def test_zero_braking_edge_case(self):
         acc = EnergyAccount(positive_wheel_work=1.0, braking_energy=0.0,
                             fuel_energy=1.0, battery_discharge_energy=0.0,
                             battery_charge_energy=0.0, auxiliary_energy=0.0)
         assert acc.regen_fraction == 0.0
-
-    def test_zero_fuel_edge_case(self):
-        acc = EnergyAccount(positive_wheel_work=1.0, braking_energy=0.0,
-                            fuel_energy=0.0, battery_discharge_energy=0.0,
-                            battery_charge_energy=0.0, auxiliary_energy=0.0)
-        assert acc.tank_to_wheel_efficiency == 0.0
 
 
 class TestModeShare:
@@ -79,38 +63,6 @@ class TestModeShare:
         valid = {"IDLE", "ICE_ONLY", "EM_ONLY", "HYBRID", "CHARGING",
                  "REGEN"}
         assert set(share) <= valid
-
-
-class TestHistograms:
-    def test_gear_histogram_counts_moving_steps(self, result):
-        h = gear_histogram(result, num_gears=5)
-        moving = int(np.sum(np.asarray(result.speeds) > 0.1))
-        assert int(h.counts.sum()) == moving
-        assert len(h.counts) == 5
-
-    def test_current_histogram_covers_all_steps(self, result):
-        h = current_histogram(result)
-        assert int(h.counts.sum()) == len(result.current)
-
-    def test_fractions_normalised(self, result):
-        h = current_histogram(result)
-        assert h.fractions.sum() == pytest.approx(1.0)
-
-    def test_empty_histogram_fractions(self):
-        from repro.analysis.traces import Histogram
-        h = Histogram(edges=np.array([0.0, 1.0]), counts=np.array([0]))
-        assert h.fractions.sum() == 0.0
-
-
-class TestSocStatistics:
-    def test_bounds_consistent(self, result):
-        stats = soc_statistics(result)
-        assert stats["min"] <= stats["mean"] <= stats["max"]
-        assert stats["swing"] == pytest.approx(stats["max"] - stats["min"])
-        assert stats["final"] == pytest.approx(result.final_soc)
-
-    def test_throughput_positive(self, result):
-        assert soc_statistics(result)["throughput_fraction"] > 0.0
 
 
 class TestEngineDuty:

@@ -1,5 +1,6 @@
 """Tests of training-loop options (exploring starts, seeding)."""
 
+import numpy as np
 import pytest
 
 from repro.control import RuleBasedController
@@ -75,5 +76,6 @@ class TestExploringStarts:
         touched_socs = set()
         for state in range(agent.discretizer.num_states):
             if abs(q[state]).max() > 1e-4:
-                touched_socs.add(agent.discretizer.unravel(state)[2])
+                touched_socs.add(
+                    np.unravel_index(state, agent.discretizer.shape)[2])
         assert len(touched_socs) >= 4

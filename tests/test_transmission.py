@@ -88,21 +88,3 @@ class TestTorqueRelations:
         ideal = p.gear_ratios[0] * (30.0 + p.reduction_ratio * 10.0)
         actual = float(trans.wheel_torque(30.0, 10.0, 0))
         assert actual < ideal
-
-
-class TestGearFeasibility:
-    def test_all_gears_at_moderate_speed(self, trans):
-        # 40 rad/s wheel speed (~11.5 m/s): some gears must be feasible.
-        gears = trans.feasible_gears(40.0, 104.7, 471.2, 1000.0)
-        assert len(gears) >= 1
-
-    def test_no_engine_gear_at_crawl(self, trans):
-        # At 5 rad/s wheel speed the engine cannot stay above idle.
-        gears = trans.feasible_gears(5.0, 104.7, 471.2, 1000.0,
-                                     engine_needed=True)
-        assert len(gears) == 0
-
-    def test_ev_gears_at_crawl(self, trans):
-        gears = trans.feasible_gears(5.0, 104.7, 471.2, 1000.0,
-                                     engine_needed=False)
-        assert len(gears) == trans.num_gears
