@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Lint: every public name in the package has a production caller.
+"""Lint: every public name and every option has a production caller.
 
 Code that only tests call is weight the package carries for nothing: it
 must be read, kept building and kept correct, yet no user path runs it.
@@ -20,7 +20,19 @@ right.  Re-exports in a package ``__init__`` do not count, nor do the
 test suites.  Matching is by name, as ``grep -w`` would, so a name used
 anywhere in production keeps every definition of it.
 
-Exceptions go in :data:`KEPT`, each with the reason it stays.
+It also fails when, under :data:`KNOB_PACKAGES`, an *option* is never
+set in a production file: a defaulted parameter of a public function, a
+public method or a public class's ``__init__``, or a field of a
+``*Config`` dataclass.  A value only one caller ever uses is a constant;
+every option nobody sets is a configuration nobody tests.  A call sets
+an option when it passes it by keyword or fills its position (a ``*``
+or ``**`` argument fills them all); ``dataclasses.replace`` sets the
+fields it names.  Calls match by name, like references: a constructor
+call by its class's name, a method call by the method's name.
+
+Exceptions go in :data:`KEPT`, each with the reason it stays: a name, or
+an option spelled ``Qualname(param=)`` (a class's name for its
+``__init__`` and its config fields).
 
 Exits non-zero listing every unreferenced name.  Run from anywhere:
 ``python scripts/check_production_callers.py``.
@@ -33,7 +45,7 @@ import re
 import sys
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 PACKAGE = "src/repro"
 """The package whose public names are audited (relative to the root)."""
@@ -45,14 +57,31 @@ PRODUCTION_ROOTS = ["src/repro", "benchmarks", "examples", "perfbench",
 REFERENCE_GLOB = "tests/reference_*.py"
 """Frozen reference implementations; their calls count too."""
 
+KNOB_PACKAGES = ["src/repro/serve", "src/repro/learn", "src/repro/exec",
+                 "src/repro/telemetry"]
+"""Directories whose options must each be set by some production call."""
+
 KEPT = (
     ("QTable.visited_fraction",
      "the Fig. 2 diagnosis plans to report state coverage with it"),
     ("run_batch",
      "multi-seed paper benches and the lock-step stepper build on it"),
+    ("FleetConfig(dt=)",
+     "tests vary it, and the frozen fleet references take it"),
+    ("FleetConfig(cycles=)", "tests vary it"),
+    ("FleetConfig(fault_fraction=)", "tests vary it"),
+    ("FleetConfig(sensor_noise=)", "tests vary it"),
+    ("FleetConfig(request_batch=)",
+     "tests vary it to put the bounded queue under pressure"),
+    ("FleetSimulator(record_trace=)",
+     "the fleet goldens compare recorded action traces"),
+    ("PolicyServer(clock=)", "the tests' fake-clock seam"),
+    ("PolicyServer.submit(deadline_s=)",
+     "the deadline-shedding tests set it; the fleet submits without one"),
 )
-"""``(name, reason)`` for public names kept without a production caller:
-a top-level function or a ``Class.method``."""
+"""``(name, reason)`` for public names kept without a production caller
+(a top-level function or a ``Class.method``) and for options no
+production call sets (``Qualname(param=)``)."""
 
 _DOTTED = re.compile(r"^[A-Za-z_][\w.:]*$")
 
@@ -148,6 +177,121 @@ def top_level_names(path: Path) -> List[str]:
     return [name for name in defined or constants if not name.startswith("_")]
 
 
+class Knob(NamedTuple):
+    """One option: a defaulted parameter or a ``*Config`` field."""
+
+    call: str
+    """The name a call uses: the function's, the method's or the
+    class's (for ``__init__`` and config fields)."""
+    qualname: str
+    """``Qualname(param=)``, as :data:`KEPT` spells it."""
+    param: str
+    position: Optional[int]
+    """Index among a call's positional arguments (``None``: keyword-only)."""
+    field: bool
+    """True for a config field, which ``dataclasses.replace`` can set."""
+    line: int
+
+
+def _decorated(node, name: str) -> bool:
+    for decorator in node.decorator_list:
+        target = (decorator.func if isinstance(decorator, ast.Call)
+                  else decorator)
+        if getattr(target, "id", getattr(target, "attr", None)) == name:
+            return True
+    return False
+
+
+def _parameters(fn, skip_first: bool, call: str,
+                qualname: str) -> Iterator[Knob]:
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional):
+        if index >= first_default:
+            yield Knob(call, f"{qualname}({arg.arg}=)", arg.arg,
+                       index - skip_first, False, arg.lineno)
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield Knob(call, f"{qualname}({arg.arg}=)", arg.arg, None,
+                       False, arg.lineno)
+
+
+def knobs(path: Path) -> Iterator[Knob]:
+    """Options of one module's public functions, methods and classes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not node.name.startswith("_"):
+                yield from _parameters(node, False, node.name, node.name)
+        elif isinstance(node, ast.ClassDef) \
+                and not node.name.startswith("_"):
+            if node.name.endswith("Config") and _decorated(node,
+                                                           "dataclass"):
+                fields = [item for item in node.body
+                          if isinstance(item, ast.AnnAssign)
+                          and isinstance(item.target, ast.Name)]
+                for index, item in enumerate(fields):
+                    if item.value is not None:
+                        yield Knob(node.name,
+                                   f"{node.name}({item.target.id}=)",
+                                   item.target.id, index, True, item.lineno)
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                if item.name == "__init__":
+                    yield from _parameters(item, True, node.name, node.name)
+                elif not item.name.startswith("_"):
+                    yield from _parameters(
+                        item, not _decorated(item, "staticmethod"),
+                        item.name, f"{node.name}.{item.name}")
+
+
+class Call(NamedTuple):
+    """What one call site passes: how many positions, which keywords."""
+
+    positional: float
+    """Positional arguments passed (infinite after a ``*`` argument)."""
+    keywords: Set[str]
+    every_keyword: bool
+    """True when a ``**`` argument may pass any keyword."""
+
+
+def calls(path: Path) -> Iterator[Tuple[str, Call]]:
+    """``(name, call)`` for every call in ``path`` made by a bare or an
+    attribute name; ``cls(...)`` is a call of its enclosing class."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def visit(node, owner: Optional[str]) -> Iterator[Tuple[str, Call]]:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "cls" and owner is not None:
+                name = owner
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            if name is not None:
+                # dataclasses.replace(obj, **changes) sets by keyword
+                # only; its positional argument is the object.
+                yield name, Call(
+                    float("inf") if starred
+                    else 0 if name == "replace" else len(node.args),
+                    {k.arg for k in node.keywords if k.arg is not None},
+                    any(k.arg is None for k in node.keywords))
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    yield from visit(tree, None)
+
+
+def sets(knob: Knob, call: Call) -> bool:
+    """True when ``call`` passes ``knob`` (by keyword or position)."""
+    if call.every_keyword or knob.param in call.keywords:
+        return True
+    return knob.position is not None and call.positional > knob.position
+
+
 def production_files(root: Path) -> List[Path]:
     """Every production file but this lint, whose :data:`KEPT` names
     would otherwise reference themselves."""
@@ -204,6 +348,30 @@ def main() -> int:
                 problems.append(
                     f"{where}: {definition.kind} {definition.qualname} "
                     "has no production caller")
+
+    # call name -> [Call] over every production file.
+    made: Dict[str, List[Call]] = defaultdict(list)
+    for path in production_files(root):
+        for name, call in calls(path):
+            made[name].append(call)
+    for rel in KNOB_PACKAGES:
+        for path in sorted((root / rel).rglob("*.py")):
+            for knob in knobs(path):
+                where = f"{path.relative_to(root).as_posix()}:{knob.line}"
+                candidates = made.get(knob.call, [])
+                if knob.field:
+                    candidates = candidates + made.get("replace", [])
+                is_set = any(sets(knob, call) for call in candidates)
+                if knob.qualname in kept:
+                    unmatched.discard(knob.qualname)
+                    if is_set:
+                        problems.append(
+                            f"{where}: {knob.qualname} is in KEPT but a "
+                            "production call sets it now; drop the entry")
+                elif not is_set:
+                    problems.append(
+                        f"{where}: option {knob.qualname} is never set by "
+                        "a production call; make it a constant")
     problems.extend(f"KEPT entry {name!r} matches no definition"
                     for name in sorted(unmatched))
 
@@ -213,7 +381,7 @@ def main() -> int:
             print(f"  {problem}", file=sys.stderr)
         return 1
     print(f"check_production_callers: OK ({len(modules)} modules, "
-          f"{len(KEPT)} kept names)")
+          f"{len(KEPT)} kept names and options)")
     return 0
 
 

@@ -283,16 +283,17 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="run this version as a canary rollout; a "
                               "regressed candidate is rolled back "
                               "automatically during the fleet run")
-    p_serve.add_argument("--canary-fraction", type=float, default=0.1,
-                         help="fleet fraction routed to the canary "
+    p_serve.add_argument("--canary-fraction", type=float,
+                         help="fleet fraction routed to the --canary "
                               "(default 0.1)")
     p_serve.add_argument("--shards", type=int, default=1,
                          help="split the fleet across this many "
                               "fork-isolated workers (each with its own "
-                              "server over the shared registry)")
+                              "server over the shared registry; no "
+                              "--swap, --canary or --telemetry)")
     p_serve.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for --shards (default: "
-                              "one per shard, capped by the executor)")
+                         help="worker processes running at once, with "
+                              "--shards above 1 (default: one per shard)")
     p_serve.add_argument("--telemetry", metavar="PATH",
                          help="stream structured events/spans/metrics to "
                               "this JSONL file (must not already exist)")
@@ -597,6 +598,18 @@ def _cmd_serve(args) -> int:
         run_fleet_sharded,
     )
 
+    # Each shard serves the registry's latest version, untraced.
+    unsharded_only = {"--swap": args.swap, "--canary": args.canary,
+                      "--canary-fraction": args.canary_fraction,
+                      "--telemetry": args.telemetry}
+    for flag, value in (unsharded_only if args.shards > 1
+                        else {"--jobs": args.jobs}).items():
+        if value is not None:
+            raise ConfigurationError(
+                f"{flag} has no effect with --shards {args.shards}")
+    if args.canary is None and args.canary_fraction is not None:
+        raise ConfigurationError(
+            "--canary-fraction has no effect without --canary")
     registry = _seeded_registry(args)
 
     config = FleetConfig(vehicles=args.vehicles, steps=args.steps,
@@ -629,11 +642,13 @@ def _cmd_serve(args) -> int:
                   f"{status} [{rep.elapsed_s * 1e3:.1f} ms, probe "
                   f"disagreement {rep.probe_disagreement:.1%}]")
         if args.canary is not None:
-            server.begin_canary(version=args.canary,
-                                canary_config=CanaryConfig(
-                                    fraction=args.canary_fraction))
+            rollout = server.begin_canary(
+                version=args.canary,
+                canary_config=(None if args.canary_fraction is None
+                               else CanaryConfig(
+                                   fraction=args.canary_fraction)))
             print(f"canary: v{args.canary} on "
-                  f"{args.canary_fraction:.0%} of the fleet")
+                  f"{rollout.config.fraction:.0%} of the fleet")
         result = FleetSimulator(server, config).run()
         _print_fleet_summary(
             f"fleet: {result.vehicles} vehicles x {result.steps} steps "

@@ -8,9 +8,9 @@ parallel, and resumable:
   exception class, traceback, attempt count, failure kind).
 * :mod:`repro.exec.supervisor` — the :class:`Supervisor`: fans tasks out
   to forked worker processes with per-task wall-clock timeouts, bounded
-  retry with exponential backoff + deterministic jitter
-  (:class:`BackoffPolicy`), a quarantine list for tasks that exhaust
-  their retries, and graceful degradation — the sweep completes and the
+  retry with exponential backoff + deterministic jitter, a quarantine
+  list for tasks that exhaust their retries, and graceful degradation —
+  the sweep completes and the
   :class:`SweepResult` reports coverage honestly.  Serial in-process
   mode (the default) is bit-identical to a plain for-loop.
 * :mod:`repro.exec.manifest` — :class:`SweepManifest`, the append-only
@@ -29,7 +29,7 @@ from repro.exec.manifest import (
     decode_payload,
     encode_payload,
 )
-from repro.exec.supervisor import BackoffPolicy, Supervisor, SweepResult
+from repro.exec.supervisor import Supervisor, SweepResult
 
 __all__ = [
     "Task",
@@ -38,7 +38,6 @@ __all__ = [
     "SweepManifest",
     "encode_payload",
     "decode_payload",
-    "BackoffPolicy",
     "Supervisor",
     "SweepResult",
 ]

@@ -26,7 +26,7 @@ Execution modes
   cross the process boundary.
 
 Retries use exponential backoff with deterministic jitter
-(:class:`BackoffPolicy`): the delay for ``(task key, attempt)`` is a pure
+(:func:`_backoff_delay`): the delay for ``(task key, attempt)`` is a pure
 function, so a re-run schedules identically.
 
 With a :class:`~repro.exec.manifest.SweepManifest` attached, every
@@ -63,45 +63,19 @@ _POLL_CAP = 0.5
 """Upper bound on one scheduler wait, s (keeps deadline checks timely)."""
 
 
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Exponential retry backoff with deterministic jitter.
+def _backoff_delay(key: str, attempt: int) -> float:
+    """Deterministic delay, s, before retrying ``key`` after ``attempt``
+    (1-based) failed attempts.
 
-    The delay before retry ``attempt`` (1-based count of failed
-    attempts) is ``base * factor**(attempt-1)``, inflated by up to
-    ``jitter`` fraction using a uniform draw derived from
-    ``sha256(key:attempt)`` — deterministic per (task, attempt), but
-    decorrelated across tasks so a retried fleet does not stampede.
+    ``0.05 * 2**(attempt-1)``, inflated by up to 25% using a uniform draw
+    derived from ``sha256(key:attempt)`` — deterministic per (task,
+    attempt), but decorrelated across tasks so a retried fleet does not
+    stampede — and capped at 5 s.
     """
-
-    base: float = 0.05
-    """First-retry delay, s."""
-
-    factor: float = 2.0
-    """Multiplier applied per additional failed attempt."""
-
-    jitter: float = 0.25
-    """Maximum fractional inflation of the delay."""
-
-    max_delay: float = 5.0
-    """Ceiling on any single delay, s."""
-
-    def __post_init__(self):
-        if self.base < 0 or self.factor < 1.0 or not (0 <= self.jitter <= 1) \
-                or self.max_delay < 0:
-            raise ConfigurationError(
-                "backoff needs base >= 0, factor >= 1, jitter in [0, 1], "
-                "max_delay >= 0")
-
-    def delay(self, key: str, attempt: int) -> float:
-        """Deterministic delay before retrying ``key`` after ``attempt``
-        failed attempts."""
-        if attempt < 1:
-            raise ConfigurationError("attempt counts are 1-based")
-        digest = hashlib.sha256(f"{key}:{attempt}".encode()).hexdigest()
-        unit = int(digest[:8], 16) / float(0xFFFFFFFF)
-        raw = self.base * self.factor ** (attempt - 1)
-        return min(raw * (1.0 + self.jitter * unit), self.max_delay)
+    digest = hashlib.sha256(f"{key}:{attempt}".encode()).hexdigest()
+    unit = int(digest[:8], 16) / float(0xFFFFFFFF)
+    raw = 0.05 * 2.0 ** (attempt - 1)
+    return min(raw * (1.0 + 0.25 * unit), 5.0)
 
 
 @dataclass
@@ -140,7 +114,7 @@ class Supervisor:
     """Fault-tolerant executor for independent tasks (see module doc)."""
 
     def __init__(self, jobs: int = 1, timeout: Optional[float] = None,
-                 retries: int = 0, backoff: Optional[BackoffPolicy] = None,
+                 retries: int = 0,
                  manifest: Optional[SweepManifest] = None,
                  failure_mode: str = "quarantine",
                  telemetry=None, kill_grace: float = 1.0):
@@ -163,7 +137,6 @@ class Supervisor:
         self.jobs = jobs
         self.timeout = timeout
         self.retries = retries
-        self.backoff = backoff or BackoffPolicy()
         self.manifest = manifest
         self.failure_mode = failure_mode
         self.telemetry = telemetry
@@ -290,7 +263,7 @@ class Supervisor:
                             if telemetry is not None:
                                 telemetry.metrics.counter(
                                     "exec.retries").inc()
-                            time.sleep(self.backoff.delay(task.key, attempt))
+                            time.sleep(_backoff_delay(task.key, attempt))
                             continue
                         failure = TaskFailure(
                             key=task.key, kind="error",
@@ -420,7 +393,7 @@ class Supervisor:
             if slot.attempt <= self.retries:
                 if self.telemetry is not None:
                     self.telemetry.metrics.counter("exec.retries").inc()
-                delay = self.backoff.delay(slot.task.key, slot.attempt)
+                delay = _backoff_delay(slot.task.key, slot.attempt)
                 pending.append((slot.task, slot.attempt + 1, now + delay))
                 continue
             self._end_task_span(spans, slot, "quarantined")

@@ -143,12 +143,12 @@ class OnlineLearner:
 
     @classmethod
     def from_artifact(cls, artifact,
-                      config: Optional[OnlineLearnerConfig] = None,
                       checkpoint_path: Optional[Union[str, Path]] = None
                       ) -> "OnlineLearner":
-        """A learner warm-started from a serving policy artifact."""
+        """A learner warm-started from a serving policy artifact, under
+        the default :class:`OnlineLearnerConfig`."""
         return cls(artifact.fingerprint, np.array(artifact.table),
-                   config=config, checkpoint_path=checkpoint_path)
+                   checkpoint_path=checkpoint_path)
 
     @property
     def config(self) -> OnlineLearnerConfig:

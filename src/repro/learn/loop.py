@@ -32,7 +32,7 @@ from typing import List, Optional, Union
 from repro.errors import ExperienceError, PersistenceError, ServeError
 from repro.fsio import atomic_write_bytes
 from repro.learn.journal import ExperienceStream
-from repro.learn.learner import OnlineLearner, OnlineLearnerConfig
+from repro.learn.learner import OnlineLearner
 from repro.learn.promotion import (PromotionPipeline, PromotionReport,
                                    RegressionWatchdog)
 from repro.serve.canary import CanaryConfig
@@ -54,6 +54,11 @@ or aborted by the canary; ``activate_latest`` on a restart would hand
 one of them the fleet ungated.  The loop therefore records which
 version actually won promotion and re-activates exactly that on
 ``--resume``."""
+
+STREAM_BUFFER = 65536
+"""Records the loop's experience stream buffers between flushes: a
+tick's batch is one flush, so ticks of fleets up to this size are never
+shed."""
 
 
 @dataclass
@@ -109,17 +114,15 @@ class LoopReport:
 
 
 class OnlineLearningLoop:
-    """Round-based fleet/learner/promotion orchestrator."""
+    """Round-based fleet/learner/promotion orchestrator; its canary is
+    sized to its fleet."""
 
     def __init__(self, registry: Union[PolicyRegistry, str, Path],
                  workdir: Union[str, Path],
                  fleet_config: Optional[FleetConfig] = None,
-                 learner_config: Optional[OnlineLearnerConfig] = None,
-                 canary_config: Optional[CanaryConfig] = None,
                  promote_every: int = 2,
                  resume: bool = False,
-                 telemetry=None,
-                 stream_buffer: int = 65536):
+                 telemetry=None):
         if promote_every < 1:
             raise ExperienceError(
                 f"promote_every must be at least 1, got {promote_every}")
@@ -158,28 +161,26 @@ class OnlineLearningLoop:
                     "incumbent; refusing to mix incompatible policies")
         else:
             self.learner = OnlineLearner.from_artifact(
-                self.server.active_artifact, config=learner_config,
-                checkpoint_path=checkpoint)
+                self.server.active_artifact, checkpoint_path=checkpoint)
         max_rounds, round_steps = 8, 20
-        if canary_config is None:
-            # Size the canary budget to the configured fleet: the stock
-            # CanaryConfig budget (10k canary decisions) assumes a large
-            # fleet and would starve — and so abort — every healthy
-            # candidate on a small one before the promote verdict.
-            expected = int(0.1 * self._fleet_config.vehicles
-                           * round_steps * max_rounds * 0.5)
-            budget = max(16, min(10_000, expected))
-            canary_config = CanaryConfig(
-                fraction=0.1,
-                min_samples=max(2, min(256, budget // 4)),
-                decision_budget=budget)
+        # Size the canary budget to the configured fleet: the stock
+        # CanaryConfig budget (10k canary decisions) assumes a large
+        # fleet and would starve — and so abort — every healthy
+        # candidate on a small one before the promote verdict.
+        expected = int(0.1 * self._fleet_config.vehicles
+                       * round_steps * max_rounds * 0.5)
+        budget = max(16, min(10_000, expected))
+        canary_config = CanaryConfig(
+            fraction=0.1,
+            min_samples=max(2, min(256, budget // 4)),
+            decision_budget=budget)
         self.pipeline = PromotionPipeline(
             self.server, self._registry, fleet_config=self._fleet_config,
-            canary_config=canary_config, watchdog=RegressionWatchdog(),
-            max_rounds=max_rounds, round_steps=round_steps)
+            canary_config=canary_config, max_rounds=max_rounds,
+            round_steps=round_steps)
         """The guarded promotion path every candidate goes through."""
         self._stream = ExperienceStream(self._journal_dir, shard=0,
-                                        buffer_limit=stream_buffer)
+                                        buffer_limit=STREAM_BUFFER)
 
     def _event(self, type_: str, **fields) -> None:
         if self._telemetry is not None:

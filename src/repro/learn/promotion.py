@@ -18,9 +18,10 @@ the online loop needs on top:
   accumulates the incumbent's fleet-level reward and intervention-rate
   statistics across *healthy* runs, so a regression that slips past a
   canary (or appears later) is still caught: :meth:`check` compares any
-  run against the baseline with the same sigma/margin vocabulary as the
-  canary.  The baseline resets only when a *new* incumbent is promoted
-  — a no-op swap of an identical candidate must not reset it (tested).
+  run against the baseline with the canary's rule
+  (:func:`repro.serve.canary.regression`).  The baseline resets only
+  when a *new* incumbent is promoted — a no-op swap of an identical
+  candidate must not reset it (tested).
 
 A candidate bit-identical to the incumbent short-circuits: the swap is
 the server's provably-no-op identical-artifact path, no canary runs,
@@ -38,28 +39,19 @@ import numpy as np
 from repro.errors import (CheckpointError, ExperienceError,
                           PersistenceError, ServeError)
 from repro.serve import CanaryConfig, Welford
+from repro.serve.canary import (INTERVENTION_MARGIN, REGRESSION_SIGMAS,
+                                regression)
 from repro.serve.fleet import FleetConfig, FleetSimulator
+from repro.serve.server import PROBE_STATES
+
+MIN_BASELINE_RUNS = 2
+"""Healthy runs the watchdog needs before a deviation is meaningful."""
 
 
 class RegressionWatchdog:
-    """Incumbent fleet-health baseline with canary-style thresholds."""
+    """Incumbent fleet-health baseline under the canary's regression rule."""
 
-    def __init__(self, sigmas: float = 3.0,
-                 intervention_margin: float = 0.05,
-                 min_runs: int = 2):
-        if sigmas <= 0:
-            raise ExperienceError(
-                f"watchdog sigmas must be positive, got {sigmas!r}")
-        if intervention_margin < 0:
-            raise ExperienceError(
-                "watchdog intervention_margin cannot be negative")
-        if min_runs < 2:
-            raise ExperienceError(
-                "the watchdog needs at least two baseline runs before "
-                f"a deviation is meaningful, got min_runs={min_runs}")
-        self._sigmas = float(sigmas)
-        self._margin = float(intervention_margin)
-        self._min_runs = int(min_runs)
+    def __init__(self):
         self._reward = Welford()
         self._interventions = 0
         self._decisions = 0
@@ -69,46 +61,43 @@ class RegressionWatchdog:
         """Healthy fleet runs folded into the baseline."""
         return self._reward.count
 
+    def _rate(self) -> float:
+        return (self._interventions / self._decisions
+                if self._decisions else 0.0)
+
     @property
     def baseline(self) -> dict:
         """The current baseline (runs, reward moments, intervention rate)."""
         return {"runs": self._reward.count,
                 "reward_mean": self._reward.mean,
                 "reward_std": self._reward.std,
-                "intervention_rate": (self._interventions / self._decisions
-                                      if self._decisions else 0.0)}
+                "intervention_rate": self._rate()}
 
     def observe(self, result) -> None:
         """Fold one healthy fleet run into the incumbent baseline."""
         if result.decisions <= 0:
             return
-        self._reward.update_batch(np.asarray([result.mean_reward]))
+        self._reward.update(result.mean_reward)
         self._interventions += int(result.interventions)
         self._decisions += int(result.decisions)
 
     def check(self, result) -> Optional[str]:
         """Compare one run against the baseline; a reason means regression.
 
-        Returns ``None`` while the baseline is too thin (< ``min_runs``
-        healthy runs) or the run produced no decisions — a zero-decision
-        fleet carries no evidence either way.
+        Returns ``None`` while the baseline is too thin (fewer than
+        :data:`MIN_BASELINE_RUNS` healthy runs) or the run produced no
+        decisions — a zero-decision fleet carries no evidence either way.
         """
-        if self._reward.count < self._min_runs or result.decisions <= 0:
+        if self._reward.count < MIN_BASELINE_RUNS or result.decisions <= 0:
             return None
-        scale = max(self._reward.std, 1e-12)
-        deficit = (self._reward.mean - result.mean_reward) / scale
-        if deficit > self._sigmas:
-            return (f"fleet reward {result.mean_reward:.4f} is "
-                    f"{deficit:.1f} sigma below the incumbent baseline "
-                    f"{self._reward.mean:.4f} ({self._reward.count} runs)")
-        base_rate = (self._interventions / self._decisions
-                     if self._decisions else 0.0)
-        rate = result.interventions / result.decisions
-        if rate > base_rate + self._margin:
-            return (f"fleet intervention rate {rate:.2%} exceeds the "
-                    f"incumbent baseline {base_rate:.2%} by more than "
-                    f"{self._margin:.0%}")
-        return None
+        reason = regression(
+            "fleet", "the incumbent baseline", result.mean_reward,
+            result.interventions / result.decisions, self._reward.mean,
+            self._reward.std, self._rate(), REGRESSION_SIGMAS,
+            INTERVENTION_MARGIN)
+        if reason is None:
+            return None
+        return f"{reason} ({self._reward.count} runs)"
 
     def reset(self) -> None:
         """Forget the baseline (a *new* incumbent took over)."""
@@ -157,9 +146,7 @@ class PromotionPipeline:
     def __init__(self, server, registry,
                  fleet_config: Optional[FleetConfig] = None,
                  canary_config: Optional[CanaryConfig] = None,
-                 watchdog: Optional[RegressionWatchdog] = None,
-                 max_rounds: int = 8, round_steps: int = 20,
-                 probe_states: int = 128):
+                 max_rounds: int = 8, round_steps: int = 20):
         if max_rounds < 1:
             raise ExperienceError(
                 f"the canary needs at least one fleet round, got "
@@ -171,14 +158,13 @@ class PromotionPipeline:
         self._registry = registry
         self._fleet_config = fleet_config or FleetConfig()
         self._canary_config = canary_config
-        self.watchdog = watchdog or RegressionWatchdog()
+        self.watchdog = RegressionWatchdog()
         """The cross-promotion incumbent baseline (shared with the loop)."""
         self._max_rounds = int(max_rounds)
         self._round_steps = int(round_steps)
-        self._probe_states = int(probe_states)
 
     def _probe(self, artifact) -> np.ndarray:
-        grid = np.arange(min(self._probe_states, artifact.num_states))
+        grid = np.arange(min(PROBE_STATES, artifact.num_states))
         return np.asarray(artifact.greedy(grid))
 
     def promote(self, version: int) -> PromotionReport:

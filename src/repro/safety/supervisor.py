@@ -28,8 +28,8 @@ Mode semantics
   controller, pending TD transition dropped on entry) and derates the
   admissible current magnitude to ``degraded_current_fraction`` of the
   pack bound.
-* **LIMP_HOME** hands control to the fallback controller (default: the
-  rule-based baseline) in pure-exploitation mode.
+* **LIMP_HOME** hands control to the fallback controller, the
+  rule-based baseline, in pure-exploitation mode.
 * **HALT** is terminal: the episode stops with a structured error.
 
 Recovery is hysteretic: sustained clean operation steps the mode back
@@ -117,27 +117,20 @@ class SafetySupervisor(Controller):
     """Wraps a controller with envelope guarding and health supervision."""
 
     def __init__(self, controller: Controller, solver: PowertrainSolver,
-                 fallback: Optional[Controller] = None,
                  config: Optional[SupervisorConfig] = None,
                  telemetry=None):
-        """``fallback`` takes over in LIMP_HOME (default: the rule-based
-        baseline on the same solver, mirroring the paper's conventional
-        comparison strategy).  ``telemetry`` (a
-        :class:`repro.telemetry.Telemetry`, opt-in) streams every guard
-        intervention and health transition into the event sink as they
-        happen — the in-memory :class:`~repro.safety.events.SafetyLog`
-        journal is unchanged either way."""
-        if fallback is controller:
-            raise ConfigurationError(
-                "the fallback controller must be a different instance from "
-                "the supervised controller")
+        """The rule-based baseline on the same solver takes over in
+        LIMP_HOME, mirroring the paper's conventional comparison
+        strategy.  ``telemetry`` (a :class:`repro.telemetry.Telemetry`,
+        opt-in) streams every guard intervention and health transition
+        into the event sink as they happen — the in-memory
+        :class:`~repro.safety.events.SafetyLog` journal is unchanged
+        either way."""
+        from repro.control.rule_based import RuleBasedController
         self.controller = controller
         self.solver = solver
         self.telemetry = telemetry
-        if fallback is None:
-            from repro.control.rule_based import RuleBasedController
-            fallback = RuleBasedController(solver)
-        self.fallback = fallback
+        self.fallback = RuleBasedController(solver)
         self.config = config or SupervisorConfig()
         self.envelope = FeasibilityEnvelope(solver)
         cfg = self.config

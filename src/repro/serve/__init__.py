@@ -36,7 +36,7 @@ from repro.serve.artifact import (
 from repro.serve.canary import CanaryConfig, CanaryRollout, Welford
 from repro.serve.fleet import FleetConfig, FleetResult, FleetSimulator, run_fleet_sharded
 from repro.serve.registry import PolicyRegistry
-from repro.serve.server import PolicyServer, ServeConfig, SwapReport
+from repro.serve.server import PolicyServer, SwapReport
 
 __all__ = [
     "PolicyArtifact",
@@ -44,7 +44,6 @@ __all__ = [
     "peek_fingerprint",
     "PolicyRegistry",
     "PolicyServer",
-    "ServeConfig",
     "SwapReport",
     "CanaryConfig",
     "CanaryRollout",

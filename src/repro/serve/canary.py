@@ -7,10 +7,10 @@ moments (the same machinery as the safety layer's
 :class:`repro.safety.monitors.RewardCollapseMonitor` baseline), and
 renders a verdict:
 
-* ``"rollback"`` — the canary group's mean reward fell more than
-  ``sigmas`` incumbent standard deviations below the incumbent's mean,
-  or its intervention rate exceeded the incumbent's by more than
-  ``intervention_margin``.  Guaranteed to be reached within
+* ``"rollback"`` — :func:`regression`: the canary group's mean reward
+  fell more than ``sigmas`` incumbent standard deviations below the
+  incumbent's mean, or its intervention rate exceeded the incumbent's by
+  more than ``intervention_margin``.  Guaranteed to be reached within
   ``decision_budget`` canary decisions of the regression becoming
   statistically visible, because the verdict is re-evaluated on every
   recorded batch.
@@ -33,6 +33,34 @@ import numpy as np
 from repro.errors import ServeError
 from repro.stats import Welford
 
+REGRESSION_SIGMAS = 3.0
+"""Reward deficit, in baseline standard deviations, that means
+regression by default (mirrors the reward-collapse monitor's)."""
+
+INTERVENTION_MARGIN = 0.05
+"""Intervention-rate excess that means regression by default."""
+
+
+def regression(subject: str, baseline: str, mean: float, rate: float,
+               base_mean: float, base_std: float, base_rate: float,
+               sigmas: float, margin: float) -> Optional[str]:
+    """The regression rule of the canary and the watchdog.
+
+    ``subject`` regressed against ``baseline`` when its mean reward lies
+    more than ``sigmas`` baseline standard deviations (floored at 1e-12)
+    below the baseline mean, or else when its intervention rate exceeds
+    the baseline's by more than ``margin``.  Returns the reason, which is
+    formatted only then, or ``None``.
+    """
+    deficit = (base_mean - mean) / max(base_std, 1e-12)
+    if deficit > sigmas:
+        return (f"{subject} reward {mean:.4f} is {deficit:.1f} sigma "
+                f"below {baseline} {base_mean:.4f}")
+    if rate > base_rate + margin:
+        return (f"{subject} intervention rate {rate:.2%} exceeds "
+                f"{baseline} {base_rate:.2%} by more than {margin:.0%}")
+    return None
+
 
 @dataclass(frozen=True)
 class CanaryConfig:
@@ -44,16 +72,16 @@ class CanaryConfig:
     min_samples: int = 256
     """Decisions *per group* before the regression test may fire."""
 
-    sigmas: float = 3.0
+    sigmas: float = REGRESSION_SIGMAS
     """Reward deficit, in incumbent standard deviations, that means
-    regression (mirrors the reward-collapse monitor's threshold)."""
+    regression."""
 
     decision_budget: int = 10_000
     """Canary decisions after which a healthy candidate is promoted —
     and, symmetrically, the bound within which a regressed one must
     have been rolled back."""
 
-    intervention_margin: float = 0.05
+    intervention_margin: float = INTERVENTION_MARGIN
     """Absolute intervention-rate excess over the incumbent that means
     regression regardless of reward."""
 
@@ -146,23 +174,15 @@ class CanaryRollout:
         cfg = self.config
         can, inc = self._canary, self._incumbent
         if can.count >= cfg.min_samples and inc.count >= cfg.min_samples:
-            scale = max(inc.std, 1e-12)
-            deficit = (inc.mean - can.mean) / scale
-            if deficit > cfg.sigmas:
+            reason = regression(
+                "canary", "incumbent", can.mean,
+                self._canary_interventions / can.count, inc.mean, inc.std,
+                self._incumbent_interventions / inc.count,
+                cfg.sigmas, cfg.intervention_margin)
+            if reason is not None:
                 self._verdict = "rollback"
-                self._reason = (
-                    f"canary reward {can.mean:.4f} is {deficit:.1f} sigma "
-                    f"below incumbent {inc.mean:.4f} after "
-                    f"{can.count} canary decisions")
-                return
-            can_rate = self._canary_interventions / can.count
-            inc_rate = self._incumbent_interventions / inc.count
-            if can_rate > inc_rate + cfg.intervention_margin:
-                self._verdict = "rollback"
-                self._reason = (
-                    f"canary intervention rate {can_rate:.2%} exceeds "
-                    f"incumbent {inc_rate:.2%} by more than "
-                    f"{cfg.intervention_margin:.0%}")
+                self._reason = (f"{reason} after {can.count} canary "
+                                "decisions")
                 return
         if can.count >= cfg.decision_budget:
             self._verdict = "promote"

@@ -88,6 +88,9 @@ _BUS_VOLTAGE = 200.0
 _NOISE_STREAM_KEY = 0x5EED
 """SeedSequence key separating sensor-noise streams from other draws."""
 
+_AUX_LOADS_W = (250.0, 500.0, 1000.0)
+"""Auxiliary electrical loads (W) vehicles are assigned across."""
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -106,9 +109,6 @@ class FleetConfig:
     cycles: Tuple[str, ...] = ("UDDS", "NYCC", "SC03")
     """Built-in drive cycles vehicles are assigned across."""
 
-    aux_loads: Tuple[float, ...] = (250.0, 500.0, 1000.0)
-    """Auxiliary electrical loads (W) vehicles are assigned across."""
-
     fault_fraction: float = 0.1
     """Fraction of vehicles with a noisy SoC sensor (fault scenario)."""
 
@@ -117,9 +117,6 @@ class FleetConfig:
 
     request_batch: int = 256
     """Vehicles per decision request (smaller = more queue pressure)."""
-
-    deadline_s: Optional[float] = None
-    """Per-request decision deadline handed to the server (None = none)."""
 
     seed: int = 0
     """Seed of population assignment and sensor noise."""
@@ -141,8 +138,6 @@ class FleetConfig:
             raise ServeError(f"dt must be finite and positive, got {self.dt}")
         if not self.cycles:
             raise ServeError("a fleet needs at least one drive cycle")
-        if not self.aux_loads:
-            raise ServeError("a fleet needs at least one auxiliary load")
         if not 0.0 <= self.fault_fraction <= 1.0:
             raise ServeError("fault_fraction must lie in [0, 1]")
         if not (math.isfinite(self.sensor_noise)
@@ -369,8 +364,7 @@ class FleetSimulator:
         cycle_all = rng.integers(0, len(cfg.cycles), size=total)
         cycle_idx = cycle_all[window]
         phase = rng.integers(0, lengths[cycle_all])[window]
-        aux = rng.choice(np.asarray(cfg.aux_loads, dtype=float),
-                         size=total)[window]
+        aux = rng.choice(np.asarray(_AUX_LOADS_W), size=total)[window]
         faulty = (rng.random(total) < cfg.fault_fraction)[window]
         soc = rng.uniform(self._soc_min, self._soc_max, size=total)[window]
         vehicle_ids = np.arange(lo, lo + n, dtype=np.uint64)
@@ -443,8 +437,7 @@ class FleetSimulator:
             for batch_lo in range(0, len(incumbent_idx), cfg.request_batch):
                 chunk = incumbent_idx[batch_lo:batch_lo + cfg.request_batch]
                 key = f"{t}:{batch_lo}"
-                if not server.submit(states[chunk],
-                                     deadline_s=cfg.deadline_s, key=key):
+                if not server.submit(states[chunk], key=key):
                     limp += len(chunk)
                     continue
                 pending[key] = chunk
@@ -543,9 +536,7 @@ class FleetSimulator:
 
 
 def run_fleet_sharded(registry_root, config: FleetConfig, shards: int,
-                      jobs: Optional[int] = None,
-                      timeout: Optional[float] = None,
-                      experience_dir=None) -> dict:
+                      jobs: Optional[int] = None) -> dict:
     """Split a fleet across fork-isolated workers, one server per shard.
 
     Every worker opens its own :class:`PolicyServer` over the shared
@@ -555,11 +546,7 @@ def run_fleet_sharded(registry_root, config: FleetConfig, shards: int,
     per-vehicle noise are bit-identical to the unsharded run), and
     reports its aggregates; the supervisor's quarantine semantics apply,
     so one crashed shard is a recorded failure, not a lost campaign.
-
-    With ``experience_dir`` set, each shard journals its served
-    transitions to its own ``shard-%04d.jsonl`` through an
-    :class:`repro.learn.ExperienceStream` — the fleet half of the
-    online-learning loop.
+    ``jobs`` workers run at once (default: one per shard).
 
     Returns the fleet-wide aggregate dict.  ``mean_reward`` is an
     exactly-rounded :func:`math.fsum` over the concatenated per-vehicle
@@ -583,37 +570,26 @@ def run_fleet_sharded(registry_root, config: FleetConfig, shards: int,
               for i in range(shards)]
     starts = [sum(counts[:i]) for i in range(shards)]
 
-    def _shard(index: int, offset: int, count: int) -> dict:
+    def _shard(offset: int, count: int) -> dict:
         registry = PolicyRegistry(registry_root)
         server = PolicyServer(registry)
         server.activate_latest()
         shard_cfg = replace(config, vehicles=count, vehicle_offset=offset,
                             total_vehicles=config.vehicles)
-        stream = None
-        if experience_dir is not None:
-            from repro.learn.journal import ExperienceStream
-            stream = ExperienceStream(experience_dir, shard=index)
-        try:
-            result = FleetSimulator(server, shard_cfg,
-                                    experience=stream).run()
-        finally:
-            if stream is not None:
-                stream.close()
+        result = FleetSimulator(server, shard_cfg).run()
         return {"decisions": result.decisions,
                 "shed_requests": result.shed_requests,
                 "limp_decisions": result.limp_decisions,
                 "interventions": result.interventions,
                 "vehicle_rewards": result.vehicle_rewards,
                 "elapsed_s": result.elapsed_s,
-                "experience_records": result.experience_records,
-                "experience_shed": result.experience_shed,
                 "active_version": server.active_version}
 
     tasks = [Task(key=f"shard-{i}",
-                  fn=(lambda i=i, s=s, c=c: _shard(i, s, c)),
+                  fn=(lambda s=s, c=c: _shard(s, c)),
                   spec={"shard": i, "offset": s, "vehicles": c})
              for i, (s, c) in enumerate(zip(starts, counts))]
-    supervisor = Supervisor(jobs=jobs or 1, timeout=timeout)
+    supervisor = Supervisor(jobs=jobs or shards)
     sweep = supervisor.run(tasks)
     results = [sweep.results[task.key] for task in tasks
                if task.key in sweep.results]
@@ -639,8 +615,5 @@ def run_fleet_sharded(registry_root, config: FleetConfig, shards: int,
         "elapsed_s": wall,
         "decisions_per_sec": total_decisions / wall,
         "vehicles_per_min": total_vehicles * 60.0 / wall,
-        "experience_records": sum(r["experience_records"]
-                                  for r in results),
-        "experience_shed": sum(r["experience_shed"] for r in results),
         "failures": len(sweep.failures),
     }

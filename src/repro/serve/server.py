@@ -35,7 +35,7 @@ carry it" level, the serving-side analogue of the safety supervisor's
 LIMP_HOME rule-based controller) instead of crashing.
 
 **Overload protection.**  :meth:`submit`/:meth:`pump` form a bounded
-FIFO request queue: admission beyond ``queue_limit`` and requests whose
+FIFO request queue: admission beyond :data:`QUEUE_LIMIT` and requests whose
 deadline passed before processing are *shed* — counted, telemetered,
 answered with a structured outcome — so a flooded server stays live for
 the requests it can still serve in time.
@@ -52,7 +52,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -62,31 +62,14 @@ from repro.serve.canary import CanaryConfig, CanaryRollout
 from repro.serve.registry import PolicyRegistry
 
 
-@dataclass(frozen=True)
-class ServeConfig:
-    """Operational knobs of one policy server."""
+PROBE_STATES = 128
+"""Held-out state-grid size of the golden probe (capped at |S|)."""
 
-    probe_states: int = 128
-    """Held-out state-grid size of the golden probe (capped at |S|)."""
+PROBE_SEED = 0x5EBE
+"""Seed of the deterministic probe-grid sample."""
 
-    probe_seed: int = 0x5EBE
-    """Seed of the deterministic probe-grid sample."""
-
-    queue_limit: int = 64
-    """Bounded request-queue depth; admissions beyond it are shed."""
-
-    stage_deadline_s: Optional[float] = None
-    """Wall-clock budget for staging (load + verify + probe); exceeding
-    it discards the candidate (degraded storage must not stall swaps).
-    ``None`` disables the deadline."""
-
-    def __post_init__(self):
-        if self.probe_states < 1:
-            raise ServeError("probe_states must be at least 1")
-        if self.queue_limit < 1:
-            raise ServeError("queue_limit must be at least 1")
-        if self.stage_deadline_s is not None and self.stage_deadline_s <= 0:
-            raise ServeError("stage_deadline_s must be positive or None")
+QUEUE_LIMIT = 64
+"""Bounded request-queue depth; admissions beyond it are shed."""
 
 
 @dataclass(frozen=True)
@@ -97,7 +80,7 @@ class SwapReport:
     """Serving version before the attempt (0 = fallback/none)."""
 
     to_version: int
-    """Candidate version (0 when unknown, e.g. unresolvable path)."""
+    """Candidate version requested (0 when none was named)."""
 
     activated: bool
     """True when the candidate took over; False = refused, incumbent
@@ -137,12 +120,9 @@ class DecisionOutcome:
 class PolicyServer:
     """Versioned policy serving with hot-swap, canary, and load shedding."""
 
-    def __init__(self, registry: Optional[PolicyRegistry] = None,
-                 config: Optional[ServeConfig] = None,
-                 telemetry=None,
+    def __init__(self, registry: PolicyRegistry, telemetry=None,
                  clock: Callable[[], float] = time.monotonic):
         self._registry = registry
-        self._config = config or ServeConfig()
         self._telemetry = telemetry
         self._clock = clock
         self._active: Optional[PolicyArtifact] = None
@@ -192,11 +172,6 @@ class PolicyServer:
                 float(self.active_version))
 
     # -- introspection -----------------------------------------------------
-
-    @property
-    def config(self) -> ServeConfig:
-        """The operational configuration this server runs under."""
-        return self._config
 
     @property
     def active_version(self) -> int:
@@ -282,8 +257,6 @@ class PolicyServer:
         registry with no loadable version leaves the server alive in
         fallback mode.  Returns the activated version (0 = fallback).
         """
-        if self._registry is None:
-            raise ServeError("this server has no registry to activate from")
         for version in reversed(self._registry.versions()):
             try:
                 artifact = self._registry.load(version)
@@ -315,10 +288,10 @@ class PolicyServer:
     # -- staging and hot-swap ----------------------------------------------
 
     def _probe_grid(self, num_states: int) -> np.ndarray:
-        size = min(self._config.probe_states, num_states)
+        size = min(PROBE_STATES, num_states)
         if size == num_states:
             return np.arange(num_states)
-        rng = np.random.default_rng(self._config.probe_seed)
+        rng = np.random.default_rng(PROBE_SEED)
         return np.sort(rng.choice(num_states, size=size, replace=False))
 
     def _golden_probe(self, candidate: PolicyArtifact) -> float:
@@ -344,26 +317,19 @@ class PolicyServer:
         return 0.0
 
     def stage(self, version: Optional[int] = None,
-              path=None,
               deadline_s: Optional[float] = None) -> PolicyArtifact:
-        """Load, verify, and golden-probe a candidate off the serving path.
+        """Load, verify, and golden-probe a registry version off the
+        serving path (``None``: the latest).
 
         Raises the structured error of whatever failed: corruption →
         :class:`~repro.errors.PersistenceError`, fingerprint mismatch →
-        :class:`~repro.errors.CheckpointError`, failed probe or blown
-        staging deadline → :class:`~repro.errors.ServeError`.  The
-        active policy is never touched.
+        :class:`~repro.errors.CheckpointError`, failed probe or staging
+        slower than ``deadline_s`` seconds →
+        :class:`~repro.errors.ServeError`.  The active policy is never
+        touched.
         """
         start = self._clock()
-        if path is not None and version is not None:
-            raise ServeError("stage by version or by path, not both")
-        if path is not None:
-            candidate = PolicyArtifact.load(path)
-        else:
-            if self._registry is None:
-                raise ServeError(
-                    "this server has no registry; stage by path instead")
-            candidate = self._registry.load(version)
+        candidate = self._registry.load(version)
         reference = (self._active.fingerprint if self._active is not None
                      else self._last_fingerprint)
         if reference is not None and candidate.fingerprint != reference:
@@ -375,33 +341,29 @@ class PolicyServer:
                 f"serving fingerprint; mismatched fields: {mismatched}")
         disagreement = self._golden_probe(candidate)
         self._staged_disagreement = disagreement
-        deadline = (deadline_s if deadline_s is not None
-                    else self._config.stage_deadline_s)
         elapsed = self._clock() - start
-        if deadline is not None and elapsed > deadline:
+        if deadline_s is not None and elapsed > deadline_s:
             self.stage_sheds += 1
             self._count("serve.shed")
             raise ServeError(
                 f"staging deadline exceeded: load+verify+probe took "
-                f"{elapsed:.3f}s against a {deadline:.3f}s budget; the "
+                f"{elapsed:.3f}s against a {deadline_s:.3f}s budget; the "
                 "candidate was discarded and the incumbent keeps serving")
         return candidate
 
-    def swap(self, version: Optional[int] = None, path=None,
+    def swap(self, version: Optional[int] = None,
              deadline_s: Optional[float] = None) -> SwapReport:
-        """Atomically hot-swap to a candidate; refuse on any defect.
+        """Atomically hot-swap to a registry version; refuse on any defect.
 
         Never raises for a *bad candidate*: every structured staging
         failure becomes a refused :class:`SwapReport` (reason recorded,
         ``serve_swap`` event emitted) while the incumbent keeps serving
-        bit-identically.  Only server misuse (e.g. staging by version
-        without a registry) still raises.
+        bit-identically.
         """
         start = self._clock()
         from_version = self.active_version
         try:
-            candidate = self.stage(version=version, path=path,
-                                   deadline_s=deadline_s)
+            candidate = self.stage(version=version, deadline_s=deadline_s)
         except (PersistenceError, CheckpointError, ServeError) as exc:
             self.refused_swaps += 1
             if self._telemetry is not None:
@@ -445,10 +407,10 @@ class PolicyServer:
 
     # -- canary rollout ----------------------------------------------------
 
-    def begin_canary(self, version: Optional[int] = None, path=None,
+    def begin_canary(self, version: Optional[int] = None,
                      canary_config: Optional[CanaryConfig] = None
                      ) -> CanaryRollout:
-        """Stage a candidate and open a canary rollout against it.
+        """Stage a registry version and open a canary rollout against it.
 
         The candidate serves only :meth:`canary_decide` traffic until
         :meth:`observe` reaches a verdict.  Staging failures raise their
@@ -461,7 +423,7 @@ class PolicyServer:
         if self._active is None:
             raise ServeError(
                 "cannot run a canary without an active incumbent policy")
-        candidate = self.stage(version=version, path=path)
+        candidate = self.stage(version=version)
         self._canary_artifact = candidate
         self._canary = CanaryRollout(candidate.version, canary_config)
         self._canary_started_at = self._clock()
@@ -591,12 +553,12 @@ class PolicyServer:
                key: Optional[str] = None) -> bool:
         """Enqueue one decision request; returns False when shed.
 
-        Admission beyond ``queue_limit`` sheds immediately — a bounded
+        Admission beyond :data:`QUEUE_LIMIT` sheds immediately — a bounded
         queue is the overload contract: a flooded server drops work
         loudly instead of growing an unbounded backlog it can never
         drain in time.
         """
-        if len(self._queue) >= self._config.queue_limit:
+        if len(self._queue) >= QUEUE_LIMIT:
             self.shed_count += 1
             self._count("serve.shed")
             return False

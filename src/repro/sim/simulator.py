@@ -141,7 +141,8 @@ class Simulator:
                 greedy=bool(greedy), faulted=harness is not None)
             step_hist = telemetry.metrics.histogram(
                 "sim.step_seconds", buckets=LATENCY_BUCKETS_S)
-            sample_every = telemetry.step_sample_every
+            from repro.telemetry.runtime import STEP_SAMPLE_EVERY
+            sample_every = STEP_SAMPLE_EVERY
 
         controller.begin_episode()
         if harness is not None:

@@ -19,8 +19,8 @@ class TelemetryLogHandler(logging.Handler):
     """Forwards log records to a :class:`~repro.telemetry.Telemetry`
     sink as ``log`` events."""
 
-    def __init__(self, telemetry, level: int = logging.WARNING):
-        super().__init__(level)
+    def __init__(self, telemetry):
+        super().__init__(logging.WARNING)
         self.telemetry = telemetry
 
     def emit(self, record: logging.LogRecord) -> None:
@@ -35,15 +35,14 @@ class TelemetryLogHandler(logging.Handler):
             self.handleError(record)
 
 
-def attach_logging_bridge(telemetry, logger: Optional[logging.Logger] = None,
-                          level: int = logging.WARNING
+def attach_logging_bridge(telemetry, logger: Optional[logging.Logger] = None
                           ) -> TelemetryLogHandler:
-    """Install (and return) a bridge handler on ``logger``.
+    """Install (and return) a WARNING-level bridge handler on ``logger``.
 
     Defaults to the root logger, so WARNING+ records from any module land
     in the sink.  Keep the returned handler to detach it later.
     """
-    handler = TelemetryLogHandler(telemetry, level)
+    handler = TelemetryLogHandler(telemetry)
     (logger or logging.getLogger()).addHandler(handler)
     return handler
 

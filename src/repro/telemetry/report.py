@@ -204,8 +204,11 @@ class ManifestSummary:
         return "\n".join(lines)
 
 
-def summarize_manifest(path: Union[str, Path],
-                       slowest: int = 5) -> ManifestSummary:
+SLOWEST_TASKS = 5
+"""Slowest tasks a manifest summary lists."""
+
+
+def summarize_manifest(path: Union[str, Path]) -> ManifestSummary:
     """Aggregate one sweep manifest's per-task latency and attempts.
 
     Reads the raw JSONL records (payloads are *not* decoded — latency
@@ -237,7 +240,7 @@ def summarize_manifest(path: Union[str, Path],
             summary.elapsed.append(float(elapsed))
             timed.append((str(record.get("key", "")), float(elapsed)))
     timed.sort(key=lambda pair: pair[1], reverse=True)
-    summary.slowest = timed[:slowest]
+    summary.slowest = timed[:SLOWEST_TASKS]
     return summary
 
 

@@ -17,31 +17,24 @@ results stay bit-identical (see ``docs/OBSERVABILITY.md``).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Union
 
-from repro.errors import TelemetryError
 from repro.telemetry.events import EventSink
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 
 STEP_SAMPLE_EVERY = 50
-"""Default sampling period of per-step simulator events (1 = every
-step; the default keeps a full UDDS episode under ~30 step events)."""
+"""Sampling period of per-step simulator events, in steps (keeps a full
+UDDS episode under ~30 step events)."""
 
 
 class Telemetry:
     """One run's event sink + metrics registry + tracer (see module doc)."""
 
-    def __init__(self, path: Union[str, Path],
-                 run_id: Optional[str] = None,
-                 step_sample_every: int = STEP_SAMPLE_EVERY,
-                 append: bool = False):
-        if step_sample_every < 1:
-            raise TelemetryError("step_sample_every must be >= 1")
-        self.sink = EventSink(path, run_id=run_id, append=append)
+    def __init__(self, path: Union[str, Path]):
+        self.sink = EventSink(path)
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(emit=self._emit_span)
-        self.step_sample_every = int(step_sample_every)
 
     # -- plumbing ----------------------------------------------------------
 

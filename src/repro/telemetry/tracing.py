@@ -125,15 +125,13 @@ class Tracer:
 
     ``emit`` receives the flat record of every finished span (the
     :class:`repro.telemetry.Telemetry` facade wires it into the event
-    sink).  ``trace_id`` pins the trace identity; by default a fresh one
-    is generated — unless an ambient context is installed, in which case
-    the ambient trace is continued.
+    sink).  Its trace continues the ambient context's when one is
+    installed; otherwise a fresh trace id is generated.
     """
 
-    def __init__(self, emit: Optional[Callable[[dict], None]] = None,
-                 trace_id: Optional[str] = None):
+    def __init__(self, emit: Optional[Callable[[dict], None]] = None):
         self._emit = emit
-        self._trace_id = trace_id
+        self._trace_id: Optional[str] = None
         self._stack: List[Span] = []
         self._serial = 0
 
@@ -157,19 +155,17 @@ class Tracer:
         self._serial += 1
         return f"{os.getpid():x}-{self._serial:06x}"
 
-    def start(self, name: str, parent: Optional[SpanContext] = None,
-              detached: bool = False, **attributes: Any) -> Span:
-        """Open a span; pair with :meth:`end`.
+    def start(self, name: str, detached: bool = False,
+              **attributes: Any) -> Span:
+        """Open a span under the innermost stacked span, else the ambient
+        context; pair with :meth:`end`.
 
-        ``parent`` overrides the implicit parent (innermost stacked span,
-        else the ambient context).  ``detached=True`` keeps the span off
-        the nesting stack so overlapping regions can be traced from one
-        tracer.
+        ``detached=True`` keeps the span off the nesting stack so
+        overlapping regions can be traced from one tracer.
         """
         if not name:
             raise TelemetryError("spans need a non-empty name")
-        if parent is None:
-            parent = self.current_context()
+        parent = self.current_context()
         context = SpanContext(
             trace_id=parent.trace_id if parent is not None else self.trace_id,
             span_id=self._next_span_id(),

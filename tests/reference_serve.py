@@ -1,7 +1,7 @@
 """Frozen reference implementations of the fleet serving set-up paths.
 
 This module pins the seed semantics of the serving-plane pieces that were
-rewritten for speed:
+rewritten for speed or merged:
 
 * :func:`reference_sensor_noise` — the fleet's per-vehicle SoC noise,
   built by spawning one ``SeedSequence`` child for *every* vehicle of the
@@ -18,13 +18,16 @@ rewritten for speed:
   :func:`reference_state_of_batch` (``np.searchsorted`` per dimension
   and ``np.ravel_multi_index``).  :class:`ReferenceDriveTable` puts it
   behind the fleet's per-run drive-table interface, so a whole fleet
-  run can be driven through it.
+  run can be driven through it;
+* :func:`reference_canary_evaluate` and :func:`reference_watchdog_check`
+  — the canary's and the regression watchdog's verdicts as each carried
+  its own copy of the regression rule, read off the live statistics.
 
 The equivalence suite (``tests/test_serve_equivalence.py``) drives these
 side by side with the production paths and demands byte-identical noise
-and states, and identical decisions and cache counters.  None of this is
-used by the package.  Do **not** "optimise" this file — its value is that
-it does not change.
+and states, identical decisions and cache counters, and identical
+regression verdicts.  None of this is used by the package.  Do **not**
+"optimise" this file — its value is that it does not change.
 """
 
 from __future__ import annotations
@@ -188,3 +191,53 @@ class ReferenceDriveTable:
 
     def states(self, t: int, socs: np.ndarray) -> np.ndarray:
         return reference_tick_states(*self._args, t, socs)
+
+
+def reference_canary_evaluate(rollout) -> tuple:
+    """The seed ``CanaryRollout._evaluate`` on ``rollout``'s statistics:
+    ``(verdict, reason)``, ``(None, "")`` while undecided."""
+    cfg = rollout.config
+    can, inc = rollout._canary, rollout._incumbent
+    if can.count >= cfg.min_samples and inc.count >= cfg.min_samples:
+        scale = max(inc.std, 1e-12)
+        deficit = (inc.mean - can.mean) / scale
+        if deficit > cfg.sigmas:
+            return "rollback", (
+                f"canary reward {can.mean:.4f} is {deficit:.1f} sigma "
+                f"below incumbent {inc.mean:.4f} after "
+                f"{can.count} canary decisions")
+        can_rate = rollout._canary_interventions / can.count
+        inc_rate = rollout._incumbent_interventions / inc.count
+        if can_rate > inc_rate + cfg.intervention_margin:
+            return "rollback", (
+                f"canary intervention rate {can_rate:.2%} exceeds "
+                f"incumbent {inc_rate:.2%} by more than "
+                f"{cfg.intervention_margin:.0%}")
+    if can.count >= cfg.decision_budget:
+        return "promote", (
+            f"no regression after {can.count} canary decisions "
+            f"(budget {cfg.decision_budget})")
+    return None, ""
+
+
+def reference_watchdog_check(reward, interventions: int, decisions: int,
+                             result, sigmas: float = 3.0,
+                             intervention_margin: float = 0.05,
+                             min_runs: int = 2):
+    """The seed ``RegressionWatchdog.check`` (at its default thresholds)
+    on a baseline of ``reward`` moments and intervention totals."""
+    if reward.count < min_runs or result.decisions <= 0:
+        return None
+    scale = max(reward.std, 1e-12)
+    deficit = (reward.mean - result.mean_reward) / scale
+    if deficit > sigmas:
+        return (f"fleet reward {result.mean_reward:.4f} is "
+                f"{deficit:.1f} sigma below the incumbent baseline "
+                f"{reward.mean:.4f} ({reward.count} runs)")
+    base_rate = interventions / decisions if decisions else 0.0
+    rate = result.interventions / result.decisions
+    if rate > base_rate + intervention_margin:
+        return (f"fleet intervention rate {rate:.2%} exceeds the "
+                f"incumbent baseline {base_rate:.2%} by more than "
+                f"{intervention_margin:.0%}")
+    return None

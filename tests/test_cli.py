@@ -248,6 +248,34 @@ class TestGuardCommands:
         assert "NOMINAL" in out
 
 
+class TestServeFlags:
+    @pytest.mark.parametrize("extra", [
+        ["--shards", "2", "--swap", "9"],
+        ["--shards", "2", "--canary", "7"],
+        ["--shards", "2", "--canary-fraction", "0.2"],
+        ["--shards", "2", "--telemetry", "t.jsonl"],
+        ["--jobs", "2"],
+        ["--canary-fraction", "0.2"],
+    ], ids=lambda extra: " ".join(extra))
+    def test_a_flag_the_run_would_ignore_is_refused(self, extra, tmp_path,
+                                                    capsys, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("refused flags must stop serve first")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "train", no_training)
+        argv = ["serve", "--registry", str(tmp_path / "registry"),
+                "--vehicles", "64", "--steps", "5",
+                "--train-episodes", "1"] + extra
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        flag = next(arg for arg in extra if arg != "--shards"
+                    and arg.startswith("--"))
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {flag} has no effect")
+        assert not (tmp_path / "t.jsonl").exists()
+
+
 class TestRegistrySeeding:
     @pytest.mark.parametrize("command", ["serve", "learn"])
     def test_empty_registry_without_seeding_is_structured_error(

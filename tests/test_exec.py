@@ -24,7 +24,6 @@ from repro.errors import (
     ManifestError,
 )
 from repro.exec import (
-    BackoffPolicy,
     Supervisor,
     SweepManifest,
     Task,
@@ -33,6 +32,7 @@ from repro.exec import (
     encode_payload,
     spec_hash,
 )
+from repro.exec.supervisor import _backoff_delay
 from repro.powertrain import PowertrainSolver
 from repro.sim import Simulator, run_batch, run_robustness
 from repro.sim.robustness import RobustnessRow
@@ -102,26 +102,18 @@ class TestTaskSpecHash:
 
 class TestBackoffPolicy:
     def test_deterministic_per_key_and_attempt(self):
-        policy = BackoffPolicy()
-        assert policy.delay("k", 1) == policy.delay("k", 1)
+        assert _backoff_delay("k", 1) == _backoff_delay("k", 1)
 
     def test_grows_exponentially(self):
-        policy = BackoffPolicy(base=0.1, factor=2.0, jitter=0.0,
-                               max_delay=100.0)
-        assert policy.delay("k", 2) == pytest.approx(0.2)
-        assert policy.delay("k", 3) == pytest.approx(0.4)
+        for attempt in (1, 2, 3):
+            raw = 0.05 * 2.0 ** (attempt - 1)
+            assert raw <= _backoff_delay("k", attempt) <= 1.25 * raw
 
     def test_jitter_decorrelates_tasks(self):
-        policy = BackoffPolicy(base=1.0, jitter=1.0, max_delay=100.0)
-        assert policy.delay("task-a", 1) != policy.delay("task-b", 1)
+        assert _backoff_delay("task-a", 1) != _backoff_delay("task-b", 1)
 
     def test_respects_max_delay(self):
-        policy = BackoffPolicy(base=1.0, factor=10.0, max_delay=2.0)
-        assert policy.delay("k", 5) == 2.0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            BackoffPolicy(factor=0.5)
+        assert _backoff_delay("k", 10) == 5.0
 
 
 class TestSupervisorValidation:
@@ -184,8 +176,7 @@ class TestSerialMode:
                 raise RuntimeError("first attempt dies")
             return "recovered"
 
-        supervisor = Supervisor(retries=1, failure_mode="quarantine",
-                                backoff=BackoffPolicy(base=0.001))
+        supervisor = Supervisor(retries=1, failure_mode="quarantine")
         sweep = supervisor.run([_task("flaky", flaky)])
         assert sweep.results == {"flaky": "recovered"}
         assert sweep.attempts["flaky"] == 2
@@ -198,8 +189,7 @@ class TestSerialMode:
             calls.append(1)
             raise RuntimeError("never recovers")
 
-        supervisor = Supervisor(retries=2, failure_mode="quarantine",
-                                backoff=BackoffPolicy(base=0.001))
+        supervisor = Supervisor(retries=2, failure_mode="quarantine")
         sweep = supervisor.run([_task("doomed", always_fails)])
         assert len(calls) == 3  # initial attempt + 2 retries
         assert sweep.quarantined == ["doomed"]
@@ -265,7 +255,6 @@ class TestIsolatedWorkers:
             return "recovered"
 
         supervisor = Supervisor(jobs=2, retries=1,
-                                backoff=BackoffPolicy(base=0.001),
                                 failure_mode="quarantine")
         sweep = supervisor.run([_task("flaky", flaky)])
         assert sweep.results == {"flaky": "recovered"}

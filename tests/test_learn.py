@@ -952,12 +952,12 @@ class _Run:
 
 class TestRegressionWatchdog:
     def test_thin_baseline_never_alerts(self):
-        dog = RegressionWatchdog(min_runs=2)
+        dog = RegressionWatchdog()
         dog.observe(_Run(1.0))
         assert dog.check(_Run(-100.0)) is None
 
     def test_reward_collapse_alerts(self):
-        dog = RegressionWatchdog(sigmas=2.0)
+        dog = RegressionWatchdog()
         for reward in (1.00, 1.01, 0.99, 1.02):
             dog.observe(_Run(reward))
         assert dog.check(_Run(1.0)) is None
@@ -965,7 +965,7 @@ class TestRegressionWatchdog:
         assert alert is not None and "sigma" in alert
 
     def test_intervention_excess_alerts(self):
-        dog = RegressionWatchdog(intervention_margin=0.05)
+        dog = RegressionWatchdog()
         for _ in range(3):
             dog.observe(_Run(1.0, interventions=10))
         alert = dog.check(_Run(1.0, interventions=200))
@@ -985,12 +985,6 @@ class TestRegressionWatchdog:
             dog.observe(_Run(1.0))
         dog.reset()
         assert dog.runs == 0 and dog.check(_Run(-5.0)) is None
-
-    def test_invalid_thresholds_are_structured(self):
-        with pytest.raises(ExperienceError):
-            RegressionWatchdog(sigmas=0.0)
-        with pytest.raises(ExperienceError):
-            RegressionWatchdog(min_runs=1)
 
 
 class TestPromotionPipeline:

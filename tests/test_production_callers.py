@@ -53,3 +53,26 @@ def test_planted_function_with_a_production_caller_passes(tree):
                  "planted_helper()\n")
     result = _lint(tree)
     assert result.returncode == 0, result.stderr
+
+
+def _plant_knob(tree, call):
+    with open(tree / "src/repro/serve/registry.py", "a") as fh:
+        fh.write('\n\ndef planted_knob(name, depth=3):\n'
+                 '    """Called below."""\n')
+    with open(tree / "examples/quickstart.py", "a") as fh:
+        fh.write(f"\nfrom repro.serve.registry import planted_knob\n{call}\n")
+
+
+def test_planted_knob_nothing_sets_fails(tree):
+    _plant_knob(tree, 'planted_knob("x")')
+    result = _lint(tree)
+    assert result.returncode == 1
+    assert "option planted_knob(depth=) is never set" in result.stderr
+
+
+@pytest.mark.parametrize("call", ['planted_knob("x", depth=2)',
+                                  'planted_knob("x", 2)'])
+def test_planted_knob_set_by_keyword_or_position_passes(tree, call):
+    _plant_knob(tree, call)
+    result = _lint(tree)
+    assert result.returncode == 0, result.stderr

@@ -316,11 +316,6 @@ class TestSafetyLog:
 
 
 class TestSupervisorUnit:
-    def test_fallback_must_differ_from_controller(self, solver):
-        controller = RuleBasedController(solver)
-        with pytest.raises(ConfigurationError):
-            SafetySupervisor(controller, solver, fallback=controller)
-
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
             SupervisorConfig(degraded_current_fraction=0.0)

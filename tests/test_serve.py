@@ -35,10 +35,11 @@ from repro.serve import (
     PolicyArtifact,
     PolicyRegistry,
     PolicyServer,
-    ServeConfig,
     compile_table,
     run_fleet_sharded,
 )
+from repro.serve import server as server_module
+from repro.serve.server import QUEUE_LIMIT
 from repro.telemetry import Telemetry, read_events
 from repro.vehicle import default_vehicle
 
@@ -358,10 +359,13 @@ class TestHotSwap:
         table, fingerprint = policy
         registry = _registry(tmp_path, table, fingerprint)
         server = PolicyServer(registry)
-        with pytest.raises(ServeError, match="not both"):
-            server.stage(version=1, path=tmp_path / "x.rpa")
-        with pytest.raises(ServeError):
-            PolicyServer(None).activate_latest()
+        with pytest.raises(ServeError, match="active incumbent"):
+            server.begin_canary(version=1)
+        for misuse in (lambda: server.canary_decide(np.arange(3)),
+                       lambda: server.observe(True, np.zeros(3)),
+                       server.abort_canary):
+            with pytest.raises(ServeError, match="no canary rollout"):
+                misuse()
 
 
 class TestDegradation:
@@ -588,14 +592,14 @@ class TestBoundedQueue:
     def test_admission_beyond_limit_is_shed(self, policy, tmp_path):
         table, fingerprint = policy
         registry = _registry(tmp_path, table, fingerprint)
-        server = PolicyServer(registry, ServeConfig(queue_limit=2))
+        server = PolicyServer(registry)
         server.activate_latest()
         states = np.arange(4)
-        assert server.submit(states) and server.submit(states)
+        assert all(server.submit(states) for _ in range(QUEUE_LIMIT))
         assert not server.submit(states)
         assert server.shed_count == 1
         outcomes = server.pump()
-        assert [o.shed for o in outcomes] == [False, False]
+        assert [o.shed for o in outcomes] == [False] * QUEUE_LIMIT
         assert server.pump() == []
 
     def test_expired_deadlines_are_shed_at_pump(self, policy, tmp_path):
@@ -672,10 +676,12 @@ class TestFleet:
         assert results[0].decisions == results[1].decisions == 48 * 10
 
     def test_queue_pressure_degrades_to_limp_not_crash(self, policy,
-                                                       tmp_path):
+                                                       tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(server_module, "QUEUE_LIMIT", 1)
         table, fingerprint = policy
         registry = _registry(tmp_path, table, fingerprint)
-        server = PolicyServer(registry, ServeConfig(queue_limit=1))
+        server = PolicyServer(registry)
         server.activate_latest()
         config = FleetConfig(vehicles=64, steps=5, request_batch=8, seed=2)
         result = FleetSimulator(server, config).run()
@@ -713,6 +719,25 @@ class TestFleet:
         assert aggregate["shards"] == 2 and aggregate["failures"] == 0
         assert aggregate["vehicles"] == 40
         assert aggregate["decisions"] == 40 * 5
+
+    def test_shards_run_in_isolated_workers(self, policy, tmp_path,
+                                            monkeypatch):
+        import repro.exec
+
+        built = []
+
+        class _Spy(repro.exec.Supervisor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.exec, "Supervisor", _Spy)
+        table, fingerprint = policy
+        registry = _registry(tmp_path, table, fingerprint)
+        config = FleetConfig(vehicles=16, steps=3, seed=4)
+        aggregate = run_fleet_sharded(registry.root, config, shards=4)
+        assert aggregate["shards"] == 4 and aggregate["failures"] == 0
+        assert [(s.jobs, s.isolated) for s in built] == [(4, True)]
 
     def test_shard_count_is_bit_invariant(self, policy, tmp_path):
         # Regression test: per-vehicle draws and noise streams are keyed
@@ -821,13 +846,14 @@ class TestServeTelemetryGolden:
         assert np.array_equal(traces[0].actions, traces[1].actions)
         assert np.array_equal(traces[0].final_soc, traces[1].final_soc)
 
-    def test_serve_metrics_and_events_are_emitted(self, policy, tmp_path):
+    def test_serve_metrics_and_events_are_emitted(self, policy, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(server_module, "QUEUE_LIMIT", 1)
         table, fingerprint = policy
         registry = _registry(tmp_path, table, fingerprint, versions=2,
                              bump=0.0)
         with Telemetry(tmp_path / "t.jsonl") as telemetry:
-            server = PolicyServer(registry, ServeConfig(queue_limit=1),
-                                  telemetry=telemetry)
+            server = PolicyServer(registry, telemetry=telemetry)
             server.activate(registry.load(1))
             assert server.swap(version=2).activated
             server.rollback()

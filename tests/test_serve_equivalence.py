@@ -12,24 +12,28 @@ the same cache hit and miss counts.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cycles import standard_cycle
 from repro.cycles.standard import STANDARD_SPECS
 from repro.errors import ServeError
 from repro.learn import ExperienceStream, read_journal
 from repro.rl.discretize import StateDiscretizer, uniform_edges
-from repro.serve import (CanaryConfig, FleetConfig, FleetSimulator,
-                         PolicyRegistry, PolicyServer)
+from repro.learn import RegressionWatchdog
+from repro.serve import (CanaryConfig, CanaryRollout, FleetConfig,
+                         FleetSimulator, PolicyRegistry, PolicyServer)
 from repro.serve import fleet as fleet_module
 from repro.vehicle import default_vehicle
 from repro.vehicle.dynamics import VehicleDynamics
 from tests.reference_serve import (ReferenceDriveTable, ReferenceLRUServer,
+                                   reference_canary_evaluate,
                                    reference_sensor_noise,
-                                   reference_tick_states)
+                                   reference_tick_states,
+                                   reference_watchdog_check)
 
 
 @st.composite
@@ -351,3 +355,77 @@ class TestDecisionMemo:
                         (seed.cache_hits, seed.cache_misses)
             if op[0] == "decide":
                 last = op
+
+
+# Rewards from a small grid make exact ties at the sigma threshold,
+# zero-variance groups and equal intervention rates common.
+_REWARDS = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def canary_batches(draw):
+    """``(canary?, rewards, interventions)`` batches of one rollout."""
+    return draw(st.lists(st.tuples(
+        st.booleans(), st.lists(_REWARDS, min_size=1, max_size=5),
+        st.integers(min_value=0, max_value=5)), min_size=1, max_size=30))
+
+
+class _Run(NamedTuple):
+    mean_reward: float
+    interventions: int
+    decisions: int
+
+
+class TestRegressionRule:
+    """The canary and the watchdog share one regression rule; each must
+    reach the verdict its own frozen copy reached on every batch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batches=canary_batches(),
+           min_samples=st.integers(min_value=2, max_value=6),
+           slack=st.integers(min_value=0, max_value=20),
+           sigmas=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+           margin=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    # Incumbent [0, 1, 2] has mean 1 and std 1, so a canary at -2 sits
+    # exactly 3 sigma below it: a tie, which is not a regression.
+    @example(batches=[(False, [0.0, 1.0, 2.0], 0),
+                      (True, [-2.0, -2.0, -2.0], 0)],
+             min_samples=3, slack=5, sigmas=3.0, margin=0.05)
+    # A zero-variance incumbent: the 1e-12 std floor decides.
+    @example(batches=[(False, [1.0, 1.0], 0), (True, [1.0, 0.5], 0)],
+             min_samples=2, slack=5, sigmas=3.0, margin=0.05)
+    # Intervention rates tied at exactly the margin.
+    @example(batches=[(False, [1.0, 1.0], 0), (True, [1.0, 1.0], 1)],
+             min_samples=2, slack=5, sigmas=3.0, margin=0.5)
+    def test_canary_matches_its_frozen_rule(self, batches, min_samples,
+                                            slack, sigmas, margin):
+        rollout = CanaryRollout(1, CanaryConfig(
+            fraction=0.5, min_samples=min_samples, sigmas=sigmas,
+            decision_budget=min_samples + slack,
+            intervention_margin=margin))
+        for canary, rewards, interventions in batches:
+            verdict = rollout.record(canary, np.asarray(rewards),
+                                     interventions)
+            expected, reason = reference_canary_evaluate(rollout)
+            # The merged rule's reason adds only its evidence suffix.
+            assert verdict == expected
+            assert rollout.reason.startswith(reason)
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=st.lists(st.tuples(
+        _REWARDS, st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6)), min_size=1, max_size=12))
+    @example(runs=[(0.0, 0, 4), (1.0, 0, 4), (2.0, 0, 4), (-2.0, 0, 4)])
+    @example(runs=[(1.0, 0, 4), (1.0, 0, 4), (0.5, 0, 4), (1.0, 0, 0)])
+    def test_watchdog_matches_its_frozen_rule(self, runs):
+        dog = RegressionWatchdog()
+        for reward, interventions, decisions in runs:
+            result = _Run(reward, min(interventions, decisions), decisions)
+            alert = dog.check(result)
+            expected = reference_watchdog_check(
+                dog._reward, dog._interventions, dog._decisions, result)
+            assert (alert is None) == (expected is None)
+            if alert is None:
+                dog.observe(result)
+            else:
+                assert alert.startswith(expected)

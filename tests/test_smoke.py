@@ -118,7 +118,7 @@ def test_telemetry_records_a_guarded_faulted_drive(tmp_path):
     metrics snapshot); and it must render as ``repro telemetry report``.
     """
     path = tmp_path / "smoke.jsonl"
-    with Telemetry(path, step_sample_every=25) as telemetry:
+    with Telemetry(path) as telemetry:
         solver = PowertrainSolver(default_vehicle())
         simulator = Simulator(solver, telemetry=telemetry)
         supervisor = SafetySupervisor(RuleBasedController(solver), solver,

@@ -43,6 +43,7 @@ from repro.telemetry import (
     summarize_manifest,
     validate_event,
 )
+from repro.telemetry.runtime import STEP_SAMPLE_EVERY
 from repro.telemetry.tracing import ambient_context, set_ambient_context
 from repro.vehicle import default_vehicle
 
@@ -378,10 +379,6 @@ class TestTelemetryFacade:
         assert any(r["type"] == "span" and r["name"] == "work"
                    for r in read_events(path))
 
-    def test_sample_every_validated(self, tmp_path):
-        with pytest.raises(TelemetryError):
-            Telemetry(tmp_path / "t.jsonl", step_sample_every=0)
-
 
 # --------------------------------------------------------- logging bridge ---
 
@@ -442,7 +439,7 @@ class TestGoldenDeterminism:
 class TestSimulatorInstrumentation:
     def test_episode_events_and_spans(self, solver, cycle, tmp_path):
         path = tmp_path / "t.jsonl"
-        with Telemetry(path, step_sample_every=10) as tel:
+        with Telemetry(path) as tel:
             simulator = Simulator(solver, telemetry=tel)
             result = evaluate(simulator, RuleBasedController(solver), cycle)
         records = read_events(path)
@@ -454,7 +451,8 @@ class TestSimulatorInstrumentation:
         assert episodes[0]["steps"] == len(result.soc)
         assert episodes[0]["final_soc"] == pytest.approx(result.final_soc)
         steps = [r for r in records if r["type"] == "step"]
-        assert len(steps) == (len(result.soc) + 9) // 10
+        assert len(steps) == ((len(result.soc) + STEP_SAMPLE_EVERY - 1)
+                              // STEP_SAMPLE_EVERY)
         snapshot = records[-1]["metrics"]
         assert snapshot["sim.episodes"]["value"] == 1.0
         assert snapshot["sim.step_seconds"]["count"] == len(result.soc)
